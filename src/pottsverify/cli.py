@@ -361,13 +361,17 @@ def _run_approx_x(config: RunConfig, out: TextIO, err: TextIO) -> int:
     ``exp(J)`` to a nearby fraction for people starting from a float J.
     """
     j = config.log_coupling
-    if j is None or j < 0:
-        raise ModelDocumentError("--J must be a nonnegative float")
-    x = Fraction(math.exp(j)).limit_denominator(config.max_denominator)
+    if j is None or not 0 <= j < math.inf:
+        raise ModelDocumentError("--J must be a finite nonnegative float")
+    try:
+        weight = math.exp(j)
+    except OverflowError:
+        raise ModelDocumentError(f"--J {j!r} is too large: exp(J) overflows a float") from None
+    x = Fraction(weight).limit_denominator(config.max_denominator)
     if x < 1:
         x = Fraction(1)
     out.write(
-        f"approximate: x = {x} (~ exp({j!r}) = {math.exp(j)!r}); "
+        f"approximate: x = {x} (~ exp({j!r}) = {weight!r}); "
         "not exact, rounded to a nearby rational\n"
     )
     return 0
@@ -391,6 +395,19 @@ def _int_set_arg(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
     return values
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -435,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--J", dest="log_coupling", type=float, required=True,
                    help="nonnegative float log-coupling to approximate")
-    p.add_argument("--max-denominator", dest="max_denominator", type=int,
+    p.add_argument("--max-denominator", dest="max_denominator", type=_int_at_least(1),
                    default=10**6)
 
     p = sub.add_parser("sweep", help="seeded random-instance verification suites")
@@ -445,10 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--q-set", dest="q_set", type=_int_set_arg, default=(2, 3, 4, 5),
                    metavar="2,3,4")
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--x-max", dest="x_max", type=int, default=10)
-    p.add_argument("--max-interactions", dest="max_interactions", type=int, default=6)
-    p.add_argument("--max-list-len", dest="max_list_len", type=int, default=6)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=6)
+    p.add_argument("--x-max", dest="x_max", type=_int_at_least(1), default=10)
+    p.add_argument("--max-interactions", dest="max_interactions",
+                   type=_int_at_least(0), default=6)
+    p.add_argument("--max-list-len", dest="max_list_len", type=_int_at_least(0), default=6)
     return parser
 
 
@@ -475,6 +493,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = _config_from_args(args)
     if config.command == "sweep" and config.trials < 0:
         print("error: --trials must be >= 0", file=sys.stderr)
+        return 2
+    if (config.command == "sweep" and config.n_max < 2
+            and config.suite in ("all", "contraction", "quadratic")):
+        print("error: --n-max must be >= 2 for the contraction and quadratic suites",
+              file=sys.stderr)
         return 2
     try:
         return _COMMANDS[config.command](config, sys.stdout, sys.stderr)

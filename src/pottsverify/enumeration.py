@@ -5,28 +5,42 @@ event ``E``: the sum, over configurations in ``E``, of the spin product of
 ``R`` times the configuration weight.  Over the whole space it equals the
 partition function times the thermal average of the spin product.
 
-Two independent evaluation paths are provided:
+``correlation_sum`` / ``correlation_sums`` evaluate a scan of requests on one
+of two integer-exact kernels, chosen per scan from the model's structure.
+Both work on the same compiled plan: weights are scaled by the product of
+all coupling denominators, spin products by ``2**|R|``, and the two scales
+are divided out exactly once at the end, so either kernel yields the same
+reduced Fractions.
 
-* ``correlation_sum`` / ``correlation_sums`` — the optimized path.  A
-  mixed-radix odometer walks configuration ranks (site n fastest); on each
-  single-site step only the interactions containing that site re-evaluate
-  their delta, and the weight is maintained multiplicatively.  All hot-loop
-  arithmetic is integer-only: weights are scaled by the product of all
-  coupling denominators, spin products by ``2**|R|``, and the two scales are
-  divided out exactly once at the end.  The rank space splits into
-  contiguous chunks for parallel workers; merging is exact addition in chunk
+* The odometer walks all ``q**n`` configuration ranks in mixed radix (site
+  n fastest); on each single-site step only the interactions containing
+  that site re-evaluate their delta, and the weight is maintained
+  multiplicatively.  The rank space splits into ``workers`` contiguous
+  chunks, run one after another and merged by exact addition in chunk
   order, so results are identical for every worker count.
-* ``correlation_sum_naive`` — the reference path, kept permanently as the
-  test oracle.  It recomputes every delta, the full weight product, and the
-  spin product from scratch for each configuration, entirely in Fractions.
+* Bucket elimination sums the sites out one at a time in a greedy
+  min-degree order over the interaction and event subsets.  The factors are
+  integer tables: one per interaction (the scaled weight), one per site of
+  the request's list (its spin power), and a 0/1 indicator per delta
+  constraint.  Its cost is about ``sum(q**(bucket size))``, which on a
+  low-width hypergraph such as a ring is far below ``q**n``.
+
+Dispatch: a scan is eliminated when none of its requests has a sign
+constraint and the elimination order's estimated cost is below ``q**n``;
+every other scan, including every sign-constrained one and every one on a
+complete interaction graph, runs on the odometer.  ``SumResult``
+records which kernel ran.
+
+``correlation_sum_naive`` is the reference path, kept permanently as the
+test oracle.  It recomputes every delta, the full weight product, and the
+spin product from scratch for each configuration, entirely in Fractions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .gibbs import all_configurations, config_weight, generalized_delta
 from .model import (
@@ -129,11 +143,17 @@ def conjoin(*events: EventPredicate) -> EventPredicate:
 
 @dataclass(frozen=True)
 class SumResult:
-    """An exact correlation sum plus enumeration counters."""
+    """An exact correlation sum plus enumeration counters.
+
+    ``kernel`` names the path that computed it: ``"odometer"``,
+    ``"elimination"`` or ``"naive"``.  ``configs_visited`` is the size of
+    the configuration space whichever kernel ran.
+    """
 
     value: Fraction
     configs_visited: int
     configs_matching: int
+    kernel: str
 
 
 def spin_product(config: Configuration, indices: IndexList) -> Fraction:
@@ -199,10 +219,32 @@ def _check_event(model: Model, event: EventPredicate) -> None:
                 raise ModelError(f"event site {i} out of range 1..{model.n}")
 
 
-# --- optimized path ---------------------------------------------------------
+# --- compiled plan -----------------------------------------------------------
 
 
-def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]):
+class ScanPlan(NamedTuple):
+    """The per-scan tables both kernels read; sites are 0-indexed.
+
+    ``subset_sites`` lists the model's interactions first (``weight_pairs``
+    holds their ``(numerator, denominator)``), then the extra subsets that
+    event constraints name (``None`` in ``weight_pairs``).  Each request is
+    ``(terms, delta_reqs, sign_kind, sign_terms)``: per-site spin-power
+    tables of its list, ``(subset, bit)`` delta constraints, and the sign
+    constraint with the spin-power tables of its list.  ``scale`` is the
+    product of all coupling denominators.
+    """
+
+    n: int
+    q: int
+    dom: tuple[int, ...]
+    subset_sites: tuple[tuple[int, ...], ...]
+    weight_pairs: tuple[tuple[int, int] | None, ...]
+    site_subsets: tuple[tuple[int, ...], ...]
+    requests: tuple
+    scale: int
+
+
+def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]) -> ScanPlan:
     """Precompute the per-scan tables shared by all chunks."""
     n, q = model.n, model.q
     dom = spin_domain(q).doubled_values
@@ -252,7 +294,7 @@ def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]])
     site_subsets: list[tuple[int, ...]] = [
         tuple(j for j, sites in enumerate(subset_sites) if s in sites) for s in range(n)
     ]
-    return (
+    return ScanPlan(
         n,
         q,
         dom,
@@ -264,9 +306,12 @@ def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]])
     )
 
 
-def _scan_chunk(compiled, lo: int, hi: int) -> list[tuple[int, int]]:
+# --- odometer kernel ---------------------------------------------------------
+
+
+def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, int]]:
     """Accumulate every request over configuration ranks [lo, hi)."""
-    n, q, dom, subset_sites, weight_pairs, site_subsets, requests, _scale = compiled
+    n, q, dom, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
     accs = [0] * len(requests)
     matches = [0] * len(requests)
     if hi <= lo:
@@ -335,6 +380,125 @@ def _scan_chunk(compiled, lo: int, hi: int) -> list[tuple[int, int]]:
     return list(zip(accs, matches))
 
 
+# --- bucket-elimination kernel ----------------------------------------------
+
+
+def _elimination_order(plan: ScanPlan) -> tuple[tuple[int, ...], int]:
+    """Greedy min-degree elimination order and its estimated cost.
+
+    The graph joins two sites when a watched subset (an interaction or an
+    event's delta subset) holds both; ties go to the lower site index, so
+    the order is deterministic.  The cost is the sum over buckets of
+    ``q**(bucket scope size)``.
+    """
+    n, q = plan.n, plan.q
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for sites in plan.subset_sites:
+        for s in sites:
+            neighbours[s].update(sites)
+    for s in range(n):
+        neighbours[s].discard(s)
+    remaining = set(range(n))
+    order = []
+    cost = 0
+    while remaining:
+        v = min(remaining, key=lambda s: (len(neighbours[s]), s))
+        clique = neighbours[v]
+        cost += q ** (len(clique) + 1)
+        for s in clique:
+            neighbours[s] |= clique
+            neighbours[s].discard(s)
+            neighbours[s].discard(v)
+        remaining.remove(v)
+        order.append(v)
+    return tuple(order), cost
+
+
+def _agreement_table(q: int, k: int, agree: int, differ: int) -> list[int]:
+    """A factor over ``k`` sites: ``agree`` where all spins agree, else ``differ``."""
+    size = q**k
+    table = [differ] * size
+    step = (size - 1) // (q - 1)  # rank of the all-ones assignment
+    for d in range(q):
+        table[d * step] = agree
+    return table
+
+
+def _broadcast(scope: tuple[int, ...], table, joint: tuple[int, ...], q: int):
+    """``table`` over ``scope`` read at every assignment of ``joint``, a
+    superset of ``scope``; both are row-major with the last site fastest."""
+    if scope == joint:
+        return table
+    stride = {}
+    step = 1
+    for s in reversed(scope):
+        stride[s] = step
+        step *= q
+    index = [0]
+    for s in joint:
+        offsets = [d * stride.get(s, 0) for d in range(q)]
+        index = [i + o for i in index for o in offsets]
+    return [table[i] for i in index]
+
+
+def _sum_product(factors, order: tuple[int, ...], q: int) -> int:
+    """Sum over all configurations of the product of ``(scope, table)`` factors.
+
+    Sites are summed out in ``order``; each factor waits in the bucket of its
+    first site in that order.  A site no factor mentions contributes ``q``.
+    """
+    position = {s: i for i, s in enumerate(order)}
+    buckets: list[list] = [[] for _ in order]
+    for scope, table in factors:
+        buckets[min(position[s] for s in scope)].append((scope, table))
+    total = 1
+    for i, v in enumerate(order):
+        bucket = buckets[i]
+        if not bucket:
+            total *= q
+            continue
+        rest = sorted({s for scope, _ in bucket for s in scope if s != v},
+                      key=position.__getitem__)
+        joint = (*rest, v)
+        product = None
+        for scope, table in bucket:
+            values = _broadcast(scope, table, joint, q)
+            product = values if product is None else [a * b for a, b in zip(product, values)]
+        summed = [sum(product[j:j + q]) for j in range(0, len(product), q)]
+        if rest:
+            buckets[position[rest[0]]].append((tuple(rest), summed))
+        else:
+            total *= summed[0]
+    return total
+
+
+def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every request's ``(scaled sum, matching count)`` by bucket elimination.
+
+    The integers equal those of ``_scan_chunk(plan, 0, q**n)`` for requests
+    without a sign constraint; the dispatch sends no other request here.
+    """
+    q = plan.q
+    weights = [
+        (sites, _agreement_table(q, len(sites), *pair))
+        for sites, pair in zip(plan.subset_sites, plan.weight_pairs)
+        if pair is not None
+    ]
+    results = []
+    for terms, delta_reqs, _sign_kind, _sign_terms in plan.requests:
+        indicators = [
+            (plan.subset_sites[j], _agreement_table(q, len(plan.subset_sites[j]), bit, 1 - bit))
+            for j, bit in delta_reqs
+        ]
+        powers = [((s,), tab) for s, tab in terms]
+        acc = _sum_product(weights + powers + indicators, order, q)
+        results.append((acc, _sum_product(indicators, order, q)))
+    return results
+
+
+# --- dispatch ----------------------------------------------------------------
+
+
 def correlation_sums(
     model: Model,
     requests: Sequence[tuple[IndexList, EventPredicate]],
@@ -342,33 +506,37 @@ def correlation_sums(
 ) -> list[SumResult]:
     """Evaluate several (index list, event) correlation sums in one scan.
 
-    With ``workers > 1`` the rank space is split into that many contiguous
-    chunks evaluated independently and merged in chunk order; the result is
-    identical for every worker count.
+    The kernel is chosen from the model and the events alone (see the
+    module docstring).  On the odometer, ``workers > 1`` splits the rank
+    space into that many contiguous chunks merged in chunk order; the
+    result is identical for every worker count.
     """
     model.require_finite()
     if workers < 1:
         raise ModelError(f"workers must be >= 1, got {workers}")
-    compiled = _compile(model, requests)
+    plan = _compile(model, requests)
     total = model.configuration_count
-    scale = compiled[-1]
-    bounds = [
-        (k * total // workers, (k + 1) * total // workers) for k in range(workers)
-    ]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-    if len(bounds) <= 1:
-        partials = [_scan_chunk(compiled, 0, total)]
+    # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
+    # sweep-sized scans on the slower odometer, and a smaller one also sends
+    # complete interaction graphs (cost > q**n) to elimination, whose
+    # q**n-entry tables take far more memory than the odometer.
+    sign_free = all(sign_kind is None for _terms, _deltas, sign_kind, _signs in plan.requests)
+    order, cost = _elimination_order(plan) if sign_free else ((), total)
+    if cost < total:
+        kernel = "elimination"
+        partials = [_eliminate(plan, order)]
     else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            partials = list(
-                pool.map(lambda b: _scan_chunk(compiled, b[0], b[1]), bounds)
-            )
+        kernel = "odometer"
+        bounds = [
+            (k * total // workers, (k + 1) * total // workers) for k in range(workers)
+        ]
+        partials = [_scan_chunk(plan, lo, hi) for lo, hi in bounds if hi > lo]
     results = []
     for ri, (indices, _event) in enumerate(requests):
         acc = sum(part[ri][0] for part in partials)
         matching = sum(part[ri][1] for part in partials)
-        value = Fraction(acc, scale << len(indices))
-        results.append(SumResult(value, total, matching))
+        value = Fraction(acc, plan.scale << len(indices))
+        results.append(SumResult(value, total, matching, kernel))
     return results
 
 
@@ -423,4 +591,4 @@ def correlation_sum_naive(
         if _event_holds(config, event):
             matching += 1
             total += spin_product(config, indices) * config_weight(config, model)
-    return SumResult(total, visited, matching)
+    return SumResult(total, visited, matching, "naive")

@@ -1,0 +1,127 @@
+"""The bucket-elimination kernel against the odometer and the naive oracle,
+and the dispatch that chooses between them."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from pottsverify import (
+    EVERYWHERE,
+    IndexList,
+    build_model,
+    conjoin,
+    correlation_sum,
+    correlation_sum_naive,
+    correlation_sums,
+    delta_event,
+    sign_event,
+)
+from pottsverify.cli import main
+from pottsverify.enumeration import (
+    _compile,
+    _eliminate,
+    _elimination_order,
+    _scan_chunk,
+)
+
+EMPTY = IndexList(())
+
+
+@st.composite
+def instances(draw):
+    """A model with n <= 6, q <= 4 (at most 729 configurations), a list with
+    repeated sites allowed, and a delta-only event."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 6, 3: 6, 4: 4}[q]))
+    subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(4, n))
+    couplings = {}
+    if n >= 2:
+        for sites in draw(st.lists(subsets, max_size=6)):
+            d = draw(st.integers(1, 6))
+            couplings[sites] = Fraction(draw(st.integers(d, 5 * d)), d)
+    model = build_model(n, q, couplings.items())
+    indices = IndexList(tuple(draw(st.lists(st.integers(1, n), max_size=6))))
+    deltas = []
+    if n >= 2:
+        deltas = draw(st.lists(st.tuples(subsets, st.integers(0, 1)), max_size=2))
+    event = conjoin(*(delta_event(sites, bit) for sites, bit in deltas))
+    return model, indices, event
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_elimination_matches_odometer_and_oracle(instance):
+    model, indices, event = instance
+    # Extra requests share the plan and the order with the first one.
+    requests = [(indices, event), (EMPTY, event), (indices, EVERYWHERE)]
+    plan = _compile(model, requests)
+    order, _cost = _elimination_order(plan)
+    eliminated = _eliminate(plan, order)
+    assert eliminated == _scan_chunk(plan, 0, model.q**model.n)
+    acc, matching = eliminated[0]
+    naive = correlation_sum_naive(model, indices, event)
+    assert str(Fraction(acc, plan.scale << len(indices))) == str(naive.value)
+    assert matching == naive.configs_matching
+
+
+def ring_model(n: int, q: int):
+    """Nearest-neighbour pairs round a ring plus a triple on every third
+    consecutive triple of sites."""
+    pairs = [({i, i % n + 1}, Fraction(2 + i % 3, 1 + i % 2)) for i in range(1, n + 1)]
+    triples = [({i, i + 1, i + 2}, Fraction(3, 2)) for i in range(1, n - 1, 3)]
+    return build_model(n, q, pairs + triples)
+
+
+class TestKernelField:
+    def test_ring_is_eliminated(self):
+        model = ring_model(12, 3)
+        result = correlation_sum(model, IndexList((1, 5, 5, 9)), delta_event({2, 7}, 1))
+        assert result.kernel == "elimination"
+        assert result.configs_visited == 3**12
+
+    def test_dense_model_stays_on_odometer(self):
+        model = build_model(8, 2, [({i, j}, 2) for i in range(1, 9) for j in range(i + 1, 9)])
+        assert correlation_sum(model, IndexList((1, 2))).kernel == "odometer"
+
+    def test_sign_event_scan_stays_on_odometer(self):
+        model = ring_model(8, 3)
+        assert correlation_sum(model, EMPTY).kernel == "elimination"
+        results = correlation_sums(
+            model, [(EMPTY, EVERYWHERE), (EMPTY, sign_event(IndexList((1, 4)), "zero"))]
+        )
+        assert [r.kernel for r in results] == ["odometer", "odometer"]
+
+    def test_oracle_is_named(self):
+        model = ring_model(4, 2)
+        assert correlation_sum_naive(model, IndexList((1,))).kernel == "naive"
+
+    def test_kernels_agree_on_a_ring(self):
+        model = ring_model(7, 3)
+        lists = IndexList((1, 3, 3, 6))
+        event = conjoin(delta_event({2, 5}, 0), delta_event({1, 4, 7}, 1))
+        fast = correlation_sum(model, lists, event)
+        slow = correlation_sum_naive(model, lists, event)
+        assert fast.kernel == "elimination"
+        assert (fast.value, fast.configs_matching) == (slow.value, slow.configs_matching)
+
+
+def test_verify_on_a_forty_site_ring(tmp_path, capsys):
+    model = ring_model(40, 3)
+    doc = {
+        "n": 40, "q": 3,
+        "interactions": [
+            {"sites": sorted(sites), "x": str(x)} for sites, x in model.interactions.items()
+        ],
+        "lists": {"R": [1, 2, 20, 21], "S": [2, 21, 30, 39]},
+    }
+    path = tmp_path / "ring40.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--model", str(path), "--format", "csv"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    rows = first.strip().splitlines()[1:]
+    assert [row.split(",")[6] for row in rows] == ["theorem1", "theorem2"]
+    assert all(row.endswith(",true") for row in rows)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
