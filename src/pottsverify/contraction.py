@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .enumeration import correlation_sum, delta_event
+from .enumeration import _check_indices, correlation_sum, delta_event
 from .model import (
     IndexList,
     InteractionTable,
@@ -106,9 +106,7 @@ def contract(model: Model, indices: IndexList, merged_sites: Iterable[int]) -> C
     if not merged <= set(model.sites):
         raise ModelError(f"merged sites {sorted(merged)} not within 1..{model.n}")
     model.require_finite()
-    for i in indices:
-        if i > model.n:
-            raise ModelError(f"list entry {i} out of range 1..{model.n}")
+    _check_indices(model, indices)
     contracted, front, site_map = _contract_model(model, merged)
     return ContractionResult(contracted, indices.relabel(site_map), front, site_map)
 

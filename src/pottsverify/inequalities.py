@@ -92,25 +92,28 @@ def check_positive_expectation(
     )
 
 
-def _covariance_parts(model: Model, r: IndexList, s: IndexList, workers: int = 1):
-    rs = r.concat(s)
-    res = correlation_sums(
-        model,
-        [(rs, EVERYWHERE), (r, EVERYWHERE), (s, EVERYWHERE), (EMPTY_LIST, EVERYWHERE)],
-        workers,
+def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList, workers: int = 1):
+    z_rs, z_r, z_s, z = (
+        res.value
+        for res in correlation_sums(
+            model,
+            [(r.concat(s), EVERYWHERE), (r, EVERYWHERE), (s, EVERYWHERE),
+             (EMPTY_LIST, EVERYWHERE)],
+            workers,
+        )
     )
-    return res[0].value, res[1].value, res[2].value, res[3].value
+    return z * z_rs - z_r * z_s, z
 
 
 def scaled_covariance(model: Model, r: IndexList, s: IndexList, workers: int = 1) -> Fraction:
     """``Z * zeta(RS) - zeta(R) * zeta(S)``, all from one scan."""
-    z_rs, z_r, z_s, z = _covariance_parts(model, r, s, workers)
-    return z * z_rs - z_r * z_s
+    return _scaled_covariance_and_z(model, r, s, workers)[0]
+
 
 def covariance(model: Model, r: IndexList, s: IndexList, workers: int = 1) -> Fraction:
     """``<RS> - <R><S>`` for the spin products of the two lists."""
-    z_rs, z_r, z_s, z = _covariance_parts(model, r, s, workers)
-    return (z * z_rs - z_r * z_s) / (z * z)
+    scaled, z = _scaled_covariance_and_z(model, r, s, workers)
+    return scaled / (z * z)
 
 
 def check_positive_covariance(
