@@ -34,7 +34,11 @@ reduced Fractions.
   integer tables: one per interaction (the scaled weight), one per site of
   the request's list (its spin power), and a 0/1 indicator per delta
   constraint.  Its cost is about ``sum(q**(bucket size))``, which on a
-  low-width hypergraph such as a ring is far below ``q**n``.
+  low-width hypergraph such as a ring is far below ``q**n``.  A scan's
+  requests share every bucket whose inputs are the same (the weight-only
+  buckets, and each bucket before a request's own list or delta factors
+  join in), which is summed once for all of them, and the matching counts
+  are computed once per distinct set of delta constraints.
 
 Dispatch: a scan is eliminated when none of its requests has a sign
 constraint and the elimination order's estimated cost is below ``q**n``;
@@ -347,7 +351,6 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, int]]:
         if pair is not None:
             weight *= pair[0] if deltas[j] else pair[1]
 
-    last = q - 1
     for rank in range(lo, hi):
         for ri, (terms, delta_reqs, sign_kind, sign_terms) in enumerate(requests):
             ok = True
@@ -594,11 +597,10 @@ def _agreement_table(q: int, k: int, agree: int, differ: int) -> list[int]:
     return table
 
 
-def _broadcast(scope: tuple[int, ...], table, joint: tuple[int, ...], q: int):
-    """``table`` over ``scope`` read at every assignment of ``joint``, a
-    superset of ``scope``; both are row-major with the last site fastest."""
-    if scope == joint:
-        return table
+def _index_map(scope: tuple[int, ...], joint: tuple[int, ...], q: int) -> list[int]:
+    """The entry of a table over ``scope`` read at every assignment of
+    ``joint``, a superset of ``scope``; both are row-major with the last site
+    fastest."""
     stride = {}
     step = 1
     for s in reversed(scope):
@@ -608,61 +610,89 @@ def _broadcast(scope: tuple[int, ...], table, joint: tuple[int, ...], q: int):
     for s in joint:
         offsets = [d * stride.get(s, 0) for d in range(q)]
         index = [i + o for i in index for o in offsets]
-    return [table[i] for i in index]
-
-
-def _sum_product(factors, order: tuple[int, ...], q: int) -> int:
-    """Sum over all configurations of the product of ``(scope, table)`` factors.
-
-    Sites are summed out in ``order``; each factor waits in the bucket of its
-    first site in that order.  A site no factor mentions contributes ``q``.
-    """
-    position = {s: i for i, s in enumerate(order)}
-    buckets: list[list] = [[] for _ in order]
-    for scope, table in factors:
-        buckets[min(position[s] for s in scope)].append((scope, table))
-    total = 1
-    for i, v in enumerate(order):
-        bucket = buckets[i]
-        if not bucket:
-            total *= q
-            continue
-        rest = sorted({s for scope, _ in bucket for s in scope if s != v},
-                      key=position.__getitem__)
-        joint = (*rest, v)
-        product = None
-        for scope, table in bucket:
-            values = _broadcast(scope, table, joint, q)
-            product = values if product is None else [a * b for a, b in zip(product, values)]
-        summed = [sum(product[j:j + q]) for j in range(0, len(product), q)]
-        if rest:
-            buckets[position[rest[0]]].append((tuple(rest), summed))
-        else:
-            total *= summed[0]
-    return total
+    return index
 
 
 def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     """Every request's ``(scaled sum, matching count)`` by bucket elimination.
 
+    Sites are summed out in ``order``; each ``(scope, table)`` factor waits
+    in the bucket of its first site in that order, and a site no factor
+    mentions contributes ``q``.  One context serves the whole scan.  Each
+    table is built once: the weights per scan, a list site's spin powers
+    per site and table, an indicator per subset and bit.  A bucket's
+    message is memoised by the bucket's position and the identities of its
+    input tables, so requests that give a bucket the same inputs share one
+    summation and one message object, and so keep sharing downstream.
+    Matching counts come from the indicators alone, once per distinct set
+    of delta constraints; a request with none matches all ``q**n``.
+
     The integers equal those of ``_scan_chunk(plan, 0, q**n)`` for requests
     without a sign constraint; the dispatch sends no other request here.
     """
     q = plan.q
-    weights = [
-        (sites, _agreement_table(q, len(sites), *pair))
-        for sites, pair in zip(plan.subset_sites, plan.weight_pairs)
-        if pair is not None
-    ]
+    rank = {s: i for i, s in enumerate(order)}.__getitem__
+    subset_sites = plan.subset_sites
+
+    # Every factor of the scan, with the bucket it waits in, built once and
+    # keyed by its source: a weight by its subset ``j``, a spin-power table by
+    # its ``(site, table)`` term, an indicator by its ``(subset, bit)``.
+    factors: dict = {}
+    for j, (sites, pair) in enumerate(zip(subset_sites, plan.weight_pairs)):
+        if pair is not None:
+            factors[j] = (min(map(rank, sites)), (sites, _agreement_table(q, len(sites), *pair)))
+    weight_keys = tuple(factors)
+    for terms, delta_reqs, _sign_kind, _sign_terms in plan.requests:
+        for s, tab in terms:
+            factors.setdefault((s, tab), (rank(s), ((s,), tab)))
+        for j, bit in delta_reqs:
+            if (j, bit) not in factors:
+                sites = subset_sites[j]
+                table = _agreement_table(q, len(sites), bit, 1 - bit)
+                factors[j, bit] = (min(map(rank, sites)), (sites, table))
+    messages: dict = {}  # (bucket, input table ids) -> (scope, table)
+    getters: dict = {}  # (scope, joint) -> itemgetter of the index map
+
+    def sum_product(keys) -> int:
+        """Sum over all configurations of the product of the factors ``keys``."""
+        buckets: list[list] = [[] for _ in order]
+        for key in keys:
+            i, factor = factors[key]
+            buckets[i].append(factor)
+        total = 1
+        for i, bucket in enumerate(buckets):
+            if not bucket:
+                total *= q
+                continue
+            inputs = (i, *sorted([id(table) for _scope, table in bucket]))
+            message = messages.get(inputs)
+            if message is None:
+                v = order[i]
+                rest = sorted({s for scope, _table in bucket for s in scope} - {v}, key=rank)
+                joint = (*rest, v)
+                product = None
+                for scope, table in bucket:
+                    if scope != joint:
+                        get = getters.get((scope, joint))
+                        if get is None:
+                            get = getters[scope, joint] = itemgetter(*_index_map(scope, joint, q))
+                        table = get(table)
+                    product = table if product is None else list(map(mul, product, table))
+                summed = list(map(sum, zip(*[iter(product)] * q)))
+                message = messages[inputs] = (tuple(rest), summed)
+            scope, table = message
+            if scope:
+                buckets[rank(scope[0])].append(message)
+            else:
+                total *= table[0]
+        return total
+
+    counts = {(): q**plan.n}
     results = []
     for terms, delta_reqs, _sign_kind, _sign_terms in plan.requests:
-        indicators = [
-            (plan.subset_sites[j], _agreement_table(q, len(plan.subset_sites[j]), bit, 1 - bit))
-            for j, bit in delta_reqs
-        ]
-        powers = [((s,), tab) for s, tab in terms]
-        acc = _sum_product(weights + powers + indicators, order, q)
-        results.append((acc, _sum_product(indicators, order, q)))
+        if delta_reqs not in counts:
+            counts[delta_reqs] = sum_product(delta_reqs)
+        results.append((sum_product((*weight_keys, *terms, *delta_reqs)), counts[delta_reqs]))
     return results
 
 

@@ -125,3 +125,55 @@ def test_verify_on_a_forty_site_ring(tmp_path, capsys):
     assert all(row.endswith(",true") for row in rows)
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+@st.composite
+def quadratic_scans(draw):
+    """A quadratic-decomposition-shaped scan on a model with 2 <= n <= 6:
+    the lists R, S, R+S and the empty list, each over a delta agree and a
+    delta disagree event on one subset, then a duplicate of one request and
+    a copy of one request with one site's multiplicity raised by one."""
+    model, _indices, _event = draw(instances().filter(lambda inst: inst[0].n >= 2))
+    n = model.n
+    lists = st.lists(st.integers(1, n), max_size=4).map(lambda xs: IndexList(tuple(xs)))
+    r, s = draw(lists), draw(lists)
+    sites = draw(st.frozensets(st.integers(1, n), min_size=2, max_size=min(4, n)))
+    requests = [
+        (indices, delta_event(sites, bit))
+        for indices in (r, s, r.concat(s), EMPTY)
+        for bit in (1, 0)
+    ]
+    requests.append(draw(st.sampled_from(requests)))
+    indices, event = draw(st.sampled_from(requests))
+    requests.append((indices.concat(IndexList((draw(st.integers(1, n)),))), event))
+    return model, requests
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratic_scans())
+def test_shared_buckets_match_odometer_and_lone_requests(scan):
+    model, requests = scan
+    plan = _compile(model, requests)
+    order, _cost = _elimination_order(plan)
+    eliminated = _eliminate(plan, order)
+    assert eliminated == _scan_chunk(plan, 0, model.q**model.n)
+    for request, pair in zip(requests, eliminated):
+        alone = _compile(model, [request])
+        assert _eliminate(alone, _elimination_order(alone)[0]) == [pair]
+
+
+class TestSharedScan:
+    def test_requests_without_deltas_match_everything(self):
+        model = ring_model(9, 3)
+        lists = [EMPTY, IndexList((1,)), IndexList((2, 2, 5)), IndexList((1, 2, 5, 9))]
+        results = correlation_sums(model, [(indices, EVERYWHERE) for indices in lists])
+        assert [r.kernel for r in results] == ["elimination"] * 4
+        assert [r.configs_matching for r in results] == [3**9] * 4
+
+    def test_identical_requests_give_identical_pairs(self):
+        model = ring_model(8, 4)
+        request = (IndexList((1, 3, 3)), conjoin(delta_event({2, 6}, 0), delta_event({4, 5}, 1)))
+        plan = _compile(model, [request] * 3)
+        eliminated = _eliminate(plan, _elimination_order(plan)[0])
+        assert eliminated[0] == eliminated[1] == eliminated[2]
+        assert eliminated == _scan_chunk(plan, 0, 4**8)
