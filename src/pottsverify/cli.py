@@ -32,7 +32,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -53,7 +52,7 @@ from .inequalities import (
 from .model import IndexList, Model, ModelError
 from .serialize import ModelDocumentError, model_from_dict
 
-__all__ = ["RunConfig", "main", "parse_model_file", "run_sweep"]
+__all__ = ["main", "parse_model_file"]
 
 ROW_FIELDS = (
     "trial", "n", "q", "s", "|R|", "|S|",
@@ -62,30 +61,6 @@ ROW_FIELDS = (
 SUITES = ("theorem1", "theorem2", "contraction", "xi", "quadratic")
 FORMATS = ("human", "json", "csv")
 DEFAULT_STATE_LIMIT = 4096
-
-
-@dataclass
-class RunConfig:
-    """Everything a command run depends on; the seed pins every random draw."""
-
-    command: str
-    model_path: str | None = None
-    r_entries: tuple[int, ...] | None = None
-    s_entries: tuple[int, ...] | None = None
-    b_sites: tuple[int, ...] | None = None
-    seed: int = 0
-    trials: int = 100
-    n_max: int = 6
-    q_set: tuple[int, ...] = (2, 3, 4, 5)
-    x_max: int = 10
-    max_interactions: int = 6
-    max_list_len: int = 6
-    state_limit: int = DEFAULT_STATE_LIMIT
-    output_format: str = "human"
-    suite: str = "all"
-    exponents: tuple[int, ...] = (2, 4, 6)
-    log_coupling: float | None = None
-    max_denominator: int = 10**6
 
 
 def parse_model_file(path: str) -> tuple[Model, dict[str, IndexList]]:
@@ -149,23 +124,23 @@ def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:
 # --- sweep suites ------------------------------------------------------------
 
 
-def _suite_rng(config: RunConfig, suite: str) -> random.Random:
-    return random.Random(config.seed * len(SUITES) + 1 + SUITES.index(suite))
+def _suite_rng(args: argparse.Namespace, suite: str) -> random.Random:
+    return random.Random(args.seed * len(SUITES) + 1 + SUITES.index(suite))
 
 
-def _model_kwargs(config: RunConfig, n_min: int = 1) -> dict:
+def _model_kwargs(args: argparse.Namespace, n_min: int = 1) -> dict:
     return dict(
-        n_max=config.n_max, n_min=n_min, q_set=config.q_set, x_max=config.x_max,
-        max_interactions=config.max_interactions, state_limit=config.state_limit,
+        n_max=args.n_max, n_min=n_min, q_set=args.q_set, x_max=args.x_max,
+        max_interactions=args.max_interactions, state_limit=DEFAULT_STATE_LIMIT,
     )
 
 
-def _sweep_theorem1(config: RunConfig, err: TextIO) -> list[dict]:
-    rng = _suite_rng(config, "theorem1")
+def _sweep_theorem1(args: argparse.Namespace, err: TextIO) -> list[dict]:
+    rng = _suite_rng(args, "theorem1")
     rows = []
-    for trial in range(config.trials):
-        model = random_model(rng, **_model_kwargs(config))
-        r = random_index_list(rng, model.n, config.max_list_len)
+    for trial in range(args.trials):
+        model = random_model(rng, **_model_kwargs(args))
+        r = random_index_list(rng, model.n, args.max_list_len)
         report = check_positive_expectation(model, r)
         if not report.satisfied:
             print(f"witness: {report.witness}", file=err)
@@ -174,13 +149,13 @@ def _sweep_theorem1(config: RunConfig, err: TextIO) -> list[dict]:
     return rows
 
 
-def _sweep_theorem2(config: RunConfig, err: TextIO) -> list[dict]:
-    rng = _suite_rng(config, "theorem2")
+def _sweep_theorem2(args: argparse.Namespace, err: TextIO) -> list[dict]:
+    rng = _suite_rng(args, "theorem2")
     rows = []
-    for trial in range(config.trials):
-        model = random_model(rng, **_model_kwargs(config))
-        r = random_index_list(rng, model.n, config.max_list_len)
-        s = random_index_list(rng, model.n, config.max_list_len)
+    for trial in range(args.trials):
+        model = random_model(rng, **_model_kwargs(args))
+        r = random_index_list(rng, model.n, args.max_list_len)
+        s = random_index_list(rng, model.n, args.max_list_len)
         report = check_positive_covariance(model, r, s)
         if not report.satisfied:
             print(f"witness: {report.witness}", file=err)
@@ -189,13 +164,13 @@ def _sweep_theorem2(config: RunConfig, err: TextIO) -> list[dict]:
     return rows
 
 
-def _sweep_contraction(config: RunConfig, err: TextIO) -> list[dict]:
-    rng = _suite_rng(config, "contraction")
+def _sweep_contraction(args: argparse.Namespace, err: TextIO) -> list[dict]:
+    rng = _suite_rng(args, "contraction")
     rows = []
-    for trial in range(config.trials):
-        model = random_model(rng, **_model_kwargs(config, n_min=2))
+    for trial in range(args.trials):
+        model = random_model(rng, **_model_kwargs(args, n_min=2))
         merged = frozenset(rng.sample(range(1, model.n + 1), rng.randint(2, model.n)))
-        r = random_index_list(rng, model.n, config.max_list_len)
+        r = random_index_list(rng, model.n, args.max_list_len)
         check = check_contraction_identity(model, r, merged)
         if not check.equal:
             print(f"witness: contraction mismatch lhs={check.lhs} rhs={check.rhs}", file=err)
@@ -206,12 +181,12 @@ def _sweep_contraction(config: RunConfig, err: TextIO) -> list[dict]:
     return rows
 
 
-def _sweep_xi(config: RunConfig, err: TextIO) -> list[dict]:
-    q_values = config.q_set if config.command == "xi" else tuple(range(2, 13))
+def _sweep_xi(args: argparse.Namespace, err: TextIO) -> list[dict]:
+    q_values = args.q_set if args.command == "xi" else tuple(range(2, 13))
     rows = []
     trial = 0
     for q in q_values:
-        for a, b in itertools.product(config.exponents, repeat=2):
+        for a, b in itertools.product(args.exponents, repeat=2):
             gap = power_sum_gap(q, a, b)
             report = check_power_sum_gap_recursion(q, a, b)
             rows.append(_row(trial, 0, q, 0, a, b, "xi", gap,
@@ -220,12 +195,12 @@ def _sweep_xi(config: RunConfig, err: TextIO) -> list[dict]:
     return rows
 
 
-def _sweep_quadratic(config: RunConfig, err: TextIO) -> list[dict]:
-    rng = _suite_rng(config, "quadratic")
+def _sweep_quadratic(args: argparse.Namespace, err: TextIO) -> list[dict]:
+    rng = _suite_rng(args, "quadratic")
     rows = []
     trial = 0
-    while trial < config.trials:
-        model = random_model(rng, **_model_kwargs(config, n_min=2))
+    while trial < args.trials:
+        model = random_model(rng, **_model_kwargs(args, n_min=2))
         free = [
             frozenset(combo)
             for size in range(2, min(4, model.n) + 1)
@@ -235,10 +210,10 @@ def _sweep_quadratic(config: RunConfig, err: TextIO) -> list[dict]:
         if not free:
             continue
         merged = rng.choice(sorted(free, key=sorted))
-        x = random_coupling(rng, config.x_max)
-        extra = (random_coupling(rng, config.x_max), random_coupling(rng, config.x_max))
-        r = random_index_list(rng, model.n, config.max_list_len)
-        s = random_index_list(rng, model.n, config.max_list_len)
+        x = random_coupling(rng, args.x_max)
+        extra = (random_coupling(rng, args.x_max), random_coupling(rng, args.x_max))
+        r = random_index_list(rng, model.n, args.max_list_len)
+        s = random_index_list(rng, model.n, args.max_list_len)
         report = check_quadratic(model, merged, x, r, s, extra_x=extra)
         if not report.satisfied:
             print(f"witness: {report.witness}", file=err)
@@ -258,25 +233,24 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_sweep(config: RunConfig, out: TextIO = sys.stdout,
-              err: TextIO = sys.stderr) -> int:
+def _run_sweep(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     """Run the configured suites; exit 0 iff every row is satisfied."""
-    suites = SUITES if config.suite == "all" else (config.suite,)
+    suites = SUITES if args.suite == "all" else (args.suite,)
     rows: list[dict] = []
     for suite in suites:
-        rows.extend(_SUITE_RUNNERS[suite](config, err))
-    _emit(rows, config.output_format, out)
+        rows.extend(_SUITE_RUNNERS[suite](args, err))
+    _emit(rows, args.output_format, out)
     return 0 if all(row["satisfied"] for row in rows) else 1
 
 
 # --- single-model commands ----------------------------------------------------
 
 
-def _load_instance(config: RunConfig, err: TextIO, *, need_r: bool = True):
+def _load_instance(args: argparse.Namespace, err: TextIO):
     """Model plus R/S/B lists from file and flags, infinite couplings resolved."""
-    if not config.model_path:
+    if not args.model_path:
         raise ModelDocumentError("a --model file is required")
-    model, named = parse_model_file(config.model_path)
+    model, named = parse_model_file(args.model_path)
 
     def pick(flag: tuple[int, ...] | None, name: str) -> IndexList | None:
         if flag is not None:
@@ -286,10 +260,10 @@ def _load_instance(config: RunConfig, err: TextIO, *, need_r: bool = True):
             return IndexList(flag)
         return named.get(name)
 
-    r = pick(config.r_entries, "R")
-    s = pick(config.s_entries, "S")
-    b = pick(config.b_sites, "B")
-    if need_r and r is None:
+    r = pick(args.r_entries, "R")
+    s = pick(args.s_entries, "S")
+    b = pick(args.b_sites, "B")
+    if r is None:
         raise ModelDocumentError("no R list: pass --R or add lists.R to the model file")
 
     if model.interactions.has_infinite:
@@ -308,17 +282,17 @@ def _load_instance(config: RunConfig, err: TextIO, *, need_r: bool = True):
     return model, r, s, b
 
 
-def _run_expect(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    model, r, _s, _b = _load_instance(config, err)
+def _run_expect(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    model, r, _s, _b = _load_instance(args, err)
     value = expectation(model, r)
     rows = [_row(0, model.n, model.q, model.interactions.s, len(r), 0,
                  "expectation", value, True)]
-    _emit(rows, config.output_format, out)
+    _emit(rows, args.output_format, out)
     return 0
 
 
-def _run_verify(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    model, r, s, _b = _load_instance(config, err)
+def _run_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    model, r, s, _b = _load_instance(args, err)
     rows = []
     report = check_positive_expectation(model, r)
     rows.append(_row(0, model.n, model.q, model.interactions.s, len(r), 0,
@@ -331,12 +305,12 @@ def _run_verify(config: RunConfig, out: TextIO, err: TextIO) -> int:
                          "theorem2", report.value, report.satisfied))
         if not report.satisfied:
             print(f"witness: {report.witness}", file=err)
-    _emit(rows, config.output_format, out)
+    _emit(rows, args.output_format, out)
     return 0 if all(row["satisfied"] for row in rows) else 1
 
 
-def _run_contract_check(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    model, r, _s, b = _load_instance(config, err)
+def _run_contract_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    model, r, _s, b = _load_instance(args, err)
     if b is None:
         raise ModelDocumentError("no B set: pass --B or add lists.B to the model file")
     check = check_contraction_identity(model, r, frozenset(b.entries))
@@ -344,30 +318,30 @@ def _run_contract_check(config: RunConfig, out: TextIO, err: TextIO) -> int:
     rows = [_row(0, model.n, model.q, model.interactions.s, len(r),
                  len(frozenset(b.entries)), "contraction",
                  check.lhs - check.rhs, check.equal)]
-    _emit(rows, config.output_format, out)
+    _emit(rows, args.output_format, out)
     return 0 if check.equal else 1
 
 
-def _run_xi(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    rows = _sweep_xi(config, err)
-    _emit(rows, config.output_format, out)
+def _run_xi(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    rows = _sweep_xi(args, err)
+    _emit(rows, args.output_format, out)
     return 0 if all(row["satisfied"] for row in rows) else 1
 
 
-def _run_approx_x(config: RunConfig, out: TextIO, err: TextIO) -> int:
+def _run_approx_x(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     """Convenience: float log-coupling J to an APPROXIMATE rational weight.
 
     The engine itself only accepts exact weights; this converts
     ``exp(J)`` to a nearby fraction for people starting from a float J.
     """
-    j = config.log_coupling
-    if j is None or not 0 <= j < math.inf:
+    j = args.log_coupling
+    if not 0 <= j < math.inf:
         raise ModelDocumentError("--J must be a finite nonnegative float")
     try:
         weight = math.exp(j)
     except OverflowError:
         raise ModelDocumentError(f"--J {j!r} is too large: exp(J) overflows a float") from None
-    x = Fraction(weight).limit_denominator(config.max_denominator)
+    x = Fraction(weight).limit_denominator(args.max_denominator)
     if x < 1:
         x = Fraction(1)
     out.write(
@@ -426,6 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="index list R (overrides lists.R in the file)")
             p.add_argument("--S", dest="s_entries", type=_sites_arg, metavar="2,2",
                            help="index list S (overrides lists.S in the file)")
+            # Only contract-check adds --B; the other model commands load no B.
+            p.set_defaults(b_sites=None)
         p.add_argument("--format", dest="output_format", choices=FORMATS,
                        default="human", help="report format (default human)")
 
@@ -459,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, model=False)
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.add_argument("--q-set", dest="q_set", type=_int_set_arg, default=(2, 3, 4, 5),
                    metavar="2,3,4")
     p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=6)
@@ -467,15 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-interactions", dest="max_interactions",
                    type=_int_at_least(0), default=6)
     p.add_argument("--max-list-len", dest="max_list_len", type=_int_at_least(0), default=6)
+    p.set_defaults(exponents=(2, 4, 6))
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in vars(config):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    return config
 
 
 _COMMANDS = {
@@ -484,23 +453,19 @@ _COMMANDS = {
     "contract-check": _run_contract_check,
     "xi": _run_xi,
     "approx-x": _run_approx_x,
-    "sweep": run_sweep,
+    "sweep": _run_sweep,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    if config.command == "sweep" and config.trials < 0:
-        print("error: --trials must be >= 0", file=sys.stderr)
-        return 2
-    if (config.command == "sweep" and config.n_max < 2
-            and config.suite in ("all", "contraction", "quadratic")):
+    if (args.command == "sweep" and args.n_max < 2
+            and args.suite in ("all", "contraction", "quadratic")):
         print("error: --n-max must be >= 2 for the contraction and quadratic suites",
               file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[config.command](config, sys.stdout, sys.stderr)
+        return _COMMANDS[args.command](args, sys.stdout, sys.stderr)
     except (ModelDocumentError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,7 +112,7 @@ def contract(model: Model, indices: IndexList, merged_sites: Iterable[int]) -> C
 
 
 def check_contraction_identity(
-    model: Model, indices: IndexList, merged_sites: Iterable[int], workers: int = 1
+    model: Model, indices: IndexList, merged_sites: Iterable[int]
 ) -> IdentityCheck:
     """Compare the restricted sum against front factor times contracted sum.
 
@@ -121,11 +121,11 @@ def check_contraction_identity(
     over its whole space.  The two are equal exactly.
     """
     merged = frozenset(merged_sites)
-    lhs = correlation_sum(model, indices, delta_event(merged, 1), workers).value
+    lhs = correlation_sum(model, indices, delta_event(merged, 1)).value
     result = contract(model, indices, merged)
     rhs = (
         result.front_factor
-        * correlation_sum(result.contracted_model, result.contracted_list, workers=workers).value
+        * correlation_sum(result.contracted_model, result.contracted_list).value
     )
     return IdentityCheck(lhs, rhs)
 

@@ -255,7 +255,6 @@ class ScanPlan(NamedTuple):
 
     n: int
     q: int
-    dom: tuple[int, ...]
     subset_sites: tuple[tuple[int, ...], ...]
     weight_pairs: tuple[tuple[int, int] | None, ...]
     site_subsets: tuple[tuple[int, ...], ...]
@@ -316,7 +315,6 @@ def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]])
     return ScanPlan(
         n,
         q,
-        dom,
         tuple(subset_sites),
         tuple(weight_pairs),
         tuple(site_subsets),
@@ -330,7 +328,7 @@ def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]])
 
 def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, int]]:
     """Accumulate every request over configuration ranks [lo, hi)."""
-    n, q, dom, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
+    n, q, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
     accs = [0] * len(requests)
     matches = [0] * len(requests)
     if hi <= lo:
@@ -469,7 +467,7 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     the few distinct block rows rather than the number of site patterns.
     The integers equal those of ``_scan_chunk(plan, 0, q**n)``.
     """
-    n, q, _dom, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
+    n, q, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
     families: dict = {}
     tables = []
     for terms, delta_reqs, sign_kind, sign_terms in requests:
@@ -702,18 +700,13 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
 def correlation_sums(
     model: Model,
     requests: Sequence[tuple[IndexList, EventPredicate]],
-    workers: int = 1,
 ) -> list[SumResult]:
     """Evaluate several (index list, event) correlation sums in one scan.
 
     The kernel is chosen from the model and the events alone (see the
-    module docstring), and each kernel runs as one pass.  ``workers`` must
-    be >= 1 but does not split the work, so the result is identical for
-    every worker count.
+    module docstring).
     """
     model.require_finite()
-    if workers < 1:
-        raise ModelError(f"workers must be >= 1, got {workers}")
     plan = _compile(model, requests)
     total = model.configuration_count
     # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
@@ -738,18 +731,15 @@ def correlation_sum(
     model: Model,
     indices: IndexList,
     event: EventPredicate = EVERYWHERE,
-    workers: int = 1,
 ) -> SumResult:
     """Exact sum of spin product times weight over the configurations in ``event``."""
-    return correlation_sums(model, [(indices, event)], workers)[0]
+    return correlation_sums(model, [(indices, event)])[0]
 
 
-def expectation(model: Model, indices: IndexList, workers: int = 1) -> Fraction:
+def expectation(model: Model, indices: IndexList) -> Fraction:
     """Thermal average of the spin product of ``indices``: full-space
     correlation sum over the partition function, both from a single scan."""
-    num, den = correlation_sums(
-        model, [(indices, EVERYWHERE), (EMPTY_LIST, EVERYWHERE)], workers
-    )
+    num, den = correlation_sums(model, [(indices, EVERYWHERE), (EMPTY_LIST, EVERYWHERE)])
     return num.value / den.value
 
 

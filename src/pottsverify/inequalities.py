@@ -26,6 +26,7 @@ from .enumeration import (
     centered_power_sum,
     correlation_sums,
     delta_event,
+    expectation,
 )
 from .model import EMPTY_LIST, IndexList, Model, ModelError, spin_domain
 from .serialize import witness_json
@@ -65,22 +66,12 @@ class InequalityReport:
         return self.values[0]
 
 
-def _expectation_and_z(model: Model, indices: IndexList, workers: int = 1):
-    num, den = correlation_sums(
-        model, [(indices, EVERYWHERE), (EMPTY_LIST, EVERYWHERE)], workers
-    )
-    return num.value, den.value
-
-
-def check_positive_expectation(
-    model: Model, indices: IndexList, workers: int = 1
-) -> InequalityReport:
+def check_positive_expectation(model: Model, indices: IndexList) -> InequalityReport:
     """First inequality: the thermal average of a spin product is >= 0.
 
     For odd-length lists the value must additionally be exactly zero.
     """
-    total, z = _expectation_and_z(model, indices, workers)
-    value = total / z
+    value = expectation(model, indices)
     satisfied = value >= 0 and (len(indices) % 2 == 0 or value == 0)
     return InequalityReport(
         kind="theorem1",
@@ -92,39 +83,36 @@ def check_positive_expectation(
     )
 
 
-def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList, workers: int = 1):
+def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList):
     z_rs, z_r, z_s, z = (
         res.value
         for res in correlation_sums(
             model,
             [(r.concat(s), EVERYWHERE), (r, EVERYWHERE), (s, EVERYWHERE),
              (EMPTY_LIST, EVERYWHERE)],
-            workers,
         )
     )
     return z * z_rs - z_r * z_s, z
 
 
-def scaled_covariance(model: Model, r: IndexList, s: IndexList, workers: int = 1) -> Fraction:
+def scaled_covariance(model: Model, r: IndexList, s: IndexList) -> Fraction:
     """``Z * zeta(RS) - zeta(R) * zeta(S)``, all from one scan."""
-    return _scaled_covariance_and_z(model, r, s, workers)[0]
+    return _scaled_covariance_and_z(model, r, s)[0]
 
 
-def covariance(model: Model, r: IndexList, s: IndexList, workers: int = 1) -> Fraction:
+def covariance(model: Model, r: IndexList, s: IndexList) -> Fraction:
     """``<RS> - <R><S>`` for the spin products of the two lists."""
-    scaled, z = _scaled_covariance_and_z(model, r, s, workers)
+    scaled, z = _scaled_covariance_and_z(model, r, s)
     return scaled / (z * z)
 
 
-def check_positive_covariance(
-    model: Model, r: IndexList, s: IndexList, workers: int = 1
-) -> InequalityReport:
+def check_positive_covariance(model: Model, r: IndexList, s: IndexList) -> InequalityReport:
     """Second inequality: the covariance of two spin products is >= 0.
 
     Parity shortcut: when exactly one of the lists has odd length the
     covariance must be exactly zero.
     """
-    value = covariance(model, r, s, workers)
+    value = covariance(model, r, s)
     satisfied = value >= 0
     if (len(r) % 2) != (len(s) % 2):
         satisfied = value == 0
@@ -254,7 +242,6 @@ def quadratic_decomposition(
     x,
     r: IndexList,
     s: IndexList,
-    workers: int = 1,
 ) -> QuadraticDecomposition:
     """Decompose the scaled covariance of ``base + (added_sites, x)``.
 
@@ -278,7 +265,7 @@ def quadratic_decomposition(
         (r, agree), (r, disagree),
         (s, agree), (s, disagree),
     ]
-    res = correlation_sums(base_model, requests, workers)
+    res = correlation_sums(base_model, requests)
     z1, z0, rs1, rs0, r1, r0, s1, s0 = (item.value for item in res)
     u = z1 * rs1 - r1 * s1
     v = z1 * rs0 + z0 * rs1 - r0 * s1 - r1 * s0
@@ -293,7 +280,6 @@ def check_quadratic(
     r: IndexList,
     s: IndexList,
     extra_x: Iterable = (),
-    workers: int = 1,
 ) -> InequalityReport:
     """Check the quadratic decomposition against direct enumeration.
 
@@ -304,11 +290,11 @@ def check_quadratic(
     least 1.
     """
     key = frozenset(added_sites)
-    qd = quadratic_decomposition(base_model, key, x, r, s, workers)
+    qd = quadratic_decomposition(base_model, key, x, r, s)
     identity_ok = True
     for x_val in [Fraction(x), *map(Fraction, extra_x)]:
         augmented = base_model.with_coupling(key, x_val)
-        direct = scaled_covariance(augmented, r, s, workers)
+        direct = scaled_covariance(augmented, r, s)
         if qd.value_at(x_val) != direct:
             identity_ok = False
             break

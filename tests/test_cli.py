@@ -7,6 +7,7 @@ import pytest
 
 from pottsverify import IndexList, build_model, INFINITY
 from pottsverify.cli import ROW_FIELDS, main, parse_model_file
+from pottsverify.inequalities import InequalityReport
 from pottsverify.serialize import (
     ModelDocumentError,
     model_from_dict,
@@ -183,6 +184,54 @@ class TestVerifyCommand:
         assert payload["all_satisfied"]
 
 
+def _failing_check(kind):
+    def check(model, *lists):
+        return InequalityReport(kind=kind, inputs={}, values=(Fraction(-1),),
+                                satisfied=False, witness=f'{{"kind": "{kind}"}}')
+    return check
+
+
+class TestFailingCheckExitsOne:
+    """A failed mathematical check exits 1, shows FAIL and leaves one witness each."""
+
+    @pytest.fixture(autouse=True)
+    def failing_checks(self, monkeypatch):
+        monkeypatch.setattr("pottsverify.cli.check_positive_expectation",
+                            _failing_check("theorem1"))
+        monkeypatch.setattr("pottsverify.cli.check_positive_covariance",
+                            _failing_check("theorem2"))
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        path = write_doc(tmp_path, {"n": 2, "q": 2,
+                                    "interactions": [{"sites": [1, 2], "x": "3"}]})
+        return {
+            "verify": (["verify", "--model", path, "--R", "1"], 1),
+            "verify-S": (["verify", "--model", path, "--R", "1", "--S", "2"], 2),
+            "sweep": (["sweep", "--suite", "theorem1", "--trials", "2"], 2),
+        }
+
+    @pytest.mark.parametrize("name", ["verify", "verify-S", "sweep"])
+    def test_human(self, argvs, name, capsys):
+        argv, failures = argvs[name]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL ") == failures
+        assert f"0/{failures} checks passed" in captured.out
+        assert captured.err.count("witness: ") == failures
+        assert len(captured.err.splitlines()) == failures
+
+    @pytest.mark.parametrize("name", ["verify", "verify-S", "sweep"])
+    def test_json(self, argvs, name, capsys):
+        argv, failures = argvs[name]
+        assert main(argv + ["--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count('"satisfied": false') == failures
+        payload = json.loads(captured.out)
+        assert not payload["all_satisfied"]
+        assert captured.err.count("witness: ") == failures
+
+
 class TestContractCheckCommand:
     def test_worked_example(self, tmp_path, capsys):
         doc = dict(WORKED_EXAMPLE_DOC)
@@ -304,9 +353,6 @@ class TestSweepCommand:
         quantities = {row["quantity"] for row in payload["rows"]}
         assert quantities == {"theorem1", "theorem2", "contraction", "xi", "quadratic"}
         assert payload["all_satisfied"]
-
-    def test_negative_trials_usage_error(self, capsys):
-        assert main(["sweep", "--trials", "-1"]) == 2
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ def test_approx_x_max_denominator_below_one(capsys):
     ("--max-list-len", "-1"),
     ("--x-max", "0"),
     ("--max-interactions", "-1"),
+    ("--trials", "-1"),
 ])
 def test_sweep_flag_below_its_minimum_is_a_usage_error(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -303,24 +303,7 @@ class TestParallelDeterminism:
             merged = Fraction(acc, scale << len(indices))
             assert merged == correlation_sum(model, indices, event).value
 
-    def test_worker_counts_agree_exactly(self):
-        rng = random.Random(59)
-        for _ in range(6):
-            model = random_model(rng, n_max=5, q_set=(2, 3), state_limit=512)
-            indices = random_index_list(rng, model.n)
-            event = random_event(rng, model.n)
-            reference = correlation_sum(model, indices, event, workers=1)
-            for workers in (2, 3, 5, 8):
-                result = correlation_sum(model, indices, event, workers=workers)
-                assert result.value == reference.value
-                assert str(result.value) == str(reference.value)
-                assert result.configs_matching == reference.configs_matching
-
     def test_more_workers_than_configurations(self):
         model = build_model(1, 2, [])
-        result = correlation_sum(model, EMPTY, EVERYWHERE, workers=8)
+        result = correlation_sum(model, EMPTY, EVERYWHERE)
         assert result.value == 2
-
-    def test_bad_worker_count(self, pair_model_q2):
-        with pytest.raises(ModelError):
-            correlation_sum(pair_model_q2, EMPTY, EVERYWHERE, workers=0)
