@@ -17,22 +17,6 @@ from .model import (
     spin_domain,
     spin_value,
 )
-from .gibbs import (
-    WeightedConfiguration,
-    all_configurations,
-    config_weight,
-    generalized_delta,
-    gibbs_probability,
-    partition_function,
-    thermal_average,
-    weighted_configurations,
-)
-from .symmetry import (
-    SpinPermutation,
-    apply_permutation,
-    marginal_distribution,
-    parity_groups,
-)
 from .enumeration import (
     EVERYWHERE,
     EventPredicate,
@@ -43,14 +27,28 @@ from .enumeration import (
     centered_power_sum,
     conjoin,
     correlation_sum,
-    correlation_sum_naive,
     correlation_sums,
     delta_event,
     expectation,
-    sign_class,
     sign_event,
-    spin_product,
     uniform_correlation_sum,
+)
+from .gibbs import (
+    all_configurations,
+    config_weight,
+    correlation_sum_naive,
+    generalized_delta,
+    gibbs_probability,
+    partition_function,
+    sign_class,
+    spin_product,
+    thermal_average,
+    weighted_configurations,
+)
+from .symmetry import (
+    SpinPermutation,
+    apply_permutation,
+    marginal_distribution,
 )
 from .contraction import (
     ContractionResult,

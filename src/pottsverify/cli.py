@@ -72,6 +72,10 @@ def parse_model_file(path: str) -> tuple[Model, dict[str, IndexList]]:
         raise ModelDocumentError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelDocumentError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelDocumentError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except RecursionError:
+        raise ModelDocumentError(f"{path}: JSON nested too deeply") from None
     try:
         return model_from_dict(doc)
     except ModelDocumentError as exc:
@@ -437,7 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.add_argument("--q-set", dest="q_set", type=_int_set_arg, default=(2, 3, 4, 5),
-                   metavar="2,3,4")
+                   metavar="2,3,4",
+                   help="q values for random models (default 2,3,4,5); "
+                        "the xi suite always sweeps q = 2..12")
     p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=6)
     p.add_argument("--x-max", dest="x_max", type=_int_at_least(1), default=10)
     p.add_argument("--max-interactions", dest="max_interactions",

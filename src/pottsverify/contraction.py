@@ -121,8 +121,9 @@ def check_contraction_identity(
     over its whole space.  The two are equal exactly.
     """
     merged = frozenset(merged_sites)
-    lhs = correlation_sum(model, indices, delta_event(merged, 1)).value
+    # ``contract`` validates the merged set before the restricted sum does.
     result = contract(model, indices, merged)
+    lhs = correlation_sum(model, indices, delta_event(merged, 1)).value
     rhs = (
         result.front_factor
         * correlation_sum(result.contracted_model, result.contracted_list).value

@@ -27,8 +27,6 @@ reduced Fractions.
   with the same list and sign sites share that cache, and a miss labels
   only the blocks those sites touch, reusing the sums of any earlier miss
   whose blocks had the same spin-power rows.
-  ``_scan_chunk``, the walk over all ``q**n`` configuration ranks, is kept
-  as the reference the class walk is tested against.
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per interaction (the scaled weight), one per site of
@@ -45,10 +43,6 @@ constraint and the elimination order's estimated cost is below ``q**n``;
 every other scan, including every sign-constrained one and every one on a
 complete interaction graph, runs on the odometer.  ``SumResult``
 records which kernel ran.
-
-``correlation_sum_naive`` is the reference path, kept permanently as the
-test oracle.  It recomputes every delta, the full weight product, and the
-spin product from scratch for each configuration, entirely in Fractions.
 """
 
 from __future__ import annotations
@@ -60,9 +54,7 @@ from math import perm, prod
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .gibbs import all_configurations, config_weight, generalized_delta
 from .model import (
-    Configuration,
     EMPTY_LIST,
     IndexList,
     Model,
@@ -80,13 +72,10 @@ __all__ = [
     "centered_power_sum",
     "conjoin",
     "correlation_sum",
-    "correlation_sum_naive",
     "correlation_sums",
     "delta_event",
     "expectation",
-    "sign_class",
     "sign_event",
-    "spin_product",
     "uniform_correlation_sum",
 ]
 
@@ -164,7 +153,8 @@ class SumResult:
     """An exact correlation sum plus enumeration counters.
 
     ``kernel`` names the path that computed it: ``"odometer"`` (the
-    equality-class walk), ``"elimination"`` or ``"naive"``.
+    equality-class walk), ``"elimination"`` or ``"naive"`` (the reference
+    ``gibbs.correlation_sum_naive``).
     ``configs_visited`` is the size of the configuration space, ``q**n``,
     whichever kernel ran and however many classes the odometer visited.
     """
@@ -173,24 +163,6 @@ class SumResult:
     configs_visited: int
     configs_matching: int
     kernel: str
-
-
-def spin_product(config: Configuration, indices: IndexList) -> Fraction:
-    """Product of centered spins over ``indices`` with multiplicity (1 if empty)."""
-    num = 1
-    for i in indices:
-        num *= config.doubled_spins[i - 1]
-    return Fraction(num, 1 << len(indices))
-
-
-def sign_class(config: Configuration, indices: IndexList) -> str:
-    """Sign of the spin product; zero is only possible for odd ``q``."""
-    value = spin_product(config, indices)
-    if value > 0:
-        return POSITIVE
-    if value < 0:
-        return NEGATIVE
-    return ZERO
 
 
 def centered_power_sum(q: int, m: int) -> Fraction:
@@ -263,7 +235,7 @@ class ScanPlan(NamedTuple):
 
 
 def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]) -> ScanPlan:
-    """Precompute the per-scan tables shared by all chunks."""
+    """Precompute the per-scan tables both kernels read."""
     n, q = model.n, model.q
     dom = spin_domain(q).doubled_values
 
@@ -324,76 +296,6 @@ def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]])
 
 
 # --- odometer kernel ---------------------------------------------------------
-
-
-def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Accumulate every request over configuration ranks [lo, hi)."""
-    n, q, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
-    accs = [0] * len(requests)
-    matches = [0] * len(requests)
-    if hi <= lo:
-        return list(zip(accs, matches))
-
-    digits = [0] * n
-    r = lo
-    for s in range(n - 1, -1, -1):
-        digits[s] = r % q
-        r //= q
-
-    deltas = []
-    for sites in subset_sites:
-        v = digits[sites[0]]
-        deltas.append(1 if all(digits[t] == v for t in sites[1:]) else 0)
-    weight = 1
-    for j, pair in enumerate(weight_pairs):
-        if pair is not None:
-            weight *= pair[0] if deltas[j] else pair[1]
-
-    for rank in range(lo, hi):
-        for ri, (terms, delta_reqs, sign_kind, sign_terms) in enumerate(requests):
-            ok = True
-            for j, bit in delta_reqs:
-                if deltas[j] != bit:
-                    ok = False
-                    break
-            if ok and sign_kind is not None:
-                sp = 1
-                for s, tab in sign_terms:
-                    sp *= tab[digits[s]]
-                if sign_kind == POSITIVE:
-                    ok = sp > 0
-                elif sign_kind == NEGATIVE:
-                    ok = sp < 0
-                else:
-                    ok = sp == 0
-            if ok:
-                matches[ri] += 1
-                v = weight
-                for s, tab in terms:
-                    v *= tab[digits[s]]
-                accs[ri] += v
-        if rank + 1 == hi:
-            break
-        # Odometer step: site n-1 fastest; rolled-over sites reset to 0.
-        s = n - 1
-        while True:
-            d = digits[s] + 1
-            carry = d == q
-            digits[s] = 0 if carry else d
-            for j in site_subsets[s]:
-                sites = subset_sites[j]
-                v = digits[sites[0]]
-                nd = 1 if all(digits[t] == v for t in sites[1:]) else 0
-                if nd != deltas[j]:
-                    deltas[j] = nd
-                    pair = weight_pairs[j]
-                    if pair is not None:
-                        p, qd = pair
-                        weight = weight * p // qd if nd else weight * qd // p
-            if not carry:
-                break
-            s -= 1
-    return list(zip(accs, matches))
 
 
 # Where a sign kind's ``(sum, count)`` pair sits in a signed family's sums.
@@ -465,7 +367,8 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     the blocks' rows (see ``_block_profile``), which classes with different
     digits and families of one scan share.  So the labelling work follows
     the few distinct block rows rather than the number of site patterns.
-    The integers equal those of ``_scan_chunk(plan, 0, q**n)``.
+    Each request's integers, divided by the plan's scales, give the
+    Fraction of ``correlation_sum_naive`` and its matching count.
     """
     n, q, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
     families: dict = {}
@@ -625,8 +528,9 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     Matching counts come from the indicators alone, once per distinct set
     of delta constraints; a request with none matches all ``q**n``.
 
-    The integers equal those of ``_scan_chunk(plan, 0, q**n)`` for requests
-    without a sign constraint; the dispatch sends no other request here.
+    The integers equal those of ``_scan_classes(plan)``, and so match
+    ``correlation_sum_naive``, for requests without a sign constraint; the
+    dispatch sends no other request here.
     """
     q = plan.q
     rank = {s: i for i, s in enumerate(order)}.__getitem__
@@ -741,38 +645,3 @@ def expectation(model: Model, indices: IndexList) -> Fraction:
     correlation sum over the partition function, both from a single scan."""
     num, den = correlation_sums(model, [(indices, EVERYWHERE), (EMPTY_LIST, EVERYWHERE)])
     return num.value / den.value
-
-
-# --- naive oracle path ------------------------------------------------------
-
-
-def _event_holds(config: Configuration, event: EventPredicate) -> bool:
-    if event.sign_constraint is not None:
-        if sign_class(config, event.sign_indices) != event.sign_constraint:
-            return False
-    for sites, bit in event.delta_constraints:
-        if generalized_delta(config, sites) != bit:
-            return False
-    return True
-
-
-def correlation_sum_naive(
-    model: Model, indices: IndexList, event: EventPredicate = EVERYWHERE
-) -> SumResult:
-    """Reference evaluation: full per-configuration recomputation in Fractions.
-
-    This path stays independent of the incremental kernel and serves as its
-    oracle in the test suite.
-    """
-    model.require_finite()
-    _check_indices(model, indices)
-    _check_event(model, event)
-    total = Fraction(0)
-    visited = 0
-    matching = 0
-    for config in all_configurations(model):
-        visited += 1
-        if _event_holds(config, event):
-            matching += 1
-            total += spin_product(config, indices) * config_weight(config, model)
-    return SumResult(total, visited, matching, "naive")

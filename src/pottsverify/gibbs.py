@@ -1,40 +1,45 @@
-"""Configuration weights, the partition function, and thermal averages.
+"""The package's one brute-force reference: weights, averages, correlation sums.
 
 The Hamiltonian is never materialized: a configuration's weight is the
 product of the coupling weights of its satisfied interactions (the empty
 product is 1), and the Gibbs probability is that weight over the partition
-function.  Everything here recomputes from scratch per configuration and is
-deliberately simple; the incremental kernel lives in ``enumeration``.
+function.  Everything here recomputes every delta, weight and spin product
+from scratch per configuration, entirely in Fractions, and is deliberately
+simple.  It reads the ``Model`` directly, never the kernels' compiled plan,
+so ``correlation_sum_naive`` stays an independent oracle for the kernels in
+``enumeration``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .model import Configuration, Model, ModelError
+from .enumeration import (
+    EVERYWHERE,
+    EventPredicate,
+    NEGATIVE,
+    POSITIVE,
+    SumResult,
+    ZERO,
+    _check_event,
+    _check_indices,
+)
+from .model import Configuration, IndexList, Model, ModelError
 
 __all__ = [
-    "WeightedConfiguration",
     "all_configurations",
     "config_weight",
+    "correlation_sum_naive",
     "generalized_delta",
     "gibbs_probability",
     "partition_function",
+    "sign_class",
+    "spin_product",
     "thermal_average",
     "weighted_configurations",
 ]
-
-
-@dataclass(frozen=True)
-class WeightedConfiguration:
-    """A configuration paired with its weight; the weight is at least 1
-    whenever every coupling is (each factor of the product is)."""
-
-    config: Configuration
-    weight: Fraction
 
 
 def generalized_delta(config: Configuration, sites: Iterable[int]) -> int:
@@ -75,16 +80,17 @@ def config_weight(config: Configuration, model: Model) -> Fraction:
     return w
 
 
-def weighted_configurations(model: Model) -> Iterator[WeightedConfiguration]:
-    """Every configuration paired with its weight, in enumeration order."""
+def weighted_configurations(model: Model) -> Iterator[tuple[Configuration, Fraction]]:
+    """Every ``(configuration, weight)`` pair, in enumeration order.  The
+    weight is at least 1 whenever every coupling is."""
     model.require_finite()
     for config in all_configurations(model):
-        yield WeightedConfiguration(config, config_weight(config, model))
+        yield config, config_weight(config, model)
 
 
 def partition_function(model: Model) -> Fraction:
     """Sum of configuration weights over all of the configuration space."""
-    return sum((wc.weight for wc in weighted_configurations(model)), Fraction(0))
+    return sum((weight for _config, weight in weighted_configurations(model)), Fraction(0))
 
 
 def gibbs_probability(config: Configuration, model: Model) -> Fraction:
@@ -99,7 +105,53 @@ def thermal_average(
     """Expectation of ``f`` under the Gibbs probability, in one pass."""
     num = Fraction(0)
     den = Fraction(0)
-    for wc in weighted_configurations(model):
-        num += f(wc.config) * wc.weight
-        den += wc.weight
+    for config, weight in weighted_configurations(model):
+        num += f(config) * weight
+        den += weight
     return num / den
+
+
+def spin_product(config: Configuration, indices: IndexList) -> Fraction:
+    """Product of centered spins over ``indices`` with multiplicity (1 if empty)."""
+    num = 1
+    for i in indices:
+        num *= config.doubled_spins[i - 1]
+    return Fraction(num, 1 << len(indices))
+
+
+def sign_class(config: Configuration, indices: IndexList) -> str:
+    """Sign of the spin product; zero is only possible for odd ``q``."""
+    value = spin_product(config, indices)
+    if value > 0:
+        return POSITIVE
+    if value < 0:
+        return NEGATIVE
+    return ZERO
+
+
+def _event_holds(config: Configuration, event: EventPredicate) -> bool:
+    if event.sign_constraint is not None:
+        if sign_class(config, event.sign_indices) != event.sign_constraint:
+            return False
+    for sites, bit in event.delta_constraints:
+        if generalized_delta(config, sites) != bit:
+            return False
+    return True
+
+
+def correlation_sum_naive(
+    model: Model, indices: IndexList, event: EventPredicate = EVERYWHERE
+) -> SumResult:
+    """Reference evaluation: full per-configuration recomputation in Fractions."""
+    model.require_finite()
+    _check_indices(model, indices)
+    _check_event(model, event)
+    total = Fraction(0)
+    visited = 0
+    matching = 0
+    for config in all_configurations(model):
+        visited += 1
+        if _event_holds(config, event):
+            matching += 1
+            total += spin_product(config, indices) * config_weight(config, model)
+    return SumResult(total, visited, matching, "naive")

@@ -17,8 +17,7 @@ Conventions shared by every module:
   interaction contributes when all its spins agree.  They are supplied
   directly as exact rationals ``>= 1`` (or ``math.inf``), never as float
   log-couplings.
-* All types are immutable after construction and safe to share between
-  concurrent workers.
+* All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -193,10 +192,6 @@ class IndexList:
     @property
     def even_groups(self) -> frozenset[int]:
         return frozenset(i for i, m in self.multiplicity.items() if m % 2 == 0)
-
-    @property
-    def even_only(self) -> bool:
-        return not self.odd_groups
 
     def concat(self, other: "IndexList") -> "IndexList":
         """Multiset union: the list whose spin product is the product of both."""

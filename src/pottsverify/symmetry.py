@@ -1,4 +1,4 @@
-"""Spin-relabeling transforms and parity structure of index lists.
+"""Spin-relabeling transforms and the uniform single-site marginal.
 
 Relabeling every site's spin by the same permutation of ``1..q`` preserves
 every equality delta, hence every configuration weight and the whole Gibbs
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gibbs import weighted_configurations
-from .model import Configuration, IndexList, Model, ModelError, spin_domain
+from .model import Configuration, Model, ModelError, spin_domain
 
 __all__ = [
     "SpinPermutation",
     "apply_permutation",
     "marginal_distribution",
-    "parity_groups",
 ]
 
 
@@ -85,12 +84,8 @@ def marginal_distribution(model: Model, site: int) -> tuple[Fraction, ...]:
     dom = model.domain.doubled_values
     sums = {u: Fraction(0) for u in dom}
     z = Fraction(0)
-    for wc in weighted_configurations(model):
-        sums[wc.config.doubled_spins[site - 1]] += wc.weight
-        z += wc.weight
+    for config, weight in weighted_configurations(model):
+        sums[config.doubled_spins[site - 1]] += weight
+        z += weight
     return tuple(sums[u] / z for u in dom)
 
-
-def parity_groups(indices: IndexList) -> tuple[frozenset[int], frozenset[int]]:
-    """Partition of the support by multiplicity parity: (odd sites, even sites)."""
-    return indices.odd_groups, indices.even_groups

@@ -1,4 +1,4 @@
-"""The equality-class walk against the rank walk and the naive oracle."""
+"""The equality-class walk against the naive oracle."""
 
 from fractions import Fraction
 
@@ -18,18 +18,17 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _compile, _scan_chunk, _scan_classes
+from pottsverify.enumeration import _compile, _scan_classes
 
 EMPTY = IndexList(())
 SIGNS = (POSITIVE, NEGATIVE, ZERO)
 
 
 def assert_walks_agree(model, requests):
-    """The class walk's integers equal the rank walk's, and each request's
-    value and matching count equal the naive oracle's."""
+    """Each request's value and matching count from the class walk equal
+    the naive oracle's."""
     plan = _compile(model, requests)
     classes = _scan_classes(plan)
-    assert classes == _scan_chunk(plan, 0, model.q**model.n)
     for (indices, event), (acc, matching) in zip(requests, classes):
         naive = correlation_sum_naive(model, indices, event)
         assert str(Fraction(acc, plan.scale << len(indices))) == str(naive.value)
@@ -65,7 +64,7 @@ def scans(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(scans())
-def test_class_walk_matches_rank_walk_and_oracle(scan):
+def test_class_walk_matches_oracle(scan):
     assert_walks_agree(*scan)
 
 

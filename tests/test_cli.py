@@ -354,6 +354,12 @@ class TestSweepCommand:
         assert quantities == {"theorem1", "theorem2", "contraction", "xi", "quadratic"}
         assert payload["all_satisfied"]
 
+    def test_xi_suite_ignores_q_set(self, capsys):
+        # Documented in --help: the xi suite always sweeps q = 2..12.
+        assert main(["sweep", "--suite", "xi", "--q-set", "3", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {row["q"] for row in rows} == {str(q) for q in range(2, 13)}
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--suite", "bogus"])

@@ -1,6 +1,13 @@
-"""Bad numeric flags exit 2 with one error line and no traceback."""
+"""Bad input exits 2 with one error line and no traceback."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pottsverify.cli import main
 
@@ -40,3 +47,40 @@ def test_single_site_sweep_needs_a_single_site_suite(capsys):
     assert capsys.readouterr().err.startswith("error: --n-max must be >= 2")
     assert main(["sweep", "--suite", "theorem2", "--n-max", "1", "--trials", "3",
                  "--format", "csv"]) == 0
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "not UTF-8 text at byte 0"),
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+], ids=["invalid-utf8", "nested-100000-deep"])
+def test_unreadable_model_file(content, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    assert main(["verify", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary())
+def test_arbitrary_model_bytes_exit_two(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--model", str(path)])
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_contract_set_of_one_site_names_the_merged_set(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 3, "q": 2, "interactions": [{"sites": [1, 2], "x": "2"}],
+                                "lists": {"R": [1, 3]}}))
+    assert main(["contract-check", "--model", str(path), "--B", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: merged site set must contain at least 2 sites")
+    assert err.count("\n") == 1

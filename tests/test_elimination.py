@@ -22,7 +22,7 @@ from pottsverify.enumeration import (
     _compile,
     _eliminate,
     _elimination_order,
-    _scan_chunk,
+    _scan_classes,
 )
 
 EMPTY = IndexList(())
@@ -58,7 +58,7 @@ def test_elimination_matches_odometer_and_oracle(instance):
     plan = _compile(model, requests)
     order, _cost = _elimination_order(plan)
     eliminated = _eliminate(plan, order)
-    assert eliminated == _scan_chunk(plan, 0, model.q**model.n)
+    assert eliminated == _scan_classes(plan)
     acc, matching = eliminated[0]
     naive = correlation_sum_naive(model, indices, event)
     assert str(Fraction(acc, plan.scale << len(indices))) == str(naive.value)
@@ -156,7 +156,7 @@ def test_shared_buckets_match_odometer_and_lone_requests(scan):
     plan = _compile(model, requests)
     order, _cost = _elimination_order(plan)
     eliminated = _eliminate(plan, order)
-    assert eliminated == _scan_chunk(plan, 0, model.q**model.n)
+    assert eliminated == _scan_classes(plan)
     for request, pair in zip(requests, eliminated):
         alone = _compile(model, [request])
         assert _eliminate(alone, _elimination_order(alone)[0]) == [pair]
@@ -176,4 +176,4 @@ class TestSharedScan:
         plan = _compile(model, [request] * 3)
         eliminated = _eliminate(plan, _elimination_order(plan)[0])
         assert eliminated[0] == eliminated[1] == eliminated[2]
-        assert eliminated == _scan_chunk(plan, 0, 4**8)
+        assert eliminated == _scan_classes(plan)

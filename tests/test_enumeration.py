@@ -284,25 +284,6 @@ class TestPartitionIdentities:
 
 
 class TestParallelDeterminism:
-    def test_arbitrary_chunk_partitions_merge_to_the_same_fraction(self):
-        # Not just equal-size chunks: any contiguous partition of the rank
-        # space must merge to the identical reduced fraction.
-        from pottsverify.enumeration import _compile, _scan_chunk
-
-        rng = random.Random(151)
-        for _ in range(8):
-            model = random_model(rng, n_max=4, q_set=(2, 3), state_limit=256)
-            indices = random_index_list(rng, model.n)
-            event = random_event(rng, model.n)
-            total = model.configuration_count
-            cuts = sorted(rng.sample(range(1, total), min(5, total - 1)))
-            bounds = list(zip([0] + cuts, cuts + [total]))
-            compiled = _compile(model, [(indices, event)])
-            acc = sum(_scan_chunk(compiled, lo, hi)[0][0] for lo, hi in bounds)
-            scale = compiled[-1]
-            merged = Fraction(acc, scale << len(indices))
-            assert merged == correlation_sum(model, indices, event).value
-
     def test_more_workers_than_configurations(self):
         model = build_model(1, 2, [])
         result = correlation_sum(model, EMPTY, EVERYWHERE)

@@ -73,11 +73,11 @@ class TestWeightedConfigurations:
             model = random_model(rng, n_max=4, q_set=(2, 3), state_limit=256)
             pairs = list(weighted_configurations(model))
             assert len(pairs) == model.configuration_count
-            assert all(wc.weight >= 1 for wc in pairs)
+            assert all(weight >= 1 for _config, weight in pairs)
 
     def test_matches_config_weight(self, worked_example_model):
-        for wc in weighted_configurations(worked_example_model):
-            assert wc.weight == config_weight(wc.config, worked_example_model)
+        for config, weight in weighted_configurations(worked_example_model):
+            assert weight == config_weight(config, worked_example_model)
 
 
 class TestPartitionFunction:

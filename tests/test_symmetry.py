@@ -14,7 +14,6 @@ from pottsverify import (
     build_model,
     gibbs_probability,
     marginal_distribution,
-    parity_groups,
     sign_class,
 )
 from pottsverify.generators import random_model
@@ -119,14 +118,17 @@ class TestMarginals:
 
 class TestParityGroups:
     def test_mixed_example(self):
-        odd, even = parity_groups(IndexList((1, 2, 3, 3, 4, 4, 4)))
+        lst = IndexList((1, 2, 3, 3, 4, 4, 4))
+        odd, even = lst.odd_groups, lst.even_groups
         assert odd == {1, 2, 4}
         assert even == {3}
 
     def test_empty_list(self):
-        assert parity_groups(IndexList(())) == (frozenset(), frozenset())
+        lst = IndexList(())
+        assert (lst.odd_groups, lst.even_groups) == (frozenset(), frozenset())
 
     def test_multiplicity_four_is_even(self):
-        odd, even = parity_groups(IndexList((5, 5, 5, 5)))
+        lst = IndexList((5, 5, 5, 5))
+        odd, even = lst.odd_groups, lst.even_groups
         assert odd == frozenset()
         assert even == {5}
