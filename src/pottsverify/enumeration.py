@@ -12,6 +12,12 @@ all coupling denominators, spin products by ``2**|R|``, and the two scales
 are divided out exactly once at the end, so either kernel yields the same
 reduced Fractions.
 
+Neither kernel sees a sign: a request is an exact integer combination of
+sign-free sums of per-site table products.  With P the product of the signs
+of a sign list's spins and Q = P**2, the indicator of a positive product is
+(Q + P)/2, of a negative one (Q - P)/2 and of a zero one 1 - Q.  A matching
+count is the same kind of sum with the weight left out.
+
 * The odometer walks one configuration per equality class: the weight and
   every delta depend only on which sites agree, not on the values they take
   (the Fortuin-Kasteleyn view).  Its digits are restricted-growth strings
@@ -20,29 +26,25 @@ reduced Fractions.
   configurations, with S the Stirling numbers of the second kind: 2,795
   instead of 65,536 at n=8, q=4.  On each single-site step only the
   subsets containing that site re-evaluate their delta, and the weight is
-  maintained multiplicatively.  Each request's spin-power sum and matching
-  count over a class's ``q!/(q-b)!`` relabellings come from a per-scan
-  cache keyed by the number of blocks b and the digits at the request's
-  list and sign sites, so sign events are filtered there too.  Requests
-  with the same list and sign sites share that cache, and a miss labels
-  only the blocks those sites touch, reusing the sums of any earlier miss
-  whose blocks had the same spin-power rows.
+  maintained multiplicatively.  Each sum's table product over a class's
+  ``q!/(q-b)!`` relabellings comes from a per-scan cache keyed by the
+  number of blocks b and the digits at the sum's table sites.  Sums with
+  the same tables share that cache, and a miss labels only the blocks
+  those sites touch, reusing the result of any earlier miss whose blocks
+  had the same rows.
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
-  integer tables: one per interaction (the scaled weight), one per site of
-  the request's list (its spin power), and a 0/1 indicator per delta
-  constraint.  Its cost is about ``sum(q**(bucket size))``, which on a
-  low-width hypergraph such as a ring is far below ``q**n``.  A scan's
-  requests share every bucket whose inputs are the same (the weight-only
-  buckets, and each bucket before a request's own list or delta factors
-  join in), which is summed once for all of them, and the matching counts
-  are computed once per distinct set of delta constraints.
+  integer tables: one per interaction (the scaled weight), one per site
+  table of the sum, and a 0/1 indicator per delta constraint.  Its cost is
+  about ``sum(q**(bucket size))``, which on a low-width hypergraph such as
+  a ring is far below ``q**n``.  A scan's sums share every bucket whose
+  inputs are the same (the weight-only buckets, and each bucket before a
+  sum's own table or delta factors join in), which is summed once for all
+  of them.
 
-Dispatch: a scan is eliminated when none of its requests has a sign
-constraint and the elimination order's estimated cost is below ``q**n``;
-every other scan, including every sign-constrained one and every one on a
-complete interaction graph, runs on the odometer.  ``SumResult``
-records which kernel ran.
+Dispatch: a scan is eliminated when the elimination order's estimated cost
+is below ``q**n``, and runs on the odometer otherwise, as every scan on a
+complete interaction graph does.  ``SumResult`` records which kernel ran.
 """
 
 from __future__ import annotations
@@ -115,10 +117,6 @@ class EventPredicate:
             constraints.append((key, bit))
         constraints.sort(key=lambda kb: (len(kb[0]), sorted(kb[0]), kb[1]))
         object.__setattr__(self, "delta_constraints", tuple(constraints))
-
-    @property
-    def is_everywhere(self) -> bool:
-        return self.sign_constraint is None and not self.delta_constraints
 
 
 EVERYWHERE = EventPredicate()
@@ -218,11 +216,14 @@ class ScanPlan(NamedTuple):
 
     ``subset_sites`` lists the model's interactions first (``weight_pairs``
     holds their ``(numerator, denominator)``), then the extra subsets that
-    event constraints name (``None`` in ``weight_pairs``).  Each request is
-    ``(terms, delta_reqs, sign_kind, sign_terms)``: per-site spin-power
-    tables of its list, ``(subset, bit)`` delta constraints, and the sign
-    constraint with the spin-power tables of its list.  ``scale`` is the
-    product of all coupling denominators.
+    event constraints name (``None`` in ``weight_pairs``).  Each of the
+    distinct ``sums`` is ``(terms, delta_reqs, weighted)``: the sum, over
+    the configurations meeting the ``(subset, bit)`` delta constraints, of
+    the product of the per-site tables ``terms``, times the scaled weight
+    when ``weighted``.  Each request is ``(value, count, divisor)``: integer
+    combinations ``((coefficient, sum index), ...)`` of ``sums`` that,
+    divided by ``divisor``, give its scaled sum and its matching count.
+    ``scale`` is the product of all coupling denominators.
     """
 
     n: int
@@ -230,14 +231,18 @@ class ScanPlan(NamedTuple):
     subset_sites: tuple[tuple[int, ...], ...]
     weight_pairs: tuple[tuple[int, int] | None, ...]
     site_subsets: tuple[tuple[int, ...], ...]
+    sums: tuple
     requests: tuple
     scale: int
 
 
 def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]) -> ScanPlan:
-    """Precompute the per-scan tables both kernels read."""
+    """Precompute the per-scan tables both kernels read, with each sign
+    constraint written as sign-free sums (see the module docstring).  A
+    table of all ones, as Q's is at every even q, is dropped."""
     n, q = model.n, model.q
     dom = spin_domain(q).doubled_values
+    signs = [(x > 0) - (x < 0) for x in dom]
 
     # Watched subsets: the model's interactions first (they carry weight
     # factors), then any extra subsets referenced by event constraints.
@@ -261,89 +266,83 @@ def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]])
         weight_pairs[j] = (frac.numerator, frac.denominator)
         denominator_scale *= frac.denominator
 
-    def pow_tables(indices: IndexList) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        return tuple(
-            (site - 1, tuple(dom[d] ** mult for d in range(q)))
-            for site, mult in sorted(indices.multiplicity.items())
-        )
+    def site_tables(values, indices: IndexList, power: int = 1) -> dict[int, tuple[int, ...]]:
+        return {site - 1: tuple([v ** (mult * power) for v in values])
+                for site, mult in indices.multiplicity.items()}
+
+    ones = (1,) * q
+    sums: dict[tuple, int] = {}
+
+    def sum_index(factors, delta_reqs, weighted: bool) -> int:
+        """The index of the sum of the per-site product of ``factors``."""
+        merged: dict[int, tuple[int, ...]] = {}
+        for tables in factors:
+            for s, tab in tables.items():
+                merged[s] = tuple(map(mul, merged[s], tab)) if s in merged else tab
+        terms = tuple(sorted([item for item in merged.items() if item[1] != ones]))
+        return sums.setdefault((terms, delta_reqs, weighted), len(sums))
 
     compiled_requests = []
     for indices, event in requests:
         _check_indices(model, indices)
         _check_event(model, event)
-        sign_terms = None
-        if event.sign_indices is not None:
-            sign_terms = pow_tables(event.sign_indices)
-        delta_reqs = tuple(
-            (watch(sites), bit) for sites, bit in event.delta_constraints
-        )
-        compiled_requests.append(
-            (pow_tables(indices), delta_reqs, event.sign_constraint, sign_terms)
-        )
+        delta_reqs = tuple((watch(sites), bit) for sites, bit in event.delta_constraints)
+        kind, divisor = event.sign_constraint, 1
+        combination: list[tuple[int, tuple]] = [(1, ())]
+        if kind is not None:
+            p_tabs = site_tables(signs, event.sign_indices)
+            q_tabs = site_tables(signs, event.sign_indices, 2)
+            if kind == ZERO:
+                combination = [(1, ()), (-1, (q_tabs,))]
+            else:
+                sign = 1 if kind == POSITIVE else -1
+                combination, divisor = [(1, (q_tabs,)), (sign, (p_tabs,))], 2
+        spins = site_tables(dom, indices)
+        compiled_requests.append((
+            tuple([(c, sum_index((spins, *fs), delta_reqs, True)) for c, fs in combination]),
+            tuple([(c, sum_index(fs, delta_reqs, False)) for c, fs in combination]),
+            divisor,
+        ))
 
     site_subsets: list[tuple[int, ...]] = [
         tuple(j for j, sites in enumerate(subset_sites) if s in sites) for s in range(n)
     ]
-    return ScanPlan(
-        n,
-        q,
-        tuple(subset_sites),
-        tuple(weight_pairs),
-        tuple(site_subsets),
-        tuple(compiled_requests),
-        denominator_scale,
-    )
+    return ScanPlan(n, q, tuple(subset_sites), tuple(weight_pairs), tuple(site_subsets),
+                    tuple(sums), tuple(compiled_requests), denominator_scale)
+
+
+def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[tuple[int, int]]:
+    """Every request's ``(scaled sum, matching count)`` from its sums' values."""
+    return [
+        (sum([c * sums[i] for c, i in value]) // divisor,
+         sum([c * sums[i] for c, i in count]) // divisor)
+        for value, count, divisor in plan.requests
+    ]
 
 
 # --- odometer kernel ---------------------------------------------------------
 
 
-# Where a sign kind's ``(sum, count)`` pair sits in a signed family's sums.
-_SIGN_SLOT = {POSITIVE: 0, NEGATIVE: 2, ZERO: 4}
-
-
-def _block_profile(q: int, values: tuple[int, ...], list_tabs, sign_tabs) -> tuple:
+def _block_profile(values: tuple[int, ...], tabs) -> tuple:
     """The blocks that a family's sites fall in, as a sorted tuple of rows.
 
-    ``values`` holds the digits at the family's list sites, then at its sign
-    sites, and sites with equal digits share a block.  ``list_tabs`` holds
-    the list sites' spin-power tables and ``sign_tabs`` the signs of the
-    sign sites' tables.  A block's row is the product of its list sites'
-    tables, paired with the product of its sign rows when ``sign_tabs`` is
-    given.  The sums over injective labellings depend neither on the labels
-    the blocks carry nor on their order, so classes whose blocks have the
-    same rows share them.
+    ``values`` holds the digits at the family's sites and ``tabs`` their
+    tables; sites with equal digits share a block, whose row is the product
+    of its sites' tables.  The sums over injective labellings depend
+    neither on the labels the blocks carry nor on their order, so classes
+    whose blocks have the same rows share them.
     """
     rows: dict[int, tuple[int, ...]] = {}
-    for d, tab in zip(values, list_tabs):
+    for d, tab in zip(values, tabs):
         rows[d] = tuple(map(mul, rows[d], tab)) if d in rows else tab
-    if sign_tabs is None:
-        return tuple(sorted(rows.values()))
-    signs: dict[int, tuple[int, ...]] = {}
-    for d, tab in zip(values[len(list_tabs):], sign_tabs):
-        signs[d] = tuple(map(mul, signs[d], tab)) if d in signs else tab
-    ones = (1,) * q
-    return tuple(sorted((rows.get(d, ones), signs.get(d, ones)) for d in {**rows, **signs}))
+    return tuple(sorted(rows.values()))
 
 
-def _labelled_sums(q: int, signed: bool, profile: tuple) -> tuple[int, ...]:
-    """``(spin-power sum, count)`` over the injective labellings of the
-    blocks of ``profile`` (see ``_block_profile``), or when ``signed`` one
-    such pair per sign of the sign rows' product: positive, negative, zero.
-    """
-    labellings = permutations(range(q), len(profile))
-    if not signed:
-        return (sum(prod(map(tuple.__getitem__, profile, labels)) for labels in labellings),
-                perm(q, len(profile)))
-    rows = [row for row, _sign in profile]
-    signs = [sign for _row, sign in profile]
-    sums = [0] * 6
-    for labels in labellings:
-        sp = prod(map(tuple.__getitem__, signs, labels))
-        k = 0 if sp > 0 else 2 if sp < 0 else 4
-        sums[k] += prod(map(tuple.__getitem__, rows, labels))
-        sums[k + 1] += 1
-    return tuple(sums)
+def _labelled_sums(q: int, profile: tuple) -> int:
+    """The sum of the rows' product over the injective labellings of the
+    blocks of ``profile`` (see ``_block_profile``)."""
+    return sum(prod(map(tuple.__getitem__, profile, labels))
+               for labels in permutations(range(q), len(profile)))
 
 
 def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
@@ -357,10 +356,9 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     labels 0..b-1 in order of first appearance.  The weight and the delta
     constraints are the same throughout a class.
 
-    Requests with the same list and sign sites form one family, whatever
-    their sign kind and delta constraints; one computation gives the
-    family's spin-power sum and count over a class's relabellings for all
-    three signs.  They are cached per scan by b and the representative's
+    Sums with the same per-site tables form one family, whatever their
+    delta constraints and weighting; a family's product summed over a
+    class's relabellings is cached per scan by b and the representative's
     digits at the family's sites.  On a miss only the t blocks those sites
     touch are labelled, and each labelling extends to the untouched blocks
     in ``(q-t)!/(q-b)!`` ways; the labelling sums are cached once more by
@@ -370,42 +368,32 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     Each request's integers, divided by the plan's scales, give the
     Fraction of ``correlation_sum_naive`` and its matching count.
     """
-    n, q, subset_sites, weight_pairs, site_subsets, requests, _scale = plan
+    n, q, subset_sites, weight_pairs, site_subsets, plan_sums, _requests, _scale = plan
     families: dict = {}
     tables = []
-    for terms, delta_reqs, sign_kind, sign_terms in requests:
-        if sign_kind is None:
-            sign_terms = None
-        family = families.get((terms, sign_terms))
+    for terms, delta_reqs, weighted in plan_sums:
+        family = families.get(terms)
         if family is None:
-            sites = [s for s, _tab in (*terms, *(sign_terms or ()))]
-            list_tabs = tuple(tab for _s, tab in terms)
-            sign_tabs = None if sign_terms is None else tuple(
-                tuple([(x > 0) - (x < 0) for x in tab]) for _s, tab in sign_terms)
             # digits[n] holds b, so one itemgetter call reads the cache key.
-            # A family that reads no site is keyed by b alone: its sums are
-            # the class size q!/(q-b)!, and an empty sign product is 1.
+            # A family that reads no site is keyed by b alone: its sum is
+            # the class size q!/(q-b)!.
             cache = {}
-            if not sites:
-                base = (1, 1) if sign_tabs is None else (1, 1, 0, 0, 0, 0)
-                cache = {b: tuple([x * perm(q, b) for x in base]) for b in range(1, min(n, q) + 1)}
-            family = families[terms, sign_terms] = (
-                itemgetter(*sites, n), cache, (list_tabs, sign_tabs))
-        slot = 0 if sign_kind is None else _SIGN_SLOT[sign_kind]
-        tables.append((delta_reqs, slot, *family))
-    accs = [0] * len(requests)
-    matches = [0] * len(requests)
+            if not terms:
+                cache = {b: perm(q, b) for b in range(1, min(n, q) + 1)}
+            family = families[terms] = (
+                itemgetter(*[s for s, _tab in terms], n), cache, tuple(tab for _s, tab in terms))
+        tables.append((delta_reqs, weighted, *family))
+    accs = [0] * len(plan_sums)
 
     profiles: dict = {}
 
-    def relabelled(key, list_tabs, sign_tabs) -> tuple[int, ...]:
-        profile = (sign_tabs is not None, _block_profile(q, key[:-1], list_tabs, sign_tabs))
+    def relabelled(key, tabs) -> int:
+        profile = _block_profile(key[:-1], tabs)
         base = profiles.get(profile)
         if base is None:
-            base = profiles[profile] = _labelled_sums(q, *profile)
-        t = len(profile[1])
-        extensions = perm(q - t, key[-1] - t)
-        return tuple([x * extensions for x in base])
+            base = profiles[profile] = _labelled_sums(q, profile)
+        t = len(profile)
+        return base * perm(q - t, key[-1] - t)
 
     subset_spins = [itemgetter(*sites) for sites in subset_sites]
     digits = [0] * n + [1]
@@ -418,17 +406,16 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
 
     last = n - 1
     while True:
-        for ri, (delta_reqs, k, key_digits, cache, tabs) in enumerate(tables):
+        for si, (delta_reqs, weighted, key_digits, cache, tabs) in enumerate(tables):
             for j, bit in delta_reqs:
                 if deltas[j] != bit:
                     break
             else:
                 key = key_digits(digits)
-                sums = cache.get(key)
-                if sums is None:
-                    sums = cache[key] = relabelled(key, *tabs)
-                accs[ri] += weight * sums[k]
-                matches[ri] += sums[k + 1]
+                value = cache.get(key)
+                if value is None:
+                    value = cache[key] = relabelled(key, tabs)
+                accs[si] += weight * value if weighted else value
         # Odometer step: site n-1 fastest; a digit past its bound resets to 0.
         s = last
         while s:
@@ -448,7 +435,7 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
                 break
             s -= 1
         if not s:
-            return list(zip(accs, matches))
+            return _combine(plan, accs)
         m = max(top[s - 1], digits[s])
         top[s:] = [m] * (n - s)
         digits[n] = m + 1
@@ -520,31 +507,32 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     Sites are summed out in ``order``; each ``(scope, table)`` factor waits
     in the bucket of its first site in that order, and a site no factor
     mentions contributes ``q``.  One context serves the whole scan.  Each
-    table is built once: the weights per scan, a list site's spin powers
-    per site and table, an indicator per subset and bit.  A bucket's
-    message is memoised by the bucket's position and the identities of its
-    input tables, so requests that give a bucket the same inputs share one
-    summation and one message object, and so keep sharing downstream.
-    Matching counts come from the indicators alone, once per distinct set
-    of delta constraints; a request with none matches all ``q**n``.
+    table is built once: the weights per scan, a site's table per site and
+    table, an indicator per subset and bit.  A bucket's message is
+    memoised by the bucket's position and the identities of its input
+    tables, so sums that give a bucket the same inputs share one summation
+    and one message object, and so keep sharing downstream.  A sum without
+    weight, such as a matching count, leaves the weight tables out; one
+    with no factor at all is ``q**n``.
 
     The integers equal those of ``_scan_classes(plan)``, and so match
-    ``correlation_sum_naive``, for requests without a sign constraint; the
-    dispatch sends no other request here.
+    ``correlation_sum_naive``, sign constraints included: the plan holds
+    only sign-free sums.  The dispatch sends a scan here when the order's
+    estimated cost is below ``q**n``.
     """
     q = plan.q
     rank = {s: i for i, s in enumerate(order)}.__getitem__
     subset_sites = plan.subset_sites
 
     # Every factor of the scan, with the bucket it waits in, built once and
-    # keyed by its source: a weight by its subset ``j``, a spin-power table by
-    # its ``(site, table)`` term, an indicator by its ``(subset, bit)``.
+    # keyed by its source: a weight by its subset ``j``, a site table by its
+    # ``(site, table)`` term, an indicator by its ``(subset, bit)``.
     factors: dict = {}
     for j, (sites, pair) in enumerate(zip(subset_sites, plan.weight_pairs)):
         if pair is not None:
             factors[j] = (min(map(rank, sites)), (sites, _agreement_table(q, len(sites), *pair)))
     weight_keys = tuple(factors)
-    for terms, delta_reqs, _sign_kind, _sign_terms in plan.requests:
+    for terms, delta_reqs, _weighted in plan.sums:
         for s, tab in terms:
             factors.setdefault((s, tab), (rank(s), ((s,), tab)))
         for j, bit in delta_reqs:
@@ -589,13 +577,10 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
                 total *= table[0]
         return total
 
-    counts = {(): q**plan.n}
-    results = []
-    for terms, delta_reqs, _sign_kind, _sign_terms in plan.requests:
-        if delta_reqs not in counts:
-            counts[delta_reqs] = sum_product(delta_reqs)
-        results.append((sum_product((*weight_keys, *terms, *delta_reqs)), counts[delta_reqs]))
-    return results
+    return _combine(plan, [
+        sum_product((*(weight_keys if weighted else ()), *terms, *delta_reqs))
+        for terms, delta_reqs, weighted in plan.sums
+    ])
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -617,8 +602,7 @@ def correlation_sums(
     # sweep-sized scans on the slower odometer, and a smaller one also sends
     # complete interaction graphs (cost > q**n) to elimination, whose
     # q**n-entry tables take far more memory than the odometer.
-    sign_free = all(sign_kind is None for _terms, _deltas, sign_kind, _signs in plan.requests)
-    order, cost = _elimination_order(plan) if sign_free else ((), total)
+    order, cost = _elimination_order(plan)
     if cost < total:
         kernel = "elimination"
         sums = _eliminate(plan, order)

@@ -4,7 +4,8 @@ Distributions: interaction subsets are drawn uniformly among subsets of
 size 2..min(4, n); weights are ``1 + p/d`` with ``d`` uniform in 1..16 and
 ``p`` uniform in ``0..(x_max-1)*d``; lists draw sites with replacement.
 The lattice size is capped so the configuration space stays within
-``state_limit``.  Everything is driven by a caller-supplied
+``state_limit``; a q for which even ``n_min`` sites exceed it raises
+``ModelError``.  Everything is driven by a caller-supplied
 ``random.Random``, so a seed fully determines a sweep.
 """
 
@@ -23,7 +24,7 @@ from .enumeration import (
     delta_event,
     sign_event,
 )
-from .model import IndexList, InteractionTable, Model
+from .model import IndexList, InteractionTable, Model, ModelError
 
 __all__ = [
     "random_coupling",
@@ -60,6 +61,11 @@ def random_model(
     n_cap = n_max
     while n_cap > n_min and q**n_cap > state_limit:
         n_cap -= 1
+    if q**n_cap > state_limit:
+        raise ModelError(
+            f"q={q} on n_min={n_min} sites gives {q**n_cap} configurations, "
+            f"above the state limit {state_limit}"
+        )
     n = rng.randint(n_min, n_cap)
     table: dict[frozenset[int], Fraction] = {}
     if n >= 2:

@@ -49,6 +49,15 @@ def test_single_site_sweep_needs_a_single_site_suite(capsys):
                  "--format", "csv"]) == 0
 
 
+def test_sweep_q_beyond_the_state_limit(capsys):
+    assert main(["sweep", "--suite", "contraction", "--q-set", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: q=100 on n_min=2 sites gives 10000 configurations, above the state limit 4096\n"
+    )
+
+
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe", "not UTF-8 text at byte 0"),
     (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),

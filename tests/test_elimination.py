@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from pottsverify import (
     EVERYWHERE,
     IndexList,
+    NEGATIVE,
+    POSITIVE,
+    ZERO,
     build_model,
     conjoin,
     correlation_sum,
@@ -31,7 +34,9 @@ EMPTY = IndexList(())
 @st.composite
 def instances(draw):
     """A model with n <= 6, q <= 4 (at most 729 configurations), a list with
-    repeated sites allowed, and a delta-only event."""
+    repeated sites allowed, and an event of up to two delta constraints and
+    an optional sign constraint of any kind, whose list may repeat sites or
+    be empty."""
     q = draw(st.integers(2, 4))
     n = draw(st.integers(1, {2: 6, 3: 6, 4: 4}[q]))
     subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(4, n))
@@ -45,8 +50,11 @@ def instances(draw):
     deltas = []
     if n >= 2:
         deltas = draw(st.lists(st.tuples(subsets, st.integers(0, 1)), max_size=2))
-    event = conjoin(*(delta_event(sites, bit) for sites, bit in deltas))
-    return model, indices, event
+    events = [delta_event(sites, bit) for sites, bit in deltas]
+    if draw(st.booleans()):
+        sign_list = IndexList(tuple(draw(st.lists(st.integers(1, n), max_size=4))))
+        events.append(sign_event(sign_list, draw(st.sampled_from((POSITIVE, NEGATIVE, ZERO)))))
+    return model, indices, conjoin(*events)
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,13 +92,14 @@ class TestKernelField:
         model = build_model(8, 2, [({i, j}, 2) for i in range(1, 9) for j in range(i + 1, 9)])
         assert correlation_sum(model, IndexList((1, 2))).kernel == "odometer"
 
-    def test_sign_event_scan_stays_on_odometer(self):
+    def test_sign_event_scan_is_eliminated(self):
         model = ring_model(8, 3)
-        assert correlation_sum(model, EMPTY).kernel == "elimination"
-        results = correlation_sums(
-            model, [(EMPTY, EVERYWHERE), (EMPTY, sign_event(IndexList((1, 4)), "zero"))]
-        )
-        assert [r.kernel for r in results] == ["odometer", "odometer"]
+        requests = [(EMPTY, EVERYWHERE), (EMPTY, sign_event(IndexList((1, 4)), "zero"))]
+        results = correlation_sums(model, requests)
+        assert [r.kernel for r in results] == ["elimination", "elimination"]
+        for (indices, event), fast in zip(requests, results):
+            slow = correlation_sum_naive(model, indices, event)
+            assert (fast.value, fast.configs_matching) == (slow.value, slow.configs_matching)
 
     def test_oracle_is_named(self):
         model = ring_model(4, 2)

@@ -68,9 +68,6 @@ class TestSignClass:
 
 
 class TestEventPredicate:
-    def test_empty_predicate_selects_everything(self):
-        assert EVERYWHERE.is_everywhere
-
     def test_sign_needs_indices(self):
         with pytest.raises(ModelError):
             EventPredicate(sign_constraint="positive")
@@ -122,6 +119,11 @@ class TestCorrelationSum:
         model = build_model(2, 2, [])
         with pytest.raises(ModelError):
             correlation_sum(model, IndexList((3,)))
+
+    def test_single_site_q2_partition_function_is_two(self):
+        model = build_model(1, 2, [])
+        result = correlation_sum(model, EMPTY, EVERYWHERE)
+        assert result.value == 2
 
 
 class TestExpectation:
@@ -282,9 +284,3 @@ class TestPartitionIdentities:
                 odd_len = odd_len.concat(IndexList((rng.randint(1, model.n),)))
             assert correlation_sum(model, odd_len).value == 0
 
-
-class TestParallelDeterminism:
-    def test_more_workers_than_configurations(self):
-        model = build_model(1, 2, [])
-        result = correlation_sum(model, EMPTY, EVERYWHERE)
-        assert result.value == 2
