@@ -16,11 +16,16 @@ xi
 contract-check
     The vertex-merging identity on one (model, R, B) instance.
 
-Every command emits rows with the same columns
-(trial, n, q, s, |R|, |S|, quantity, value_num, value_den, satisfied) in
-human, json, or csv format; values are exact integer ratios.  Output is a
-pure function of the arguments, so identical invocations are byte-identical.
-Diagnostics go to stderr.  Exit code 0 means every check passed, 1 means a
+Every command but approx-x returns one row per check, with the same columns
+(trial, n, q, s, |R|, |S|, quantity, value_num, value_den, satisfied);
+``main`` alone emits them, in human, json, or csv format, and sets the exit
+code from them.  Values are exact integer ratios.  Output is a pure function
+of the arguments, so identical invocations are byte-identical.
+
+Diagnostics go to stderr.  A failing model check (theorem1, theorem2,
+quadratic, contraction) leaves a one-line ``witness:`` model document there,
+whose lists hold the check's inputs, for ``--model`` to load; an xi row names
+its own (q, a, b).  Exit code 0 means every check passed, 1 means a
 mathematical check failed (an engine bug), 2 means a usage or input error.
 """
 
@@ -33,24 +38,24 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
-from .contraction import check_contraction_identity, resolve_infinite_couplings
-from .enumeration import expectation
-from .generators import (
-    random_coupling,
-    random_index_list,
-    random_model,
+from .contraction import (
+    IdentityCheck,
+    check_contraction_identity,
+    resolve_infinite_couplings,
 )
+from .enumeration import expectation
+from .generators import random_coupling, random_index_list, random_model
 from .inequalities import (
+    InequalityReport,
     check_positive_covariance,
     check_positive_expectation,
     check_power_sum_gap_recursion,
     check_quadratic,
-    power_sum_gap,
 )
-from .model import IndexList, Model, ModelError
-from .serialize import ModelDocumentError, model_from_dict
+from .model import EMPTY_LIST, IndexList, Model, ModelError
+from .serialize import ModelDocumentError, model_from_dict, witness_json
 
 __all__ = ["main", "parse_model_file"]
 
@@ -60,7 +65,6 @@ ROW_FIELDS = (
 )
 SUITES = ("theorem1", "theorem2", "contraction", "xi", "quadratic")
 FORMATS = ("human", "json", "csv")
-DEFAULT_STATE_LIMIT = 4096
 
 
 def parse_model_file(path: str) -> tuple[Model, dict[str, IndexList]]:
@@ -95,6 +99,28 @@ def _row(trial: int, n: int, q: int, s: int, len_r: int, len_s: int,
     }
 
 
+def _check_row(trial: int, model: Model, r: IndexList, s: IndexList,
+               report: InequalityReport, err: TextIO) -> dict:
+    """The row of a theorem1, theorem2 or quadratic report; a failure leaves its witness."""
+    if not report.satisfied:
+        print(f"witness: {report.witness}", file=err)
+    return _row(trial, model.n, model.q, model.interactions.s, len(r), len(s),
+                report.kind, report.value, report.satisfied)
+
+
+def _contraction_row(trial: int, model: Model, r: IndexList, merged: frozenset[int],
+                     check: IdentityCheck, err: TextIO) -> dict:
+    """The row of a contraction check: ``|S|`` carries ``|B|``, the value is lhs - rhs.
+
+    A mismatch leaves a witness that ``contract-check --model`` replays.
+    """
+    if not check.equal:
+        witness = witness_json(model, {"R": r, "B": IndexList(tuple(merged))})
+        print(f"witness: {witness}", file=err)
+    return _row(trial, model.n, model.q, model.interactions.s, len(r), len(merged),
+                "contraction", check.lhs - check.rhs, check.equal)
+
+
 def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:
     if fmt == "csv":
         out.write(",".join(ROW_FIELDS) + "\n")
@@ -126,125 +152,87 @@ def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:
 
 
 # --- sweep suites ------------------------------------------------------------
+# Each suite draws one trial from the state ``_suite_draws`` hands it and
+# returns that trial's row.
 
 
-def _suite_rng(args: argparse.Namespace, suite: str) -> random.Random:
-    return random.Random(args.seed * len(SUITES) + 1 + SUITES.index(suite))
+def _random_model(args: argparse.Namespace, rng: random.Random, n_min: int = 1) -> Model:
+    return random_model(rng, n_max=args.n_max, n_min=n_min, q_set=args.q_set,
+                        x_max=args.x_max, max_interactions=args.max_interactions)
 
 
-def _model_kwargs(args: argparse.Namespace, n_min: int = 1) -> dict:
-    return dict(
-        n_max=args.n_max, n_min=n_min, q_set=args.q_set, x_max=args.x_max,
-        max_interactions=args.max_interactions, state_limit=DEFAULT_STATE_LIMIT,
-    )
+def _theorem1_trial(args, rng: random.Random, trial: int, err: TextIO) -> dict:
+    model = _random_model(args, rng)
+    r = random_index_list(rng, model.n, args.max_list_len)
+    return _check_row(trial, model, r, EMPTY_LIST, check_positive_expectation(model, r), err)
 
 
-def _sweep_theorem1(args: argparse.Namespace, err: TextIO) -> list[dict]:
-    rng = _suite_rng(args, "theorem1")
-    rows = []
-    for trial in range(args.trials):
-        model = random_model(rng, **_model_kwargs(args))
-        r = random_index_list(rng, model.n, args.max_list_len)
-        report = check_positive_expectation(model, r)
-        if not report.satisfied:
-            print(f"witness: {report.witness}", file=err)
-        rows.append(_row(trial, model.n, model.q, model.interactions.s,
-                         len(r), 0, "theorem1", report.value, report.satisfied))
-    return rows
+def _theorem2_trial(args, rng: random.Random, trial: int, err: TextIO) -> dict:
+    model = _random_model(args, rng)
+    r = random_index_list(rng, model.n, args.max_list_len)
+    s = random_index_list(rng, model.n, args.max_list_len)
+    return _check_row(trial, model, r, s, check_positive_covariance(model, r, s), err)
 
 
-def _sweep_theorem2(args: argparse.Namespace, err: TextIO) -> list[dict]:
-    rng = _suite_rng(args, "theorem2")
-    rows = []
-    for trial in range(args.trials):
-        model = random_model(rng, **_model_kwargs(args))
-        r = random_index_list(rng, model.n, args.max_list_len)
-        s = random_index_list(rng, model.n, args.max_list_len)
-        report = check_positive_covariance(model, r, s)
-        if not report.satisfied:
-            print(f"witness: {report.witness}", file=err)
-        rows.append(_row(trial, model.n, model.q, model.interactions.s,
-                         len(r), len(s), "theorem2", report.value, report.satisfied))
-    return rows
+def _contraction_trial(args, rng: random.Random, trial: int, err: TextIO) -> dict:
+    model = _random_model(args, rng, n_min=2)
+    merged = frozenset(rng.sample(range(1, model.n + 1), rng.randint(2, model.n)))
+    r = random_index_list(rng, model.n, args.max_list_len)
+    return _contraction_row(trial, model, r, merged,
+                            check_contraction_identity(model, r, merged), err)
 
 
-def _sweep_contraction(args: argparse.Namespace, err: TextIO) -> list[dict]:
-    rng = _suite_rng(args, "contraction")
-    rows = []
-    for trial in range(args.trials):
-        model = random_model(rng, **_model_kwargs(args, n_min=2))
-        merged = frozenset(rng.sample(range(1, model.n + 1), rng.randint(2, model.n)))
-        r = random_index_list(rng, model.n, args.max_list_len)
-        check = check_contraction_identity(model, r, merged)
-        if not check.equal:
-            print(f"witness: contraction mismatch lhs={check.lhs} rhs={check.rhs}", file=err)
-        # |S| column reports |B| for contraction rows; value is lhs - rhs.
-        rows.append(_row(trial, model.n, model.q, model.interactions.s,
-                         len(r), len(merged), "contraction",
-                         check.lhs - check.rhs, check.equal))
-    return rows
+def _xi_trial(args, point: tuple[int, int, int], trial: int, err: TextIO) -> dict:
+    # |R| and |S| carry the two exponents.
+    q, a, b = point
+    report = check_power_sum_gap_recursion(q, a, b)
+    return _row(trial, 0, q, 0, a, b, "xi", report.value, report.satisfied)
 
 
-def _sweep_xi(args: argparse.Namespace, err: TextIO) -> list[dict]:
-    q_values = args.q_set if args.command == "xi" else tuple(range(2, 13))
-    rows = []
-    trial = 0
-    for q in q_values:
-        for a, b in itertools.product(args.exponents, repeat=2):
-            gap = power_sum_gap(q, a, b)
-            report = check_power_sum_gap_recursion(q, a, b)
-            rows.append(_row(trial, 0, q, 0, a, b, "xi", gap,
-                             report.satisfied and gap >= 0))
-            trial += 1
-    return rows
-
-
-def _sweep_quadratic(args: argparse.Namespace, err: TextIO) -> list[dict]:
-    rng = _suite_rng(args, "quadratic")
-    rows = []
-    trial = 0
-    while trial < args.trials:
-        model = random_model(rng, **_model_kwargs(args, n_min=2))
+def _quadratic_trial(args, rng: random.Random, trial: int, err: TextIO) -> dict:
+    free: list[frozenset[int]] = []
+    while not free:
+        model = _random_model(args, rng, n_min=2)
         free = [
             frozenset(combo)
             for size in range(2, min(4, model.n) + 1)
             for combo in itertools.combinations(range(1, model.n + 1), size)
             if frozenset(combo) not in model.interactions.couplings
         ]
-        if not free:
-            continue
-        merged = rng.choice(sorted(free, key=sorted))
-        x = random_coupling(rng, args.x_max)
-        extra = (random_coupling(rng, args.x_max), random_coupling(rng, args.x_max))
-        r = random_index_list(rng, model.n, args.max_list_len)
-        s = random_index_list(rng, model.n, args.max_list_len)
-        report = check_quadratic(model, merged, x, r, s, extra_x=extra)
-        if not report.satisfied:
-            print(f"witness: {report.witness}", file=err)
-        rows.append(_row(trial, model.n, model.q, model.interactions.s,
-                         len(r), len(s), "quadratic", report.values[0],
-                         report.satisfied))
-        trial += 1
-    return rows
+    merged = rng.choice(sorted(free, key=sorted))
+    x = random_coupling(rng, args.x_max)
+    extra = (random_coupling(rng, args.x_max), random_coupling(rng, args.x_max))
+    r = random_index_list(rng, model.n, args.max_list_len)
+    s = random_index_list(rng, model.n, args.max_list_len)
+    return _check_row(trial, model, r, s,
+                      check_quadratic(model, merged, x, r, s, extra_x=extra), err)
 
 
-_SUITE_RUNNERS = {
-    "theorem1": _sweep_theorem1,
-    "theorem2": _sweep_theorem2,
-    "contraction": _sweep_contraction,
-    "xi": _sweep_xi,
-    "quadratic": _sweep_quadratic,
+_SUITE_TRIALS = {
+    "theorem1": _theorem1_trial,
+    "theorem2": _theorem2_trial,
+    "contraction": _contraction_trial,
+    "xi": _xi_trial,
+    "quadratic": _quadratic_trial,
 }
 
 
-def _run_sweep(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    """Run the configured suites; exit 0 iff every row is satisfied."""
+def _suite_draws(args: argparse.Namespace, suite: str) -> Iterable:
+    """One draw per trial: the suite's seeded RNG, or for xi a (q, a, b) point."""
+    if suite == "xi":
+        q_values = args.q_set if args.command == "xi" else range(2, 13)
+        return itertools.product(q_values, args.exponents, args.exponents)
+    rng = random.Random(args.seed * len(SUITES) + 1 + SUITES.index(suite))
+    return itertools.repeat(rng, args.trials)
+
+
+def _run_sweep(args: argparse.Namespace, err: TextIO) -> list[dict]:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    rows: list[dict] = []
-    for suite in suites:
-        rows.extend(_SUITE_RUNNERS[suite](args, err))
-    _emit(rows, args.output_format, out)
-    return 0 if all(row["satisfied"] for row in rows) else 1
+    return [
+        _SUITE_TRIALS[suite](args, draw, trial, err)
+        for suite in suites
+        for trial, draw in enumerate(_suite_draws(args, suite))
+    ]
 
 
 # --- single-model commands ----------------------------------------------------
@@ -264,75 +252,44 @@ def _load_instance(args: argparse.Namespace, err: TextIO):
             return IndexList(flag)
         return named.get(name)
 
-    r = pick(args.r_entries, "R")
-    s = pick(args.s_entries, "S")
-    b = pick(args.b_sites, "B")
-    if r is None:
+    lists = [pick(args.r_entries, "R"), pick(args.s_entries, "S"), pick(args.b_sites, "B")]
+    if lists[0] is None:
         raise ModelDocumentError("no R list: pass --R or add lists.R to the model file")
 
     if model.interactions.has_infinite:
-        wanted = [lst for lst in (r, s) if lst is not None]
-        resolved = resolve_infinite_couplings(model, wanted)
+        resolved = resolve_infinite_couplings(model)
         mapping = " ".join(f"{old}->{new}" for old, new in sorted(resolved.site_map.items()))
         print(f"note: infinite couplings contracted; site map {mapping}", file=err)
         model = resolved.model
-        relabeled = list(resolved.lists)
-        if r is not None:
-            r = relabeled.pop(0)
-        if s is not None:
-            s = relabeled.pop(0)
-        if b is not None:
-            b = b.relabel(resolved.site_map)
-    return model, r, s, b
+        lists = [lst if lst is None else lst.relabel(resolved.site_map) for lst in lists]
+    return (model, *lists)
 
 
-def _run_expect(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _run_expect(args: argparse.Namespace, err: TextIO) -> list[dict]:
     model, r, _s, _b = _load_instance(args, err)
-    value = expectation(model, r)
-    rows = [_row(0, model.n, model.q, model.interactions.s, len(r), 0,
-                 "expectation", value, True)]
-    _emit(rows, args.output_format, out)
-    return 0
+    return [_row(0, model.n, model.q, model.interactions.s, len(r), 0,
+                 "expectation", expectation(model, r), True)]
 
 
-def _run_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _run_verify(args: argparse.Namespace, err: TextIO) -> list[dict]:
     model, r, s, _b = _load_instance(args, err)
-    rows = []
-    report = check_positive_expectation(model, r)
-    rows.append(_row(0, model.n, model.q, model.interactions.s, len(r), 0,
-                     "theorem1", report.value, report.satisfied))
-    if not report.satisfied:
-        print(f"witness: {report.witness}", file=err)
+    rows = [_check_row(0, model, r, EMPTY_LIST, check_positive_expectation(model, r), err)]
     if s is not None:
-        report = check_positive_covariance(model, r, s)
-        rows.append(_row(1, model.n, model.q, model.interactions.s, len(r), len(s),
-                         "theorem2", report.value, report.satisfied))
-        if not report.satisfied:
-            print(f"witness: {report.witness}", file=err)
-    _emit(rows, args.output_format, out)
-    return 0 if all(row["satisfied"] for row in rows) else 1
+        rows.append(_check_row(1, model, r, s, check_positive_covariance(model, r, s), err))
+    return rows
 
 
-def _run_contract_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _run_contract_check(args: argparse.Namespace, err: TextIO) -> list[dict]:
     model, r, _s, b = _load_instance(args, err)
     if b is None:
         raise ModelDocumentError("no B set: pass --B or add lists.B to the model file")
-    check = check_contraction_identity(model, r, frozenset(b.entries))
+    merged = frozenset(b.entries)
+    check = check_contraction_identity(model, r, merged)
     print(f"lhs={check.lhs} rhs={check.rhs}", file=err)
-    rows = [_row(0, model.n, model.q, model.interactions.s, len(r),
-                 len(frozenset(b.entries)), "contraction",
-                 check.lhs - check.rhs, check.equal)]
-    _emit(rows, args.output_format, out)
-    return 0 if check.equal else 1
+    return [_contraction_row(0, model, r, merged, check, err)]
 
 
-def _run_xi(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    rows = _sweep_xi(args, err)
-    _emit(rows, args.output_format, out)
-    return 0 if all(row["satisfied"] for row in rows) else 1
-
-
-def _run_approx_x(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _approx_x(args: argparse.Namespace) -> str:
     """Convenience: float log-coupling J to an APPROXIMATE rational weight.
 
     The engine itself only accepts exact weights; this converts
@@ -348,11 +305,10 @@ def _run_approx_x(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     x = Fraction(weight).limit_denominator(args.max_denominator)
     if x < 1:
         x = Fraction(1)
-    out.write(
+    return (
         f"approximate: x = {x} (~ exp({j!r}) = {weight!r}); "
         "not exact, rounded to a nearby rational\n"
     )
-    return 0
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -425,6 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponents", dest="exponents", type=_int_set_arg,
                    default=(2, 4, 6), metavar="2,4,6",
                    help="even exponents for both arguments (default 2,4,6)")
+    p.set_defaults(suite="xi")
 
     p = sub.add_parser(
         "approx-x",
@@ -457,8 +414,7 @@ _COMMANDS = {
     "expect": _run_expect,
     "verify": _run_verify,
     "contract-check": _run_contract_check,
-    "xi": _run_xi,
-    "approx-x": _run_approx_x,
+    "xi": _run_sweep,
     "sweep": _run_sweep,
 }
 
@@ -471,10 +427,15 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, sys.stdout, sys.stderr)
+        if args.command == "approx-x":
+            sys.stdout.write(_approx_x(args))
+            return 0
+        rows = _COMMANDS[args.command](args, sys.stderr)
     except (ModelDocumentError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(rows, args.output_format, sys.stdout)
+    return 0 if all(row["satisfied"] for row in rows) else 1
 
 
 if __name__ == "__main__":

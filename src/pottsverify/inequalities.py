@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .enumeration import (
     EVERYWHERE,
@@ -56,7 +56,6 @@ class InequalityReport:
     """
 
     kind: str
-    inputs: Mapping[str, str]
     values: tuple[Fraction, ...]
     satisfied: bool
     witness: str | None = None
@@ -75,8 +74,6 @@ def check_positive_expectation(model: Model, indices: IndexList) -> InequalityRe
     satisfied = value >= 0 and (len(indices) % 2 == 0 or value == 0)
     return InequalityReport(
         kind="theorem1",
-        inputs={"n": str(model.n), "q": str(model.q), "s": str(model.interactions.s),
-                "R": str(indices)},
         values=(value,),
         satisfied=satisfied,
         witness=None if satisfied else witness_json(model, {"R": indices}),
@@ -118,8 +115,6 @@ def check_positive_covariance(model: Model, r: IndexList, s: IndexList) -> Inequ
         satisfied = value == 0
     return InequalityReport(
         kind="theorem2",
-        inputs={"n": str(model.n), "q": str(model.q), "s": str(model.interactions.s),
-                "R": str(r), "S": str(s)},
         values=(value,),
         satisfied=satisfied,
         witness=None if satisfied else witness_json(model, {"R": r, "S": s}),
@@ -154,8 +149,6 @@ def check_power_sum_gap_recursion(q: int, a: int, b: int) -> InequalityReport:
     strictly positive since ``|j| <= (q-1)/2 < h``, so the family is
     nondecreasing from its base values.
     """
-    if q < 2:
-        raise ModelError(f"q must be >= 2, got {q}")
     gap = power_sum_gap(q, a, b)
     gap_next = power_sum_gap(q + 2, a, b)
     h = Fraction(q + 1, 2)
@@ -171,7 +164,6 @@ def check_power_sum_gap_recursion(q: int, a: int, b: int) -> InequalityReport:
     )
     return InequalityReport(
         kind="xi",
-        inputs={"q": str(q), "a": str(a), "b": str(b)},
         values=(gap, gap_next, increment),
         satisfied=satisfied,
         witness=None,
@@ -303,12 +295,6 @@ def check_quadratic(
     )
     return InequalityReport(
         kind="quadratic",
-        inputs={
-            "n": str(base_model.n), "q": str(base_model.q),
-            "s": str(base_model.interactions.s),
-            "B": ",".join(str(i) for i in sorted(key)), "x": str(qd.x),
-            "R": str(r), "S": str(s),
-        },
         values=(qd.u, qd.v, qd.w),
         satisfied=satisfied,
         witness=None if satisfied else witness_json(

@@ -7,6 +7,7 @@ import pytest
 
 from pottsverify import IndexList, build_model, INFINITY
 from pottsverify.cli import ROW_FIELDS, main, parse_model_file
+from pottsverify.contraction import IdentityCheck
 from pottsverify.inequalities import InequalityReport
 from pottsverify.serialize import (
     ModelDocumentError,
@@ -186,7 +187,7 @@ class TestVerifyCommand:
 
 def _failing_check(kind):
     def check(model, *lists):
-        return InequalityReport(kind=kind, inputs={}, values=(Fraction(-1),),
+        return InequalityReport(kind=kind, values=(Fraction(-1),),
                                 satisfied=False, witness=f'{{"kind": "{kind}"}}')
     return check
 
@@ -230,6 +231,30 @@ class TestFailingCheckExitsOne:
         payload = json.loads(captured.out)
         assert not payload["all_satisfied"]
         assert captured.err.count("witness: ") == failures
+
+    @pytest.mark.parametrize("name, failures", [("contract-check", 1), ("sweep", 2)])
+    def test_contraction_witness_replays(self, name, failures, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setattr("pottsverify.cli.check_contraction_identity",
+                            lambda model, r, merged: IdentityCheck(Fraction(1), Fraction(2)))
+        path = write_doc(tmp_path, {"n": 3, "q": 2,
+                                    "interactions": [{"sites": [1, 2], "x": "3"}],
+                                    "lists": {"R": [1, 3], "B": [1, 2]}})
+        argv = {"contract-check": ["contract-check", "--model", path],
+                "sweep": ["sweep", "--suite", "contraction", "--trials", "2"]}[name]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL ") == failures
+        if name == "contract-check":
+            assert "lhs=1 rhs=2\n" in captured.err
+        witnesses = [line.removeprefix("witness: ") for line in captured.err.splitlines()
+                     if line.startswith("witness: ")]
+        assert len(witnesses) == failures
+
+        monkeypatch.undo()
+        for witness in witnesses:
+            replay = write_doc(tmp_path, json.loads(witness), name="witness.json")
+            assert main(["contract-check", "--model", replay]) == 0
 
 
 class TestContractCheckCommand:

@@ -93,3 +93,65 @@ def test_contract_set_of_one_site_names_the_merged_set(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: merged site set must contain at least 2 sites")
     assert err.count("\n") == 1
+
+
+# --- argv fuzz -----------------------------------------------------------------
+# Every flag takes values from one small alphabet of awkward strings plus a few
+# valid ones of its own.  Counts stay small: sweep always gets --trials from
+# FUZZ_TRIALS, and no value parses to a large integer.
+
+FUZZ_VALUES = ("", "0", "-1", "1", "2", "1,,2", "2,2", "x", "nan", "inf", "1e9", "1,2,3")
+FUZZ_TRIALS = ("0", "1", "2", "-1", "x")
+MODEL_FLAGS = {"--model": (), "--R": ("1,3",), "--S": ("2,2",),
+               "--format": ("human", "json", "csv")}
+FUZZ_FLAGS = {
+    "expect": MODEL_FLAGS,
+    "verify": MODEL_FLAGS,
+    "contract-check": {**MODEL_FLAGS, "--B": ("1,2", "1,2,3")},
+    "xi": {"--q-set": ("2,3",), "--exponents": ("2,4",), "--format": ("csv",)},
+    "approx-x": {"--J": ("0.5", "-0.0"), "--max-denominator": ("10",)},
+    "sweep": {"--suite": ("all", "theorem1", "contraction", "xi", "quadratic"),
+              "--seed": (), "--q-set": ("2,3",), "--n-max": ("3",), "--x-max": (),
+              "--max-interactions": (), "--max-list-len": (), "--format": ("json",)},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_model_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps({
+        "n": 3, "q": 3,
+        "interactions": [{"sites": [1, 3], "x": "2"}, {"sites": [2, 3], "x": "inf"}],
+        "lists": {"R": [1, 3], "S": [2, 2], "B": [1, 2]},
+    }))
+    return str(path)
+
+
+@st.composite
+def fuzz_argv(draw, model_path):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    argv = [command]
+    if command == "sweep":
+        argv += ["--trials", draw(st.sampled_from(FUZZ_TRIALS))]
+    if command in ("expect", "verify", "contract-check") and draw(st.booleans()):
+        argv += ["--model", model_path]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(FUZZ_VALUES + flags[flag]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_keeps_the_exit_code_contract(data, fuzz_model_path):
+    argv = data.draw(fuzz_argv(fuzz_model_path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    error_lines = [line for line in err.getvalue().splitlines() if "error: " in line]
+    assert len(error_lines) == (1 if code == 2 else 0)

@@ -1,0 +1,70 @@
+"""The CLI's stdout bytes, pinned by sha256 digests.
+
+A change to any report row, its format or its order changes a digest.  The
+documents are the README worked example and that model with a fourth site
+tied to site 1 by an infinite coupling and to site 2 by a finite one, so
+that contracting the infinite coupling changes every value.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from pottsverify.cli import main
+
+README_DOC = {
+    "n": 3, "q": 3,
+    "interactions": [
+        {"sites": [1, 3], "x": "2"},
+        {"sites": [2, 3], "x": "3"},
+        {"sites": [1, 2, 3], "x": "5"},
+    ],
+    "lists": {"R": [1, 3], "S": [2, 2], "B": [1, 2]},
+}
+INFINITE_DOC = dict(README_DOC, n=4, interactions=README_DOC["interactions"] + [
+    {"sites": [2, 4], "x": "7"}, {"sites": [1, 4], "x": "inf"},
+])
+
+SWEEP_DIGEST = "10807d21760b16ecfbafc02942734e26781bae85f1ea77b6f2d12870e7619707"
+MODEL_DIGESTS = {
+    ("expect", "csv", "readme"): "b6026a0ae878b47d8fbac6b4b6d5ebf7ae740601801b36c71cc5c6d9754138d9",
+    ("expect", "csv", "infinite"): "e6b494d02f8a523d305716f4bee7b1bc210906c87079a31d51c6c3c5895f5462",
+    ("expect", "json", "readme"): "31afdc5a3860ceafff77150e9aa4c80e79833b5b9658b093114da963f622ed28",
+    ("expect", "json", "infinite"): "2dd011b538130aa928f142d2d57a36c4f1b4d1e426b01d5fc9ab6640b5456994",
+    ("expect", "human", "readme"): "58ed39444c551e6fbbf7b648e10cc6e3ba9f7027a694e887443d58373d3567c1",
+    ("expect", "human", "infinite"): "89cab04525cecb0000a6d2bb164b54f7a5afec42f602c12a3f69dd0f1c25d840",
+    ("verify", "csv", "readme"): "bd2f221ad657da414f8fc6cead2bc2fb1ab47a9ee94706d18d2f618d6446a528",
+    ("verify", "csv", "infinite"): "2d2564c587c9220021cefc13887c2da5f8526e41f4a90900a03bbce8443f6313",
+    ("verify", "json", "readme"): "4b50580f442efedeb489dba5ec8c88c06269ff2d420b3087642c381e7bc77e59",
+    ("verify", "json", "infinite"): "0b3ac2392b1310f0881a2a0423fc079914747075345a44d7b2d1ed9753167c7e",
+    ("verify", "human", "readme"): "52c0bac47829ccd4c07f3181ef39c64181433273ccc0e8220a30d5d94a5cf022",
+    ("verify", "human", "infinite"): "c64a65487a2e746638bf830a31bf92caf79440998ba25436038e2257d9c90aab",
+    ("contract-check", "csv", "readme"): "3d3852319db1ed84d28097b831ab98ea1964fec50f9aca501925dedf028266d0",
+    ("contract-check", "csv", "infinite"): "30f182da3c11cd4a3cb1c389b8f89bcd3f2fb964395a52b99dbb95ac4e7e2721",
+    ("contract-check", "json", "readme"): "509b5533743ec2ca4c18c7a61af3b8b6a80b7a5d74ce6ebd1f51cea1791d74d7",
+    ("contract-check", "json", "infinite"): "6794af73f131204399d461078e52f8f4e0c4521d683bf738d8ee625944ca2b45",
+    ("contract-check", "human", "readme"): "a075fa1b094cb3a8124b13f52c938d54d41657e227b420281f34621cf11e8ad7",
+    ("contract-check", "human", "infinite"): "8846bc958008b7e59a8056a2239fa405741130a2f362fd4a70b9244331f8e965",
+}
+
+
+def _stdout_digest(argv, capsys):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_sweep_all_seed_42_csv(capsys):
+    argv = ["sweep", "--suite", "all", "--seed", "42", "--trials", "100", "--format", "csv"]
+    assert _stdout_digest(argv, capsys) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("doc", ["readme", "infinite"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+@pytest.mark.parametrize("command", [["expect"], ["verify", "--S", "2,2"], ["contract-check"]],
+                         ids=["expect", "verify-S", "contract-check"])
+def test_model_commands(command, fmt, doc, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(README_DOC if doc == "readme" else INFINITE_DOC))
+    argv = [*command, "--model", str(path), "--format", fmt]
+    assert _stdout_digest(argv, capsys) == MODEL_DIGESTS[command[0], fmt, doc]

@@ -166,6 +166,11 @@ class TestPowerSumGapRecursion:
     def test_sweep(self, q, a, b):
         assert check_power_sum_gap_recursion(q, a, b).satisfied
 
+    @pytest.mark.parametrize("q", (1, 0, -1))
+    def test_q_below_two_rejected(self, q):
+        with pytest.raises(ModelError, match="q must be >= 2"):
+            check_power_sum_gap_recursion(q, 2, 2)
+
     def test_recursion_is_an_oracle_for_higher_q(self):
         # Climb from the two base cases using only the increment formula
         # and compare against the direct definition.
