@@ -261,7 +261,14 @@ def _load_instance(args: argparse.Namespace, err: TextIO):
         mapping = " ".join(f"{old}->{new}" for old, new in sorted(resolved.site_map.items()))
         print(f"note: infinite couplings contracted; site map {mapping}", file=err)
         model = resolved.model
+        given_b = lists[2]
         lists = [lst if lst is None else lst.relabel(resolved.site_map) for lst in lists]
+        if (args.command == "contract-check" and given_b is not None
+                and len(lists[2].support) < 2 <= len(given_b.support)):
+            sites = ",".join(map(str, sorted(given_b.support)))
+            raise ModelDocumentError(
+                f"merged site set {{{sites}}} became one site when infinite couplings "
+                "were contracted; it must contain at least 2 sites")
     return (model, *lists)
 
 

@@ -27,11 +27,11 @@ count is the same kind of sum with the weight left out.
   instead of 65,536 at n=8, q=4.  On each single-site step only the
   subsets containing that site re-evaluate their delta, and the weight is
   maintained multiplicatively.  Each sum's table product over a class's
-  ``q!/(q-b)!`` relabellings comes from a per-scan cache keyed by the
-  number of blocks b and the digits at the sum's table sites.  Sums with
-  the same tables share that cache, and a miss labels only the blocks
-  those sites touch, reusing the result of any earlier miss whose blocks
-  had the same rows.
+  ``q!/(q-b)!`` relabellings comes from a cache keyed by the number of
+  blocks b and the digits at the sum's table sites.  Sums with the same
+  tables share that cache, and a miss labels only the blocks those sites
+  touch, reusing the result of any earlier miss whose blocks had the same
+  rows.
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per interaction (the scaled weight), one per site
@@ -45,12 +45,41 @@ count is the same kind of sum with the weight left out.
 Dispatch: a scan is eliminated when the elimination order's estimated cost
 is below ``q**n``, and runs on the odometer otherwise, as every scan on a
 complete interaction graph does.  ``SumResult`` records which kernel ran.
+
+A scan binds only its weights and its delta constraints.  What depends on
+the hypergraph, ``q`` and the lists alone is kept in four memos
+(``functools.lru_cache``, each bounded by a module constant, least recently
+used entry evicted first), so later scans reuse it.  A sweep's checks scan
+one hypergraph several times: ``check_quadratic`` scans the base model with
+the added set as a delta subset, then the augmented models with it as an
+interaction, and all four scans share one structure.
+
+* ``_structure``, keyed by ``(n, q, subset_sites)``, at most
+  ``_STRUCTURE_MEMO`` entries: the watched subsets holding each site, the
+  elimination order and its cost, and ``_eliminate``'s index-map getters
+  by ``(scope, joint)``.  ``_compile`` lists the watched subsets by size
+  and then by sites, interactions and event subsets alike, so a subset
+  takes the same place whether it is weighted or not.
+* ``_family_cache``, keyed by ``(q, tables)``, at most ``_FAMILY_MEMO``
+  entries: the odometer's relabelled sums of a family of sums with those
+  per-site tables, by cache key.  They depend on neither the weights nor
+  ``n`` nor the sites the tables sit on.
+* ``_labelled_sums``, keyed by ``(q, block profile)``, at most
+  ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
+  profile's blocks, which those relabelled sums are made of.
+* ``_request_terms``, keyed by ``(q, indices, sign kind, sign indices)``,
+  at most ``_REQUEST_MEMO`` entries: a request's sign-free sums, as merged
+  per-site tables, before its delta constraints are bound.
+
+The bounds keep the memos to a few hundred kilobytes; the reuse that pays is
+within a check and between the small hypergraphs a sweep draws again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import perm, prod
 from operator import itemgetter, mul
@@ -80,6 +109,12 @@ __all__ = [
     "sign_event",
     "uniform_correlation_sum",
 ]
+
+# Entry bounds of the weight-free memos (see the module docstring).
+_STRUCTURE_MEMO = 16
+_FAMILY_MEMO = 32
+_REQUEST_MEMO = 64
+_PROFILE_MEMO = 256
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -214,101 +249,144 @@ def _check_event(model: Model, event: EventPredicate) -> None:
 class ScanPlan(NamedTuple):
     """The per-scan tables both kernels read; sites are 0-indexed.
 
-    ``subset_sites`` lists the model's interactions first (``weight_pairs``
-    holds their ``(numerator, denominator)``), then the extra subsets that
-    event constraints name (``None`` in ``weight_pairs``).  Each of the
-    distinct ``sums`` is ``(terms, delta_reqs, weighted)``: the sum, over
-    the configurations meeting the ``(subset, bit)`` delta constraints, of
-    the product of the per-site tables ``terms``, times the scaled weight
-    when ``weighted``.  Each request is ``(value, count, divisor)``: integer
-    combinations ``((coefficient, sum index), ...)`` of ``sums`` that,
-    divided by ``divisor``, give its scaled sum and its matching count.
-    ``scale`` is the product of all coupling denominators.
+    ``subset_sites`` lists the watched subsets: the model's interactions
+    (``weight_pairs`` holds their ``(numerator, denominator)``) and the extra
+    subsets that event constraints name (``None`` in ``weight_pairs``), in
+    one canonical order, by size and then by sites.  So a subset takes the
+    same place whether it carries a weight or only a delta, and scans on one
+    hypergraph share one ``_structure``.  Each of the distinct ``sums`` is
+    ``(terms, delta_reqs, weighted)``: the sum, over the configurations
+    meeting the ``(subset, bit)`` delta constraints, of the product of the
+    per-site tables ``terms``, times the scaled weight when ``weighted``.
+    Each request is ``(value, count, divisor)``: integer combinations
+    ``((coefficient, sum index), ...)`` of ``sums`` that, divided by
+    ``divisor``, give its scaled sum and its matching count.  ``scale`` is
+    the product of all coupling denominators.
     """
 
     n: int
     q: int
     subset_sites: tuple[tuple[int, ...], ...]
     weight_pairs: tuple[tuple[int, int] | None, ...]
-    site_subsets: tuple[tuple[int, ...], ...]
     sums: tuple
     requests: tuple
     scale: int
 
 
-def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]) -> ScanPlan:
-    """Precompute the per-scan tables both kernels read, with each sign
-    constraint written as sign-free sums (see the module docstring).  A
-    table of all ones, as Q's is at every even q, is dropped."""
-    n, q = model.n, model.q
+@lru_cache(maxsize=_REQUEST_MEMO)
+def _request_terms(q: int, indices: IndexList, kind: str | None,
+                   sign_indices: IndexList | None) -> tuple[tuple, int]:
+    """A request's sign-free sums before its delta constraints are bound:
+    ``((coefficient, value terms, count terms), ...)`` and the divisor.
+
+    Each sign constraint is written as sign-free sums (see the module
+    docstring); the terms are the merged per-site tables, sorted by site,
+    with a table of all ones, as Q's is at every even q, dropped.
+    """
     dom = spin_domain(q).doubled_values
     signs = [(x > 0) - (x < 0) for x in dom]
-
-    # Watched subsets: the model's interactions first (they carry weight
-    # factors), then any extra subsets referenced by event constraints.
-    subset_index: dict[frozenset[int], int] = {}
-    subset_sites: list[tuple[int, ...]] = []
-    weight_pairs: list[tuple[int, int] | None] = []
-
-    def watch(key: frozenset[int]) -> int:
-        idx = subset_index.get(key)
-        if idx is None:
-            idx = len(subset_sites)
-            subset_index[key] = idx
-            subset_sites.append(tuple(sorted(i - 1 for i in key)))
-            weight_pairs.append(None)
-        return idx
-
-    denominator_scale = 1
-    for sites, x in model.interactions.items():
-        j = watch(sites)
-        frac = Fraction(x)
-        weight_pairs[j] = (frac.numerator, frac.denominator)
-        denominator_scale *= frac.denominator
-
-    def site_tables(values, indices: IndexList, power: int = 1) -> dict[int, tuple[int, ...]]:
-        return {site - 1: tuple([v ** (mult * power) for v in values])
-                for site, mult in indices.multiplicity.items()}
-
     ones = (1,) * q
-    sums: dict[tuple, int] = {}
 
-    def sum_index(factors, delta_reqs, weighted: bool) -> int:
-        """The index of the sum of the per-site product of ``factors``."""
+    def site_tables(values, lst: IndexList, power: int = 1) -> dict[int, tuple[int, ...]]:
+        return {site - 1: tuple([v ** (mult * power) for v in values])
+                for site, mult in lst.multiplicity.items()}
+
+    def terms(factors) -> tuple:
         merged: dict[int, tuple[int, ...]] = {}
         for tables in factors:
             for s, tab in tables.items():
                 merged[s] = tuple(map(mul, merged[s], tab)) if s in merged else tab
-        terms = tuple(sorted([item for item in merged.items() if item[1] != ones]))
-        return sums.setdefault((terms, delta_reqs, weighted), len(sums))
+        return tuple(sorted([item for item in merged.items() if item[1] != ones]))
 
-    compiled_requests = []
+    divisor = 1
+    combination: list[tuple[int, tuple]] = [(1, ())]
+    if kind is not None:
+        p_tabs = site_tables(signs, sign_indices)
+        q_tabs = site_tables(signs, sign_indices, 2)
+        if kind == ZERO:
+            combination = [(1, ()), (-1, (q_tabs,))]
+        else:
+            sign = 1 if kind == POSITIVE else -1
+            combination, divisor = [(1, (q_tabs,)), (sign, (p_tabs,))], 2
+    spins = site_tables(dom, indices)
+    return tuple([(c, terms((spins, *fs)), terms(fs)) for c, fs in combination]), divisor
+
+
+def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]) -> ScanPlan:
+    """Bind the model's weights and the requests' delta constraints to the
+    memoised sign-free sums of each request (``_request_terms``)."""
+    couplings = model.interactions.couplings
+    watched = set(couplings)
     for indices, event in requests:
         _check_indices(model, indices)
         _check_event(model, event)
-        delta_reqs = tuple((watch(sites), bit) for sites, bit in event.delta_constraints)
-        kind, divisor = event.sign_constraint, 1
-        combination: list[tuple[int, tuple]] = [(1, ())]
-        if kind is not None:
-            p_tabs = site_tables(signs, event.sign_indices)
-            q_tabs = site_tables(signs, event.sign_indices, 2)
-            if kind == ZERO:
-                combination = [(1, ()), (-1, (q_tabs,))]
-            else:
-                sign = 1 if kind == POSITIVE else -1
-                combination, divisor = [(1, (q_tabs,)), (sign, (p_tabs,))], 2
-        spins = site_tables(dom, indices)
+        watched.update([sites for sites, _bit in event.delta_constraints])
+    keys = sorted(watched, key=lambda key: (len(key), sorted(key)))
+    subset_index = {key: j for j, key in enumerate(keys)}
+
+    weights = [couplings.get(key) for key in keys]
+    weight_pairs = tuple(None if x is None else (x.numerator, x.denominator) for x in weights)
+    sums: dict[tuple, int] = {}
+    compiled_requests = []
+    for indices, event in requests:
+        delta_reqs = tuple((subset_index[sites], bit) for sites, bit in event.delta_constraints)
+        combination, divisor = _request_terms(
+            model.q, indices, event.sign_constraint, event.sign_indices)
         compiled_requests.append((
-            tuple([(c, sum_index((spins, *fs), delta_reqs, True)) for c, fs in combination]),
-            tuple([(c, sum_index(fs, delta_reqs, False)) for c, fs in combination]),
+            tuple([(c, sums.setdefault((value, delta_reqs, True), len(sums)))
+                   for c, value, _count in combination]),
+            tuple([(c, sums.setdefault((count, delta_reqs, False), len(sums)))
+                   for c, _value, count in combination]),
             divisor,
         ))
+    subset_sites = tuple(tuple(sorted(i - 1 for i in key)) for key in keys)
+    return ScanPlan(model.n, model.q, subset_sites, weight_pairs, tuple(sums),
+                    tuple(compiled_requests), prod([x.denominator for x in couplings.values()]))
 
-    site_subsets: list[tuple[int, ...]] = [
-        tuple(j for j, sites in enumerate(subset_sites) if s in sites) for s in range(n)
-    ]
-    return ScanPlan(n, q, tuple(subset_sites), tuple(weight_pairs), tuple(site_subsets),
-                    tuple(sums), tuple(compiled_requests), denominator_scale)
+
+class _Structure(NamedTuple):
+    """What a scan reads of its hypergraph alone: the watched subsets that
+    hold each site, the elimination order and its estimated cost, and
+    ``_eliminate``'s index-map getters by ``(scope, joint)``."""
+
+    site_subsets: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    cost: int
+    getters: dict
+
+
+@lru_cache(maxsize=_STRUCTURE_MEMO)
+def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _Structure:
+    """The structure of the hypergraph ``subset_sites`` on ``n`` sites at ``q``.
+
+    The elimination order is greedy min-degree: the graph joins two sites
+    when a watched subset (an interaction or an event's delta subset) holds
+    both, and ties go to the lower site index, so the order is
+    deterministic.  The cost is the sum over buckets of
+    ``q**(bucket scope size)``.
+    """
+    site_subsets = tuple(
+        tuple(j for j, sites in enumerate(subset_sites) if s in sites) for s in range(n))
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for sites in subset_sites:
+        for s in sites:
+            neighbours[s].update(sites)
+    for s in range(n):
+        neighbours[s].discard(s)
+    remaining = set(range(n))
+    order = []
+    cost = 0
+    while remaining:
+        v = min(remaining, key=lambda s: (len(neighbours[s]), s))
+        clique = neighbours[v]
+        cost += q ** (len(clique) + 1)
+        for s in clique:
+            neighbours[s] |= clique
+            neighbours[s].discard(s)
+            neighbours[s].discard(v)
+        remaining.remove(v)
+        order.append(v)
+    return _Structure(site_subsets, tuple(order), cost, {})
 
 
 def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[tuple[int, int]]:
@@ -338,11 +416,20 @@ def _block_profile(values: tuple[int, ...], tabs) -> tuple:
     return tuple(sorted(rows.values()))
 
 
+@lru_cache(maxsize=_PROFILE_MEMO)
 def _labelled_sums(q: int, profile: tuple) -> int:
     """The sum of the rows' product over the injective labellings of the
     blocks of ``profile`` (see ``_block_profile``)."""
     return sum(prod(map(tuple.__getitem__, profile, labels))
                for labels in permutations(range(q), len(profile)))
+
+
+@lru_cache(maxsize=_FAMILY_MEMO)
+def _family_cache(q: int, tabs: tuple) -> dict:
+    """The relabelled sums of a family with tables ``tabs``, by cache key
+    (see ``_scan_classes``), shared by every scan at ``q``.  A family that
+    reads no site is keyed by b alone: its sum is the class size q!/(q-b)!."""
+    return {} if tabs else {b: perm(q, b) for b in range(1, q + 1)}
 
 
 def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
@@ -358,42 +445,36 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
 
     Sums with the same per-site tables form one family, whatever their
     delta constraints and weighting; a family's product summed over a
-    class's relabellings is cached per scan by b and the representative's
-    digits at the family's sites.  On a miss only the t blocks those sites
+    class's relabellings is cached by b and the representative's digits at
+    the family's sites, in the family's ``_family_cache``, which later scans
+    with the same tables reuse.  On a miss only the t blocks those sites
     touch are labelled, and each labelling extends to the untouched blocks
-    in ``(q-t)!/(q-b)!`` ways; the labelling sums are cached once more by
-    the blocks' rows (see ``_block_profile``), which classes with different
-    digits and families of one scan share.  So the labelling work follows
-    the few distinct block rows rather than the number of site patterns.
+    in ``(q-t)!/(q-b)!`` ways; the labelling sums are memoised once more by
+    the blocks' rows (``_labelled_sums``, see ``_block_profile``), which
+    classes with different digits and different families share.  So the
+    labelling work follows the few distinct block rows rather than the
+    number of site patterns.
     Each request's integers, divided by the plan's scales, give the
     Fraction of ``correlation_sum_naive`` and its matching count.
     """
-    n, q, subset_sites, weight_pairs, site_subsets, plan_sums, _requests, _scale = plan
+    n, q, subset_sites, weight_pairs, plan_sums, _requests, _scale = plan
+    site_subsets = _structure(n, q, subset_sites).site_subsets
     families: dict = {}
     tables = []
     for terms, delta_reqs, weighted in plan_sums:
         family = families.get(terms)
         if family is None:
             # digits[n] holds b, so one itemgetter call reads the cache key.
-            # A family that reads no site is keyed by b alone: its sum is
-            # the class size q!/(q-b)!.
-            cache = {}
-            if not terms:
-                cache = {b: perm(q, b) for b in range(1, min(n, q) + 1)}
+            tabs = tuple(tab for _s, tab in terms)
             family = families[terms] = (
-                itemgetter(*[s for s, _tab in terms], n), cache, tuple(tab for _s, tab in terms))
+                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs)
         tables.append((delta_reqs, weighted, *family))
     accs = [0] * len(plan_sums)
 
-    profiles: dict = {}
-
     def relabelled(key, tabs) -> int:
         profile = _block_profile(key[:-1], tabs)
-        base = profiles.get(profile)
-        if base is None:
-            base = profiles[profile] = _labelled_sums(q, profile)
         t = len(profile)
-        return base * perm(q - t, key[-1] - t)
+        return _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
 
     subset_spins = [itemgetter(*sites) for sites in subset_sites]
     digits = [0] * n + [1]
@@ -445,34 +526,10 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
 
 
 def _elimination_order(plan: ScanPlan) -> tuple[tuple[int, ...], int]:
-    """Greedy min-degree elimination order and its estimated cost.
-
-    The graph joins two sites when a watched subset (an interaction or an
-    event's delta subset) holds both; ties go to the lower site index, so
-    the order is deterministic.  The cost is the sum over buckets of
-    ``q**(bucket scope size)``.
-    """
-    n, q = plan.n, plan.q
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    for sites in plan.subset_sites:
-        for s in sites:
-            neighbours[s].update(sites)
-    for s in range(n):
-        neighbours[s].discard(s)
-    remaining = set(range(n))
-    order = []
-    cost = 0
-    while remaining:
-        v = min(remaining, key=lambda s: (len(neighbours[s]), s))
-        clique = neighbours[v]
-        cost += q ** (len(clique) + 1)
-        for s in clique:
-            neighbours[s] |= clique
-            neighbours[s].discard(s)
-            neighbours[s].discard(v)
-        remaining.remove(v)
-        order.append(v)
-    return tuple(order), cost
+    """The plan's greedy min-degree elimination order and its estimated
+    cost, from the structure memo (see ``_structure``)."""
+    structure = _structure(plan.n, plan.q, plan.subset_sites)
+    return structure.order, structure.cost
 
 
 def _agreement_table(q: int, k: int, agree: int, differ: int) -> list[int]:
@@ -511,9 +568,11 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     table, an indicator per subset and bit.  A bucket's message is
     memoised by the bucket's position and the identities of its input
     tables, so sums that give a bucket the same inputs share one summation
-    and one message object, and so keep sharing downstream.  A sum without
-    weight, such as a matching count, leaves the weight tables out; one
-    with no factor at all is ``q**n``.
+    and one message object, and so keep sharing downstream.  The getters
+    that read a table at a bucket's joint assignments depend only on the
+    scopes and ``q``, and live in the plan's ``_structure`` for every later
+    scan.  A sum without weight, such as a matching count, leaves the
+    weight tables out; one with no factor at all is ``q**n``.
 
     The integers equal those of ``_scan_classes(plan)``, and so match
     ``correlation_sum_naive``, sign constraints included: the plan holds
@@ -541,7 +600,7 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
                 table = _agreement_table(q, len(sites), bit, 1 - bit)
                 factors[j, bit] = (min(map(rank, sites)), (sites, table))
     messages: dict = {}  # (bucket, input table ids) -> (scope, table)
-    getters: dict = {}  # (scope, joint) -> itemgetter of the index map
+    getters = _structure(plan.n, q, subset_sites).getters
 
     def sum_product(keys) -> int:
         """Sum over all configurations of the product of the factors ``keys``."""

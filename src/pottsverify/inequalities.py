@@ -279,7 +279,8 @@ def check_quadratic(
     against the augmented model, plus the three coefficient inequalities
     ``U >= 0``, ``2U + V >= 0`` and ``U + V + W >= 0``.  Together these make
     the scaled covariance nondecreasing and nonnegative for every weight at
-    least 1.
+    least 1.  A failure's witness is the augmented model at ``x``, with the
+    added site set as list ``B`` next to ``R`` and ``S``.
     """
     key = frozenset(added_sites)
     qd = quadratic_decomposition(base_model, key, x, r, s)
@@ -298,6 +299,6 @@ def check_quadratic(
         values=(qd.u, qd.v, qd.w),
         satisfied=satisfied,
         witness=None if satisfied else witness_json(
-            base_model.with_coupling(key, x), {"R": r, "S": s}
+            base_model.with_coupling(key, x), {"R": r, "S": s, "B": IndexList(tuple(key))}
         ),
     )

@@ -257,6 +257,37 @@ class TestFailingCheckExitsOne:
             assert main(["contract-check", "--model", replay]) == 0
 
 
+    def test_quadratic_witness_carries_the_added_set(self, tmp_path, monkeypatch, capsys):
+        """A quadratic check made to fail by a direct covariance one too large
+        leaves a witness whose lists.B is the added site set, and ``verify``
+        on that witness passes once the fault is gone."""
+        from pottsverify import inequalities
+
+        covariance = inequalities.scaled_covariance
+        monkeypatch.setattr(inequalities, "scaled_covariance",
+                            lambda model, r, s: covariance(model, r, s) + 1)
+        added = []
+
+        def check(model, merged, *rest, **kwargs):
+            added.append(sorted(merged))
+            return inequalities.check_quadratic(model, merged, *rest, **kwargs)
+
+        monkeypatch.setattr("pottsverify.cli.check_quadratic", check)
+        assert main(["sweep", "--suite", "quadratic", "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL ") == 2
+        witnesses = [json.loads(line.removeprefix("witness: "))
+                     for line in captured.err.splitlines() if line.startswith("witness: ")]
+        assert [w["lists"]["B"] for w in witnesses] == added
+        for witness, b in zip(witnesses, added):
+            assert {"sites": b} in [{"sites": i["sites"]} for i in witness["interactions"]]
+
+        monkeypatch.undo()
+        for witness in witnesses:
+            replay = write_doc(tmp_path, witness, name="witness.json")
+            assert main(["verify", "--model", replay]) == 0
+
+
 class TestContractCheckCommand:
     def test_worked_example(self, tmp_path, capsys):
         doc = dict(WORKED_EXAMPLE_DOC)

@@ -95,6 +95,21 @@ def test_contract_set_of_one_site_names_the_merged_set(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_contract_set_merged_by_an_infinite_coupling_names_the_given_sites(tmp_path, capsys):
+    """Contraction relabels B, so a B inside one infinite coupling collapses
+    to one site; the error names the sites as given, not the relabelled one."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 4, "q": 2,
+                                "interactions": [{"sites": [1, 2], "x": "2"},
+                                                 {"sites": [3, 4], "x": "inf"}],
+                                "lists": {"R": [1, 3]}}))
+    assert main(["contract-check", "--model", str(path), "--B", "3,4"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert "{3,4}" in errors[0] and "contract" in errors[0]
+    assert "{3}" not in errors[0]
+
+
 # --- argv fuzz -----------------------------------------------------------------
 # Every flag takes values from one small alphabet of awkward strings plus a few
 # valid ones of its own.  Counts stay small: sweep always gets --trials from

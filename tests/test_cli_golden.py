@@ -27,6 +27,11 @@ INFINITE_DOC = dict(README_DOC, n=4, interactions=README_DOC["interactions"] + [
 ])
 
 SWEEP_DIGEST = "10807d21760b16ecfbafc02942734e26781bae85f1ea77b6f2d12870e7619707"
+# The same sweep at two more seeds, so three instance sets pin the rows.
+MORE_SWEEP_DIGESTS = {
+    7: "c422095db87f5a17b7c06e86a96d2bed6d99ec102a3b85c7eb8bf63e016f6f99",
+    3: "900150b5a52055b63bb3f9c27409bdaea280f8c2e6adb19548fa159a71ce513b",
+}
 MODEL_DIGESTS = {
     ("expect", "csv", "readme"): "b6026a0ae878b47d8fbac6b4b6d5ebf7ae740601801b36c71cc5c6d9754138d9",
     ("expect", "csv", "infinite"): "e6b494d02f8a523d305716f4bee7b1bc210906c87079a31d51c6c3c5895f5462",
@@ -57,6 +62,12 @@ def _stdout_digest(argv, capsys):
 def test_sweep_all_seed_42_csv(capsys):
     argv = ["sweep", "--suite", "all", "--seed", "42", "--trials", "100", "--format", "csv"]
     assert _stdout_digest(argv, capsys) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(MORE_SWEEP_DIGESTS))
+def test_sweep_all_more_seeds_csv(seed, capsys):
+    argv = ["sweep", "--suite", "all", "--seed", str(seed), "--trials", "100", "--format", "csv"]
+    assert _stdout_digest(argv, capsys) == MORE_SWEEP_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("doc", ["readme", "infinite"])
