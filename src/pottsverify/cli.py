@@ -24,8 +24,9 @@ of the arguments, so identical invocations are byte-identical.
 
 Diagnostics go to stderr.  A failing model check (theorem1, theorem2,
 quadratic, contraction) leaves a one-line ``witness:`` model document there,
-whose lists hold the check's inputs, for ``--model`` to load; an xi row names
-its own (q, a, b).  Exit code 0 means every check passed, 1 means a
+whose lists hold the check's inputs, for ``--model`` to load; in json its
+row also carries that document as ``witness``.  An xi row names its own
+(q, a, b).  Exit code 0 means every check passed, 1 means a
 mathematical check failed (an engine bug), 2 means a usage or input error.
 """
 
@@ -99,13 +100,19 @@ def _row(trial: int, n: int, q: int, s: int, len_r: int, len_s: int,
     }
 
 
+def _failed_row(row: dict, witness: str, err: TextIO) -> dict:
+    """A failing check's row: its witness goes to stderr and into the row."""
+    print(f"witness: {witness}", file=err)
+    row["witness"] = json.loads(witness)
+    return row
+
+
 def _check_row(trial: int, model: Model, r: IndexList, s: IndexList,
                report: InequalityReport, err: TextIO) -> dict:
     """The row of a theorem1, theorem2 or quadratic report; a failure leaves its witness."""
-    if not report.satisfied:
-        print(f"witness: {report.witness}", file=err)
-    return _row(trial, model.n, model.q, model.interactions.s, len(r), len(s),
-                report.kind, report.value, report.satisfied)
+    row = _row(trial, model.n, model.q, model.interactions.s, len(r), len(s),
+               report.kind, report.value, report.satisfied)
+    return row if report.satisfied else _failed_row(row, report.witness, err)
 
 
 def _contraction_row(trial: int, model: Model, r: IndexList, merged: frozenset[int],
@@ -114,11 +121,11 @@ def _contraction_row(trial: int, model: Model, r: IndexList, merged: frozenset[i
 
     A mismatch leaves a witness that ``contract-check --model`` replays.
     """
-    if not check.equal:
-        witness = witness_json(model, {"R": r, "B": IndexList(tuple(merged))})
-        print(f"witness: {witness}", file=err)
-    return _row(trial, model.n, model.q, model.interactions.s, len(r), len(merged),
-                "contraction", check.lhs - check.rhs, check.equal)
+    row = _row(trial, model.n, model.q, model.interactions.s, len(r), len(merged),
+               "contraction", check.lhs - check.rhs, check.equal)
+    if check.equal:
+        return row
+    return _failed_row(row, witness_json(model, {"R": r, "B": IndexList(tuple(merged))}), err)
 
 
 def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:

@@ -46,13 +46,29 @@ Dispatch: a scan is eliminated when the elimination order's estimated cost
 is below ``q**n``, and runs on the odometer otherwise, as every scan on a
 complete interaction graph does.  ``SumResult`` records which kernel ran.
 
+One scan can bind several weightings of one hypergraph.  A *group* is a
+model and its requests; the groups of a scan share ``n`` and ``q``, the scan
+watches the union of their subsets, and each group has its own row of
+weights and its own scale.  ``check_quadratic`` scans the base model, where
+the added set is a delta subset, and every augmented model, where it is an
+interaction, in one pass.  The weightings share what does not depend on
+the weights:
+
+* The odometer walks the classes once.  Each group keeps its own running
+  weight, and each family's relabelled sum is looked up once per class for
+  every sum of every group in that family.
+* Elimination keys each weight table by its subset and weight, so groups
+  with the same weight on a subset share the table.  Bucket messages are
+  memoised by the identities of their input tables, so every bucket that
+  the differing weights do not reach is summed once for all groups.
+
+``correlation_sums`` is the one-group case.
+
 A scan binds only its weights and its delta constraints.  What depends on
 the hypergraph, ``q`` and the lists alone is kept in four memos
 (``functools.lru_cache``, each bounded by a module constant, least recently
-used entry evicted first), so later scans reuse it.  A sweep's checks scan
-one hypergraph several times: ``check_quadratic`` scans the base model with
-the added set as a delta subset, then the augmented models with it as an
-interaction, and all four scans share one structure.
+used entry evicted first), so later scans reuse it: a sweep draws the same
+small hypergraphs again and again.
 
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
   ``_STRUCTURE_MEMO`` entries: the watched subsets holding each site, the
@@ -80,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from math import perm, prod
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -249,28 +265,32 @@ def _check_event(model: Model, event: EventPredicate) -> None:
 class ScanPlan(NamedTuple):
     """The per-scan tables both kernels read; sites are 0-indexed.
 
-    ``subset_sites`` lists the watched subsets: the model's interactions
-    (``weight_pairs`` holds their ``(numerator, denominator)``) and the extra
-    subsets that event constraints name (``None`` in ``weight_pairs``), in
-    one canonical order, by size and then by sites.  So a subset takes the
-    same place whether it carries a weight or only a delta, and scans on one
-    hypergraph share one ``_structure``.  Each of the distinct ``sums`` is
-    ``(terms, delta_reqs, weighted)``: the sum, over the configurations
-    meeting the ``(subset, bit)`` delta constraints, of the product of the
-    per-site tables ``terms``, times the scaled weight when ``weighted``.
-    Each request is ``(value, count, divisor)``: integer combinations
+    A plan binds one or more groups, each a model and its requests; the
+    groups share ``n`` and ``q``, and the plan watches the union of their
+    subsets.  ``subset_sites`` lists the watched subsets: the models'
+    interactions and the extra subsets that event constraints name, in one
+    canonical order, by size and then by sites.  So a subset takes the same
+    place whether it carries a weight or only a delta, and scans on one
+    hypergraph share one ``_structure``.  ``weight_rows`` holds one row per
+    group: the ``(numerator, denominator)`` of the group's weight on each
+    subset, ``None`` where it has none.  ``scales`` holds the product of
+    each group's coupling denominators.  Each of the distinct ``sums`` is
+    ``(terms, delta_reqs, group)``: the sum, over the configurations meeting
+    the ``(subset, bit)`` delta constraints, of the product of the per-site
+    tables ``terms``, times the group's scaled weight, or no weight when
+    ``group`` is ``None``.  The groups' requests follow one another, each
+    ``(value, count, divisor)``: integer combinations
     ``((coefficient, sum index), ...)`` of ``sums`` that, divided by
-    ``divisor``, give its scaled sum and its matching count.  ``scale`` is
-    the product of all coupling denominators.
+    ``divisor``, give its scaled sum and its matching count.
     """
 
     n: int
     q: int
     subset_sites: tuple[tuple[int, ...], ...]
-    weight_pairs: tuple[tuple[int, int] | None, ...]
+    weight_rows: tuple[tuple[tuple[int, int] | None, ...], ...]
     sums: tuple
     requests: tuple
-    scale: int
+    scales: tuple[int, ...]
 
 
 @lru_cache(maxsize=_REQUEST_MEMO)
@@ -312,36 +332,51 @@ def _request_terms(q: int, indices: IndexList, kind: str | None,
     return tuple([(c, terms((spins, *fs)), terms(fs)) for c, fs in combination]), divisor
 
 
-def _compile(model: Model, requests: Sequence[tuple[IndexList, EventPredicate]]) -> ScanPlan:
-    """Bind the model's weights and the requests' delta constraints to the
-    memoised sign-free sums of each request (``_request_terms``)."""
-    couplings = model.interactions.couplings
-    watched = set(couplings)
-    for indices, event in requests:
-        _check_indices(model, indices)
-        _check_event(model, event)
-        watched.update([sites for sites, _bit in event.delta_constraints])
+def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]
+             ) -> ScanPlan:
+    """Bind each group's weights and its requests' delta constraints to the
+    memoised sign-free sums of each request (``_request_terms``).  The
+    groups' models must share ``n`` and ``q``, so groups that pass the same
+    request list, such as ``check_quadratic``'s augmented models, bind it
+    once."""
+    watched = set()
+    distinct: dict[int, Sequence] = {}
+    for model, requests in groups:
+        watched.update(model.interactions.couplings)
+        if id(requests) not in distinct:
+            distinct[id(requests)] = requests
+            for indices, event in requests:
+                _check_indices(model, indices)
+                _check_event(model, event)
+                watched.update([sites for sites, _bit in event.delta_constraints])
     keys = sorted(watched, key=lambda key: (len(key), sorted(key)))
     subset_index = {key: j for j, key in enumerate(keys)}
+    q = groups[0][0].q
+    bound = {
+        key: [(tuple([(subset_index[sites], bit) for sites, bit in event.delta_constraints]),
+               *_request_terms(q, indices, event.sign_constraint, event.sign_indices))
+              for indices, event in requests]
+        for key, requests in distinct.items()
+    }
 
-    weights = [couplings.get(key) for key in keys]
-    weight_pairs = tuple(None if x is None else (x.numerator, x.denominator) for x in weights)
+    weight_rows = []
     sums: dict[tuple, int] = {}
     compiled_requests = []
-    for indices, event in requests:
-        delta_reqs = tuple((subset_index[sites], bit) for sites, bit in event.delta_constraints)
-        combination, divisor = _request_terms(
-            model.q, indices, event.sign_constraint, event.sign_indices)
-        compiled_requests.append((
-            tuple([(c, sums.setdefault((value, delta_reqs, True), len(sums)))
-                   for c, value, _count in combination]),
-            tuple([(c, sums.setdefault((count, delta_reqs, False), len(sums)))
-                   for c, _value, count in combination]),
-            divisor,
-        ))
+    for group, (model, requests) in enumerate(groups):
+        weights = map(model.interactions.couplings.get, keys)
+        weight_rows.append(tuple([None if x is None else x.as_integer_ratio() for x in weights]))
+        for delta_reqs, combination, divisor in bound[id(requests)]:
+            compiled_requests.append((
+                tuple([(c, sums.setdefault((value, delta_reqs, group), len(sums)))
+                       for c, value, _count in combination]),
+                tuple([(c, sums.setdefault((count, delta_reqs, None), len(sums)))
+                       for c, _value, count in combination]),
+                divisor,
+            ))
     subset_sites = tuple(tuple(sorted(i - 1 for i in key)) for key in keys)
-    return ScanPlan(model.n, model.q, subset_sites, weight_pairs, tuple(sums),
-                    tuple(compiled_requests), prod([x.denominator for x in couplings.values()]))
+    scales = tuple(prod([pair[1] for pair in row if pair is not None]) for row in weight_rows)
+    return ScanPlan(groups[0][0].n, q, subset_sites, tuple(weight_rows), tuple(sums),
+                    tuple(compiled_requests), scales)
 
 
 class _Structure(NamedTuple):
@@ -444,31 +479,32 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     constraints are the same throughout a class.
 
     Sums with the same per-site tables form one family, whatever their
-    delta constraints and weighting; a family's product summed over a
-    class's relabellings is cached by b and the representative's digits at
-    the family's sites, in the family's ``_family_cache``, which later scans
-    with the same tables reuse.  On a miss only the t blocks those sites
-    touch are labelled, and each labelling extends to the untouched blocks
-    in ``(q-t)!/(q-b)!`` ways; the labelling sums are memoised once more by
+    delta constraints, group and weighting; a family's product summed over
+    a class's relabellings is looked up once per class for all its sums,
+    and cached by b and the representative's digits at the family's sites,
+    in the family's ``_family_cache``, which later scans with the same
+    tables reuse.  On a miss only the t blocks those sites touch are
+    labelled, and each labelling extends to the untouched blocks in
+    ``(q-t)!/(q-b)!`` ways; the labelling sums are memoised once more by
     the blocks' rows (``_labelled_sums``, see ``_block_profile``), which
     classes with different digits and different families share.  So the
     labelling work follows the few distinct block rows rather than the
-    number of site patterns.
-    Each request's integers, divided by the plan's scales, give the
+    number of site patterns.  Each group keeps its own running weight.
+    Each request's integers, divided by its group's scales, give the
     Fraction of ``correlation_sum_naive`` and its matching count.
     """
-    n, q, subset_sites, weight_pairs, plan_sums, _requests, _scale = plan
+    n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     site_subsets = _structure(n, q, subset_sites).site_subsets
-    families: dict = {}
-    tables = []
-    for terms, delta_reqs, weighted in plan_sums:
-        family = families.get(terms)
+    by_terms: dict = {}
+    for si, (terms, delta_reqs, group) in enumerate(plan_sums):
+        family = by_terms.get(terms)
         if family is None:
             # digits[n] holds b, so one itemgetter call reads the cache key.
             tabs = tuple(tab for _s, tab in terms)
-            family = families[terms] = (
-                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs)
-        tables.append((delta_reqs, weighted, *family))
+            family = by_terms[terms] = (
+                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs, [])
+        family[3].append((si, delta_reqs, group))
+    families = list(by_terms.values())
     accs = [0] * len(plan_sums)
 
     def relabelled(key, tabs) -> int:
@@ -476,42 +512,45 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
         t = len(profile)
         return _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
 
-    subset_spins = [itemgetter(*sites) for sites in subset_sites]
+    # Each site's watched subsets: (index, spin getter, size).
+    site_checks = [tuple([(j, itemgetter(*subset_sites[j]), len(subset_sites[j])) for j in js])
+                   for js in site_subsets]
+    # Each subset's weightings: (group, numerator, denominator).
+    reweights = [tuple((g, *row[j]) for g, row in enumerate(weight_rows) if row[j] is not None)
+                 for j in range(len(subset_sites))]
     digits = [0] * n + [1]
     top = [0] * n  # top[s] = max(digits[: s + 1])
     deltas = [1] * len(subset_sites)
-    weight = 1
-    for pair in weight_pairs:
-        if pair is not None:
-            weight *= pair[0]
+    weights = [prod([pair[0] for pair in row if pair is not None]) for row in weight_rows]
 
     last = n - 1
     while True:
-        for si, (delta_reqs, weighted, key_digits, cache, tabs) in enumerate(tables):
-            for j, bit in delta_reqs:
-                if deltas[j] != bit:
-                    break
-            else:
-                key = key_digits(digits)
-                value = cache.get(key)
-                if value is None:
-                    value = cache[key] = relabelled(key, tabs)
-                accs[si] += weight * value if weighted else value
+        for key_digits, cache, tabs, members in families:
+            value = None
+            for si, delta_reqs, group in members:
+                for j, bit in delta_reqs:
+                    if deltas[j] != bit:
+                        break
+                else:
+                    if value is None:
+                        key = key_digits(digits)
+                        value = cache.get(key)
+                        if value is None:
+                            value = cache[key] = relabelled(key, tabs)
+                    accs[si] += value if group is None else weights[group] * value
         # Odometer step: site n-1 fastest; a digit past its bound resets to 0.
         s = last
         while s:
             d = digits[s] + 1
             carry = d == q or d > top[s - 1] + 1
             digits[s] = 0 if carry else d
-            for j in site_subsets[s]:
-                spins = subset_spins[j](digits)
-                nd = 1 if spins.count(spins[0]) == len(spins) else 0
+            for j, spins_of, size in site_checks[s]:
+                spins = spins_of(digits)
+                nd = 1 if spins.count(spins[0]) == size else 0
                 if nd != deltas[j]:
                     deltas[j] = nd
-                    pair = weight_pairs[j]
-                    if pair is not None:
-                        p, qd = pair
-                        weight = weight * p // qd if nd else weight * qd // p
+                    for g, p, qd in reweights[j]:
+                        weights[g] = weights[g] * p // qd if nd else weights[g] * qd // p
             if not carry:
                 break
             s -= 1
@@ -564,11 +603,12 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     Sites are summed out in ``order``; each ``(scope, table)`` factor waits
     in the bucket of its first site in that order, and a site no factor
     mentions contributes ``q``.  One context serves the whole scan.  Each
-    table is built once: the weights per scan, a site's table per site and
-    table, an indicator per subset and bit.  A bucket's message is
-    memoised by the bucket's position and the identities of its input
-    tables, so sums that give a bucket the same inputs share one summation
-    and one message object, and so keep sharing downstream.  The getters
+    table is built once: a weight per subset and pair, whichever groups
+    give the subset that weight, a site's table per site and table, an
+    indicator per subset and bit.  A bucket's message is memoised by the
+    bucket's position and the identities of its input tables, so sums that
+    give a bucket the same inputs share one summation and one message
+    object, and so keep sharing downstream, across groups as well.  The getters
     that read a table at a bucket's joint assignments depend only on the
     scopes and ``q``, and live in the plan's ``_structure`` for every later
     scan.  A sum without weight, such as a matching count, leaves the
@@ -584,14 +624,22 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     subset_sites = plan.subset_sites
 
     # Every factor of the scan, with the bucket it waits in, built once and
-    # keyed by its source: a weight by its subset ``j``, a site table by its
+    # keyed by its source: a weight by its subset and pair, as ``(j, p, qd)``
+    # so groups with the same weight there share it, a site table by its
     # ``(site, table)`` term, an indicator by its ``(subset, bit)``.
     factors: dict = {}
-    for j, (sites, pair) in enumerate(zip(subset_sites, plan.weight_pairs)):
-        if pair is not None:
-            factors[j] = (min(map(rank, sites)), (sites, _agreement_table(q, len(sites), *pair)))
-    weight_keys = tuple(factors)
-    for terms, delta_reqs, _weighted in plan.sums:
+    weight_keys = []
+    for row in plan.weight_rows:
+        keys = []
+        for j, (sites, pair) in enumerate(zip(subset_sites, row)):
+            if pair is not None:
+                key = (j, *pair)
+                if key not in factors:
+                    table = _agreement_table(q, len(sites), *pair)
+                    factors[key] = (min(map(rank, sites)), (sites, table))
+                keys.append(key)
+        weight_keys.append(tuple(keys))
+    for terms, delta_reqs, _group in plan.sums:
         for s, tab in terms:
             factors.setdefault((s, tab), (rank(s), ((s,), tab)))
         for j, bit in delta_reqs:
@@ -637,12 +685,41 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
         return total
 
     return _combine(plan, [
-        sum_product((*(weight_keys if weighted else ()), *terms, *delta_reqs))
-        for terms, delta_reqs, weighted in plan.sums
+        sum_product((*(() if group is None else weight_keys[group]), *terms, *delta_reqs))
+        for terms, delta_reqs, group in plan.sums
     ])
 
 
 # --- dispatch ----------------------------------------------------------------
+
+
+def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]
+          ) -> tuple[str, list[tuple[int, list[tuple[int, int]]]]]:
+    """One kernel pass over several weightings of one hypergraph.
+
+    ``groups`` are ``(model, requests)`` pairs whose models share ``n`` and
+    ``q``.  Returns the kernel that ran and, per group, its scale (the
+    product of its coupling denominators) and each request's ``(scaled
+    sum, matching count)``: the request's correlation sum is the scaled sum
+    over ``scale << len(indices)``.  The kernel is chosen from the
+    hypergraph alone (see the module docstring).
+    """
+    for model, _requests in groups:
+        model.require_finite()
+    plan = _compile(groups)
+    # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
+    # sweep-sized scans on the slower odometer, and a smaller one also sends
+    # complete interaction graphs (cost > q**n) to elimination, whose
+    # q**n-entry tables take far more memory than the odometer.
+    order, cost = _elimination_order(plan)
+    if cost < plan.q**plan.n:
+        kernel = "elimination"
+        sums = iter(_eliminate(plan, order))
+    else:
+        kernel = "odometer"
+        sums = iter(_scan_classes(plan))
+    return kernel, [(scale, list(islice(sums, len(requests))))
+                    for scale, (_model, requests) in zip(plan.scales, groups)]
 
 
 def correlation_sums(
@@ -654,22 +731,10 @@ def correlation_sums(
     The kernel is chosen from the model and the events alone (see the
     module docstring).
     """
-    model.require_finite()
-    plan = _compile(model, requests)
+    kernel, [(scale, sums)] = _scan([(model, requests)])
     total = model.configuration_count
-    # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
-    # sweep-sized scans on the slower odometer, and a smaller one also sends
-    # complete interaction graphs (cost > q**n) to elimination, whose
-    # q**n-entry tables take far more memory than the odometer.
-    order, cost = _elimination_order(plan)
-    if cost < total:
-        kernel = "elimination"
-        sums = _eliminate(plan, order)
-    else:
-        kernel = "odometer"
-        sums = _scan_classes(plan)
     return [
-        SumResult(Fraction(acc, plan.scale << len(indices)), total, matching, kernel)
+        SumResult(Fraction(acc, scale << len(indices)), total, matching, kernel)
         for (indices, _event), (acc, matching) in zip(requests, sums)
     ]
 

@@ -13,6 +13,13 @@ the supporting machinery the induction arguments rest on: the power-sum gap
 family (with its two-step recursion), the uniform-measure factorization of
 the scaled covariance, and the quadratic decomposition of the scaled
 covariance in one added coupling weight.
+
+Values stay integers until the report.  The covariance and quadratic checks
+read the kernel's integer sums and their scale (``enumeration._scan``), so
+a scaled covariance is an integer over ``scale**2 * 2**(|R|+|S|)``; the
+power-sum gaps are integers over ``2**(a+b)``, on the doubled spin values.
+Comparisons and identities are decided on those integers, and a
+``Fraction`` is built only for a value a report or a caller receives.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from typing import Iterable
 
 from .enumeration import (
     EVERYWHERE,
+    _check_event,
+    _scan,
     centered_power_sum,
-    correlation_sums,
     delta_event,
     expectation,
 )
@@ -80,27 +88,33 @@ def check_positive_expectation(model: Model, indices: IndexList) -> InequalityRe
     )
 
 
+def _covariance_requests(r: IndexList, s: IndexList, event=EVERYWHERE) -> list:
+    """The four correlation sums of a scaled covariance, restricted to ``event``."""
+    return [(r.concat(s), event), (r, event), (s, event), (EMPTY_LIST, event)]
+
+
+def _covariance_numerator(sums) -> int:
+    """``Z * zeta(RS) - zeta(R) * zeta(S)`` from the kernel integers of
+    ``_covariance_requests``, over ``scale**2 * 2**(|R|+|S|)``."""
+    (rs, _), (r, _), (s, _), (z, _) = sums
+    return z * rs - r * s
+
+
 def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList):
-    z_rs, z_r, z_s, z = (
-        res.value
-        for res in correlation_sums(
-            model,
-            [(r.concat(s), EVERYWHERE), (r, EVERYWHERE), (s, EVERYWHERE),
-             (EMPTY_LIST, EVERYWHERE)],
-        )
-    )
-    return z * z_rs - z_r * z_s, z
+    _kernel, [(scale, sums)] = _scan([(model, _covariance_requests(r, s))])
+    return _covariance_numerator(sums), sums[3][0], scale
 
 
 def scaled_covariance(model: Model, r: IndexList, s: IndexList) -> Fraction:
     """``Z * zeta(RS) - zeta(R) * zeta(S)``, all from one scan."""
-    return _scaled_covariance_and_z(model, r, s)[0]
+    numerator, _z, scale = _scaled_covariance_and_z(model, r, s)
+    return Fraction(numerator, scale * scale << (len(r) + len(s)))
 
 
 def covariance(model: Model, r: IndexList, s: IndexList) -> Fraction:
     """``<RS> - <R><S>`` for the spin products of the two lists."""
-    scaled, z = _scaled_covariance_and_z(model, r, s)
-    return scaled / (z * z)
+    numerator, z, _scale = _scaled_covariance_and_z(model, r, s)
+    return Fraction(numerator, z * z << (len(r) + len(s)))
 
 
 def check_positive_covariance(model: Model, r: IndexList, s: IndexList) -> InequalityReport:
@@ -129,15 +143,25 @@ def _require_even_positive(m: int, name: str) -> None:
         raise ModelError(f"exponent {name} must be a positive even integer, got {m}")
 
 
+def _scaled_power_sum_gap(q: int, a: int, b: int) -> int:
+    """``power_sum_gap(q, a, b) * 2**(a+b)``, on the doubled spin values."""
+    _require_even_positive(a, "a")
+    _require_even_positive(b, "b")
+    dom = spin_domain(q).doubled_values
+
+    def psum(m: int) -> int:
+        return sum([u**m for u in dom])
+
+    return q * psum(a + b) - psum(a) * psum(b)
+
+
 def power_sum_gap(q: int, a: int, b: int) -> Fraction:
     """``q * psum(a+b) - psum(a) * psum(b)`` over the centered q-state values.
 
     The per-site quantity that controls the covariance sign on shared
     supports under the uniform measure; nonnegative for every ``q >= 2``.
     """
-    _require_even_positive(a, "a")
-    _require_even_positive(b, "b")
-    return q * centered_power_sum(q, a + b) - centered_power_sum(q, a) * centered_power_sum(q, b)
+    return Fraction(_scaled_power_sum_gap(q, a, b), 1 << (a + b))
 
 
 def check_power_sum_gap_recursion(q: int, a: int, b: int) -> InequalityReport:
@@ -147,24 +171,24 @@ def check_power_sum_gap_recursion(q: int, a: int, b: int) -> InequalityReport:
     the gap grows by twice the sum over the old domain of
     ``(h**a - j**a) * (h**b - j**b)`` with ``h = (q+1)/2``.  Every summand is
     strictly positive since ``|j| <= (q-1)/2 < h``, so the family is
-    nondecreasing from its base values.
+    nondecreasing from its base values.  All of it is decided on integers
+    scaled by ``2**(a+b)``, the doubled values' scale.
     """
-    gap = power_sum_gap(q, a, b)
-    gap_next = power_sum_gap(q + 2, a, b)
-    h = Fraction(q + 1, 2)
-    summands = [
-        (h**a - j**a) * (h**b - j**b) for j in spin_domain(q).centered_values
-    ]
-    increment = 2 * sum(summands, Fraction(0))
+    gap = _scaled_power_sum_gap(q, a, b)
+    gap_next = _scaled_power_sum_gap(q + 2, a, b)
+    h = q + 1
+    summands = [(h**a - u**a) * (h**b - u**b) for u in spin_domain(q).doubled_values]
+    increment = 2 * sum(summands)
     satisfied = (
         gap_next == gap + increment
         and all(t > 0 for t in summands)
         and gap >= 0
         and gap_next >= 0
     )
+    scale = 1 << (a + b)
     return InequalityReport(
         kind="xi",
-        values=(gap, gap_next, increment),
+        values=(Fraction(gap, scale), Fraction(gap_next, scale), Fraction(increment, scale)),
         satisfied=satisfied,
         witness=None,
     )
@@ -228,6 +252,37 @@ class QuadraticDecomposition:
         return self.u * x * x + self.v * x + self.w
 
 
+def _added_coupling(base_model: Model, added_sites: Iterable[int],
+                    x) -> tuple[frozenset, Fraction]:
+    """The added site set and weight, checked against the base model."""
+    key = frozenset(added_sites)
+    x = Fraction(x)
+    if key in base_model.interactions.couplings:
+        raise ModelError(f"duplicate interaction {sorted(key)}")
+    if x < 1:
+        raise ModelError(f"added coupling must be >= 1, got {x}")
+    base_model.require_finite()
+    # Checked here, so a bad site set is named as the event it makes before
+    # ``check_quadratic`` builds an augmented model on it.
+    _check_event(base_model, delta_event(key, 1))
+    return key, x
+
+
+def _decomposition_requests(key: frozenset, r: IndexList, s: IndexList) -> list:
+    """The covariance sums of the base model on each side of the added set's delta."""
+    return [*_covariance_requests(r, s, delta_event(key, 1)),
+            *_covariance_requests(r, s, delta_event(key, 0))]
+
+
+def _coefficients(sums) -> tuple[int, int, int]:
+    """``U``, ``V`` and ``W`` from the kernel integers of
+    ``_decomposition_requests``, over ``scale**2 * 2**(|R|+|S|)``."""
+    (rs1, _), (r1, _), (s1, _), (z1, _), (rs0, _), (r0, _), (s0, _), (z0, _) = sums
+    return (z1 * rs1 - r1 * s1,
+            z1 * rs0 + z0 * rs1 - r0 * s1 - r1 * s0,
+            z0 * rs0 - r0 * s0)
+
+
 def quadratic_decomposition(
     base_model: Model,
     added_sites: Iterable[int],
@@ -240,29 +295,12 @@ def quadratic_decomposition(
     ``added_sites`` must not already carry a coupling in the base model and
     ``x`` must be at least 1.
     """
-    key = frozenset(added_sites)
-    x = Fraction(x)
-    if key in base_model.interactions.couplings:
-        raise ModelError(f"duplicate interaction {sorted(key)}")
-    if x < 1:
-        raise ModelError(f"added coupling must be >= 1, got {x}")
-    base_model.require_finite()
-
-    agree = delta_event(key, 1)
-    disagree = delta_event(key, 0)
-    rs = r.concat(s)
-    requests = [
-        (EMPTY_LIST, agree), (EMPTY_LIST, disagree),
-        (rs, agree), (rs, disagree),
-        (r, agree), (r, disagree),
-        (s, agree), (s, disagree),
-    ]
-    res = correlation_sums(base_model, requests)
-    z1, z0, rs1, rs0, r1, r0, s1, s0 = (item.value for item in res)
-    u = z1 * rs1 - r1 * s1
-    v = z1 * rs0 + z0 * rs1 - r0 * s1 - r1 * s0
-    w = z0 * rs0 - r0 * s0
-    return QuadraticDecomposition(u, v, w, x, z1, z0)
+    key, x = _added_coupling(base_model, added_sites, x)
+    _kernel, [(scale, sums)] = _scan([(base_model, _decomposition_requests(key, r, s))])
+    den = scale * scale << (len(r) + len(s))
+    u, v, w = (Fraction(c, den) for c in _coefficients(sums))
+    return QuadraticDecomposition(u, v, w, x, Fraction(sums[3][0], scale),
+                                  Fraction(sums[7][0], scale))
 
 
 def check_quadratic(
@@ -281,22 +319,32 @@ def check_quadratic(
     the scaled covariance nondecreasing and nonnegative for every weight at
     least 1.  A failure's witness is the augmented model at ``x``, with the
     added site set as list ``B`` next to ``R`` and ``S``.
+
+    One kernel pass computes the decomposition's sums on the base model and
+    each augmented model's covariance sums from its own weights.  With
+    ``D = scale**2 * 2**(|R|+|S|)``, ``U``, ``V`` and ``W`` are integers over
+    ``D``, and at ``x = p/d`` the augmented model's scaled covariance is an
+    integer over ``D * d**2``: ``A_z A_rs - A_r A_s`` with ``A`` its scaled
+    sums.  So the identity is the integer equation
+    ``U p**2 + V p d + W d**2 == A_z A_rs - A_r A_s``.
     """
-    key = frozenset(added_sites)
-    qd = quadratic_decomposition(base_model, key, x, r, s)
-    identity_ok = True
-    for x_val in [Fraction(x), *map(Fraction, extra_x)]:
-        augmented = base_model.with_coupling(key, x_val)
-        direct = scaled_covariance(augmented, r, s)
-        if qd.value_at(x_val) != direct:
-            identity_ok = False
-            break
-    satisfied = (
-        identity_ok and qd.u >= 0 and 2 * qd.u + qd.v >= 0 and qd.u + qd.v + qd.w >= 0
+    key, x = _added_coupling(base_model, added_sites, x)
+    xs = [x, *map(Fraction, extra_x)]
+    direct = _covariance_requests(r, s)
+    _kernel, [(scale, sums), *augmented] = _scan([
+        (base_model, _decomposition_requests(key, r, s)),
+        *[(base_model.with_coupling(key, x_val), direct) for x_val in xs],
+    ])
+    u, v, w = _coefficients(sums)
+    identity_ok = all(
+        u * p * p + v * p * d + w * d * d == _covariance_numerator(direct_sums)
+        for (p, d), (_scale, direct_sums) in zip(map(Fraction.as_integer_ratio, xs), augmented)
     )
+    satisfied = identity_ok and u >= 0 and 2 * u + v >= 0 and u + v + w >= 0
+    den = scale * scale << (len(r) + len(s))
     return InequalityReport(
         kind="quadratic",
-        values=(qd.u, qd.v, qd.w),
+        values=(Fraction(u, den), Fraction(v, den), Fraction(w, den)),
         satisfied=satisfied,
         witness=None if satisfied else witness_json(
             base_model.with_coupling(key, x), {"R": r, "S": s, "B": IndexList(tuple(key))}

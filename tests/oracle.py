@@ -65,3 +65,21 @@ def scaled_covariance(n, q, couplings, r, s):
 
 def power_sum(q, m):
     return sum((j**m for j in centered_values(q)), Fraction(0))
+
+
+def power_sum_gap(q, a, b):
+    return q * power_sum(q, a + b) - power_sum(q, a) * power_sum(q, b)
+
+
+def power_sum_gap_recursion(q, a, b):
+    """``(gap, gap at q+2, increment, satisfied)`` of the two-step recursion:
+    stepping q -> q+2 adds the spins ±h, h = (q+1)/2, and the gap grows by
+    twice the sum over the old spins j of ``(h**a - j**a) * (h**b - j**b)``."""
+    gap = power_sum_gap(q, a, b)
+    gap_next = power_sum_gap(q + 2, a, b)
+    h = Fraction(q + 1, 2)
+    summands = [(h**a - j**a) * (h**b - j**b) for j in centered_values(q)]
+    increment = 2 * sum(summands, Fraction(0))
+    satisfied = (gap_next == gap + increment and all(t > 0 for t in summands)
+                 and gap >= 0 and gap_next >= 0)
+    return gap, gap_next, increment, satisfied

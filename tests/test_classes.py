@@ -27,11 +27,11 @@ SIGNS = (POSITIVE, NEGATIVE, ZERO)
 def assert_walks_agree(model, requests):
     """Each request's value and matching count from the class walk equal
     the naive oracle's."""
-    plan = _compile(model, requests)
+    plan = _compile([(model, requests)])
     classes = _scan_classes(plan)
     for (indices, event), (acc, matching) in zip(requests, classes):
         naive = correlation_sum_naive(model, indices, event)
-        assert str(Fraction(acc, plan.scale << len(indices))) == str(naive.value)
+        assert str(Fraction(acc, plan.scales[0] << len(indices))) == str(naive.value)
         assert matching == naive.configs_matching
 
 

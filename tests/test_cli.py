@@ -231,6 +231,9 @@ class TestFailingCheckExitsOne:
         payload = json.loads(captured.out)
         assert not payload["all_satisfied"]
         assert captured.err.count("witness: ") == failures
+        witnesses = [json.loads(line.removeprefix("witness: "))
+                     for line in captured.err.splitlines() if line.startswith("witness: ")]
+        assert [row["witness"] for row in payload["rows"]] == witnesses
 
     @pytest.mark.parametrize("name, failures", [("contract-check", 1), ("sweep", 2)])
     def test_contraction_witness_replays(self, name, failures, tmp_path, monkeypatch,
@@ -250,6 +253,9 @@ class TestFailingCheckExitsOne:
         witnesses = [line.removeprefix("witness: ") for line in captured.err.splitlines()
                      if line.startswith("witness: ")]
         assert len(witnesses) == failures
+        assert main(argv + ["--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["witness"] for row in rows] == [json.loads(w) for w in witnesses]
 
         monkeypatch.undo()
         for witness in witnesses:
@@ -259,13 +265,15 @@ class TestFailingCheckExitsOne:
 
     def test_quadratic_witness_carries_the_added_set(self, tmp_path, monkeypatch, capsys):
         """A quadratic check made to fail by a direct covariance one too large
-        leaves a witness whose lists.B is the added site set, and ``verify``
-        on that witness passes once the fault is gone."""
+        (the integer covariance helper that ``scaled_covariance`` and the
+        check's direct side share) leaves a witness whose lists.B is the
+        added site set, and ``verify`` on that witness passes once the fault
+        is gone."""
         from pottsverify import inequalities
 
-        covariance = inequalities.scaled_covariance
-        monkeypatch.setattr(inequalities, "scaled_covariance",
-                            lambda model, r, s: covariance(model, r, s) + 1)
+        numerator = inequalities._covariance_numerator
+        monkeypatch.setattr(inequalities, "_covariance_numerator",
+                            lambda sums: numerator(sums) + 1)
         added = []
 
         def check(model, merged, *rest, **kwargs):
@@ -283,6 +291,35 @@ class TestFailingCheckExitsOne:
             assert {"sites": b} in [{"sites": i["sites"]} for i in witness["interactions"]]
 
         monkeypatch.undo()
+        for witness in witnesses:
+            replay = write_doc(tmp_path, witness, name="witness.json")
+            assert main(["verify", "--model", replay]) == 0
+
+
+    def test_quadratic_json_row_carries_a_replayable_witness(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """A failing quadratic check's json row holds the witness it left on
+        stderr, with the added set as lists.B, and ``verify`` on that document
+        passes once the fault is gone; a satisfied row holds none."""
+        from pottsverify import inequalities
+
+        numerator = inequalities._covariance_numerator
+        monkeypatch.setattr(inequalities, "_covariance_numerator",
+                            lambda sums: numerator(sums) + 1)
+        assert main(["sweep", "--suite", "quadratic", "--trials", "2", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)["rows"]
+        witnesses = [json.loads(line.removeprefix("witness: "))
+                     for line in captured.err.splitlines() if line.startswith("witness: ")]
+        assert len(witnesses) == 2
+        assert [row["witness"] for row in rows] == witnesses
+        for witness in witnesses:
+            b = witness["lists"]["B"]
+            assert {"sites": b} in [{"sites": i["sites"]} for i in witness["interactions"]]
+
+        monkeypatch.undo()
+        assert main(["sweep", "--suite", "quadratic", "--trials", "2", "--format", "json"]) == 0
+        assert all("witness" not in row for row in json.loads(capsys.readouterr().out)["rows"])
         for witness in witnesses:
             replay = write_doc(tmp_path, witness, name="witness.json")
             assert main(["verify", "--model", replay]) == 0

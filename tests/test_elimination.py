@@ -63,13 +63,13 @@ def test_elimination_matches_odometer_and_oracle(instance):
     model, indices, event = instance
     # Extra requests share the plan and the order with the first one.
     requests = [(indices, event), (EMPTY, event), (indices, EVERYWHERE)]
-    plan = _compile(model, requests)
+    plan = _compile([(model, requests)])
     order, _cost = _elimination_order(plan)
     eliminated = _eliminate(plan, order)
     assert eliminated == _scan_classes(plan)
     acc, matching = eliminated[0]
     naive = correlation_sum_naive(model, indices, event)
-    assert str(Fraction(acc, plan.scale << len(indices))) == str(naive.value)
+    assert str(Fraction(acc, plan.scales[0] << len(indices))) == str(naive.value)
     assert matching == naive.configs_matching
 
 
@@ -162,12 +162,12 @@ def quadratic_scans(draw):
 @given(quadratic_scans())
 def test_shared_buckets_match_odometer_and_lone_requests(scan):
     model, requests = scan
-    plan = _compile(model, requests)
+    plan = _compile([(model, requests)])
     order, _cost = _elimination_order(plan)
     eliminated = _eliminate(plan, order)
     assert eliminated == _scan_classes(plan)
     for request, pair in zip(requests, eliminated):
-        alone = _compile(model, [request])
+        alone = _compile([(model, [request])])
         assert _eliminate(alone, _elimination_order(alone)[0]) == [pair]
 
 
@@ -182,7 +182,7 @@ class TestSharedScan:
     def test_identical_requests_give_identical_pairs(self):
         model = ring_model(8, 4)
         request = (IndexList((1, 3, 3)), conjoin(delta_event({2, 6}, 0), delta_event({4, 5}, 1)))
-        plan = _compile(model, [request] * 3)
+        plan = _compile([(model, [request] * 3)])
         eliminated = _eliminate(plan, _elimination_order(plan)[0])
         assert eliminated[0] == eliminated[1] == eliminated[2]
         assert eliminated == _scan_classes(plan)

@@ -184,6 +184,28 @@ class TestPowerSumGapRecursion:
                     assert climbed[q] == power_sum_gap(q, a, b)
 
 
+def test_xi_integers_match_the_fraction_reference():
+    """The integer power-sum gap and recursion give the Fractions and the
+    verdicts of ``oracle``'s Fraction formulas."""
+    for q in range(2, 41):
+        for a in range(2, 13, 2):
+            for b in range(2, 13, 2):
+                gap, gap_next, increment, satisfied = oracle.power_sum_gap_recursion(q, a, b)
+                assert power_sum_gap(q, a, b) == gap
+                report = check_power_sum_gap_recursion(q, a, b)
+                assert report.values == (gap, gap_next, increment)
+                assert all(type(v) is Fraction for v in report.values)
+                assert report.satisfied is satisfied
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (2, 5), (0, 2), (2, 0), (-2, 2), (2, -4)])
+def test_xi_rejects_odd_or_nonpositive_exponents(a, b):
+    with pytest.raises(ModelError, match="positive even integer"):
+        power_sum_gap(3, a, b)
+    with pytest.raises(ModelError, match="positive even integer"):
+        check_power_sum_gap_recursion(3, a, b)
+
+
 class TestUniformFactorization:
     def test_requires_uniform_model(self, pair_model_q2):
         with pytest.raises(ModelError, match="s=0"):

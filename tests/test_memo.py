@@ -1,6 +1,8 @@
-"""The kernels' weight-free memos: scans on one hypergraph share them, and a
-scan's integers do not depend on what earlier scans left in them."""
+"""Scans on one hypergraph: later scans share the kernels' weight-free memos,
+and one scan binds several weightings as groups.  A scan's integers depend
+neither on what earlier scans left in the memos nor on the other groups."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
+from pottsverify import enumeration
 from pottsverify.enumeration import (
     _compile,
     _eliminate,
@@ -32,16 +35,16 @@ MEMOS = (_structure, _family_cache, _request_terms, _labelled_sums)
 
 
 def both_kernels(model, requests):
-    plan = _compile(model, requests)
+    plan = _compile([(model, requests)])
     return plan, _eliminate(plan, _elimination_order(plan)[0]), _scan_classes(plan)
 
 
 @st.composite
-def scans_on_one_hypergraph(draw):
-    """Two to five scans at one n <= 5 and q <= 4, in a drawn order.  They
-    share a few interactions and a subset D, which some scans weight as an
-    interaction and the others name only in delta events; each scan draws
-    its own weights, lists and sign events."""
+def scans_on_one_hypergraph(draw, min_scans=2, max_scans=5):
+    """``min_scans`` to ``max_scans`` scans at one n <= 5 and q <= 4, in a
+    drawn order.  They share a few interactions and a subset D, which some
+    scans weight as an interaction and the others name only in delta
+    events; each scan draws its own weights, lists and sign events."""
     q = draw(st.integers(2, 4))
     n = draw(st.integers(2, {2: 5, 3: 5, 4: 4}[q]))
     subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(3, n))
@@ -51,7 +54,7 @@ def scans_on_one_hypergraph(draw):
         lambda den: st.integers(den, 4 * den).map(lambda num: Fraction(num, den)))
     lists = st.lists(st.integers(1, n), max_size=4).map(lambda s: IndexList(tuple(s)))
     scans = []
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(draw(st.integers(min_scans, max_scans))):
         couplings = [(sites, draw(weights)) for sites in shared]
         d_weighted = draw(st.booleans())
         if d_weighted:
@@ -78,7 +81,7 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
         assert eliminated == classes
         for (indices, event), (acc, matching) in zip(requests, eliminated):
             naive = correlation_sum_naive(model, indices, event)
-            assert Fraction(acc, plan.scale << len(indices)) == naive.value
+            assert Fraction(acc, plan.scales[0] << len(indices)) == naive.value
             assert matching == naive.configs_matching
         for memo in MEMOS:
             memo.cache_clear()
@@ -86,15 +89,45 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
         assert (cold_eliminated, cold_classes) == (eliminated, classes)
 
 
-def test_quadratic_check_builds_one_structure():
-    """The decomposition scan, where the added set is a delta subset, builds
-    the structure; the three scans of the augmented models, where it is an
-    interaction, find it."""
-    model = build_model(4, 3, [({1, 2}, 2), ({2, 3}, Fraction(3, 2)), ({3, 4}, 3)])
-    _structure.cache_clear()
-    report = check_quadratic(model, {1, 4}, 2, IndexList((1, 4)), IndexList((2, 3)),
-                             extra_x=(3, Fraction(5, 2)))
-    assert report.satisfied
-    info = _structure.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert info.hits >= 3
+@settings(max_examples=100, deadline=None)
+@given(scans_on_one_hypergraph(1, 4))
+def test_one_pass_over_groups_matches_separate_scans_and_the_oracle(groups):
+    """One plan binds every group's weights; on both kernels each group's
+    integers equal its own one-group scan and ``correlation_sum_naive``."""
+    plan = _compile(groups)
+    order = _elimination_order(plan)[0]
+    for batched in (_eliminate(plan, order), _scan_classes(plan)):
+        rows = iter(batched)
+        for scale, (model, requests) in zip(plan.scales, groups):
+            sums = list(itertools.islice(rows, len(requests)))
+            alone, eliminated, classes = both_kernels(model, requests)
+            assert sums == eliminated == classes
+            assert scale == alone.scales[0]
+            for (indices, event), (acc, matching) in zip(requests, sums):
+                naive = correlation_sum_naive(model, indices, event)
+                assert Fraction(acc, scale << len(indices)) == naive.value
+                assert matching == naive.configs_matching
+        assert next(rows, None) is None
+
+
+def test_quadratic_check_makes_one_kernel_pass(monkeypatch):
+    """Each ``check_quadratic`` scans its decomposition and every augmented
+    model in one kernel pass, on one structure: on a chain, where elimination
+    runs, and on a complete graph, where the odometer does."""
+    passes = []
+    for name in ("_eliminate", "_scan_classes"):
+        kernel = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name, lambda *args, name=name, kernel=kernel:
+                            passes.append(name) or kernel(*args))
+    chain = build_model(4, 3, [({1, 2}, 2), ({2, 3}, Fraction(3, 2)), ({3, 4}, 3)])
+    complete = build_model(4, 3, [(pair, 2) for pair in itertools.combinations(range(1, 5), 2)])
+    for model, added, kernel in ((chain, {1, 4}, "_eliminate"),
+                                 (complete, {1, 2, 3}, "_scan_classes")):
+        passes.clear()
+        _structure.cache_clear()
+        report = check_quadratic(model, added, 2, IndexList((1, 4)), IndexList((2, 3)),
+                                 extra_x=(3, Fraction(5, 2)))
+        assert report.satisfied
+        assert passes == [kernel]
+        info = _structure.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
