@@ -8,10 +8,13 @@ disjoint from B are untouched.  The correlation sum over the restricted
 event equals the front factor times the full-space correlation sum of the
 contracted model.
 
-The same construction resolves infinite couplings: an infinitely strong
-interaction is exactly a hard constraint that its spins agree, so clusters
-of sites joined by infinite couplings are contracted away, leaving a finite
-model whose expectations are the infinite-coupling limit of the original.
+One walk over the couplings merges every block of a partition of the sites
+at once; B alone is the partition whose other blocks are single sites.  The
+same construction resolves infinite couplings: an infinitely strong
+interaction is exactly a hard constraint that its spins agree, so the
+clusters of sites joined by infinite couplings are contracted together,
+leaving a finite model whose expectations are the infinite-coupling limit
+of the original.
 """
 
 from __future__ import annotations
@@ -69,28 +72,30 @@ class ResolvedModel:
     site_map: Mapping[int, int]
 
 
-def _contract_model(model: Model, merged: frozenset[int]):
-    """Merge ``merged`` into its smallest member and relabel sites densely.
+def _contract_model(model: Model, block: Mapping[int, int]):
+    """Merge every block of sites into one vertex and relabel sites densely.
 
-    Returns (contracted model, finite front factor, old-site -> new-site map
-    over all n sites).  Couplings inside ``merged`` multiply into the front
-    factor; couplings meeting it regroup onto residual sites plus the merged
-    vertex, multiplying together on key collisions.
+    ``block`` maps each site to the smallest site of its block.  The new
+    labels are dense in the order of those representatives.  Returns
+    (contracted model, front factor, old-site -> new-site map over all n
+    sites).  A coupling whose sites lie in one block multiplies into the
+    front factor; every other coupling regroups onto its blocks' new labels,
+    multiplying together on key collisions.
     """
-    anchor = min(merged)
-    kept = sorted((set(model.sites) - merged) | {anchor})
-    new_label = {old: new for new, old in enumerate(kept, start=1)}
-    site_map = {old: new_label[anchor if old in merged else old] for old in model.sites}
+    new_label = {rep: new for new, rep in enumerate(sorted(set(block.values())), start=1)}
+    site_map = {old: new_label[block[old]] for old in model.sites}
 
     front = Fraction(1)
     table: dict[frozenset[int], Fraction] = {}
     for sites, x in model.interactions.items():
-        if sites <= merged:
-            front *= x
-            continue
         key = frozenset(site_map[i] for i in sites)
-        table[key] = table.get(key, Fraction(1)) * x
-    contracted = Model(len(kept), model.q, InteractionTable(table))
+        if len(key) == 1:
+            front *= x
+        elif key in table:
+            table[key] *= x
+        else:
+            table[key] = x
+    contracted = Model(len(new_label), model.q, InteractionTable(table))
     return contracted, front, site_map
 
 
@@ -107,7 +112,9 @@ def contract(model: Model, indices: IndexList, merged_sites: Iterable[int]) -> C
         raise ModelError(f"merged sites {sorted(merged)} not within 1..{model.n}")
     model.require_finite()
     _check_indices(model, indices)
-    contracted, front, site_map = _contract_model(model, merged)
+    anchor = min(merged)
+    block = {i: anchor if i in merged else i for i in model.sites}
+    contracted, front, site_map = _contract_model(model, block)
     return ContractionResult(contracted, indices.relabel(site_map), front, site_map)
 
 
@@ -136,49 +143,31 @@ def resolve_infinite_couplings(
 ) -> ResolvedModel:
     """Contract every cluster of sites joined by infinite couplings.
 
-    Union-find joins the sites of each infinite coupling; each resulting
-    cluster is contracted in turn, with the supplied index lists relabeled
-    consistently.  The discarded front factor is the infinite weight itself
-    together with any finite couplings interior to a cluster; it is constant
-    on the conditioned event, so expectations are unchanged.  Models without
-    infinite couplings pass through untouched.
+    Union-find joins the sites of each infinite coupling, each root the
+    smallest site of its cluster, and one contraction merges every cluster
+    at once, relabelling the supplied index lists consistently.  Every
+    infinite coupling lies inside one cluster, so the discarded front factor
+    is the infinite weights together with any finite couplings interior to a
+    cluster; it is constant on the conditioned event, so expectations are
+    unchanged.  A model without infinite couplings comes back equal, with
+    the identity site map.
     """
-    parent = {i: i for i in model.sites}
+    for lst in lists:
+        _check_indices(model, lst)
+    block = {i: i for i in model.sites}
 
     def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
+        while block[i] != i:
+            block[i] = block[block[i]]
+            i = block[i]
         return i
 
-    infinite_keys = [
-        sites for sites, x in model.interactions.items() if is_infinite(x)
-    ]
-    for sites in infinite_keys:
-        ordered = sorted(sites)
-        root = find(ordered[0])
-        for i in ordered[1:]:
-            parent[find(i)] = root
-
-    clusters: dict[int, set[int]] = {}
-    for i in model.sites:
-        clusters.setdefault(find(i), set()).add(i)
-    merged_clusters = sorted(
-        (c for c in clusters.values() if len(c) > 1), key=min
-    )
-
-    identity = {i: i for i in model.sites}
-    if not merged_clusters:
-        return ResolvedModel(model, tuple(lists), False, identity)
-
-    finite_table = {
-        sites: x for sites, x in model.interactions.items() if not is_infinite(x)
-    }
-    current = Model(model.n, model.q, InteractionTable(finite_table))
-    combined_map = identity
-    for cluster in merged_clusters:
-        merged_now = frozenset(combined_map[i] for i in cluster)
-        current, _front, step_map = _contract_model(current, merged_now)
-        combined_map = {old: step_map[new] for old, new in combined_map.items()}
-    relabeled = tuple(lst.relabel(combined_map) for lst in lists)
-    return ResolvedModel(current, relabeled, True, combined_map)
+    for sites, x in model.interactions.items():
+        if is_infinite(x):
+            roots = {find(i) for i in sites}
+            root = min(roots)
+            for r in roots:
+                block[r] = root
+    contracted, _front, site_map = _contract_model(model, {i: find(i) for i in model.sites})
+    relabeled = tuple(lst.relabel(site_map) for lst in lists)
+    return ResolvedModel(contracted, relabeled, model.interactions.has_infinite, site_map)

@@ -67,8 +67,7 @@ the weights:
 A scan binds only its weights and its delta constraints.  What depends on
 the hypergraph, ``q`` and the lists alone is kept in four memos
 (``functools.lru_cache``, each bounded by a module constant, least recently
-used entry evicted first), so later scans reuse it: a sweep draws the same
-small hypergraphs again and again.
+used entry evicted first), so later scans of the same hypergraph reuse it.
 
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
   ``_STRUCTURE_MEMO`` entries: the watched subsets holding each site, the
@@ -87,8 +86,10 @@ small hypergraphs again and again.
   at most ``_REQUEST_MEMO`` entries: a request's sign-free sums, as merged
   per-site tables, before its delta constraints are bound.
 
-The bounds keep the memos to a few hundred kilobytes; the reuse that pays is
-within a check and between the small hypergraphs a sweep draws again.
+The bounds keep the memos to a few hundred kilobytes.  The reuse pays where
+one model is checked repeatedly, on 80-90% of the scans of a model file run
+through the CLI's commands in turn; a sweep's hypergraphs are mostly new
+(276 distinct in 500 scans at seed 42), and a fifth of its scans hit.
 """
 
 from __future__ import annotations
@@ -564,13 +565,6 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
 # --- bucket-elimination kernel ----------------------------------------------
 
 
-def _elimination_order(plan: ScanPlan) -> tuple[tuple[int, ...], int]:
-    """The plan's greedy min-degree elimination order and its estimated
-    cost, from the structure memo (see ``_structure``)."""
-    structure = _structure(plan.n, plan.q, plan.subset_sites)
-    return structure.order, structure.cost
-
-
 def _agreement_table(q: int, k: int, agree: int, differ: int) -> list[int]:
     """A factor over ``k`` sites: ``agree`` where all spins agree, else ``differ``."""
     size = q**k
@@ -597,12 +591,12 @@ def _index_map(scope: tuple[int, ...], joint: tuple[int, ...], q: int) -> list[i
     return index
 
 
-def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
+def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     """Every request's ``(scaled sum, matching count)`` by bucket elimination.
 
-    Sites are summed out in ``order``; each ``(scope, table)`` factor waits
-    in the bucket of its first site in that order, and a site no factor
-    mentions contributes ``q``.  One context serves the whole scan.  Each
+    Sites are summed out in the order of the plan's ``_structure``; each
+    ``(scope, table)`` factor waits in the bucket of its first site in that
+    order, and a site no factor mentions contributes ``q``.  One context serves the whole scan.  Each
     table is built once: a weight per subset and pair, whichever groups
     give the subset that weight, a site's table per site and table, an
     indicator per subset and bit.  A bucket's message is memoised by the
@@ -620,8 +614,9 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
     estimated cost is below ``q**n``.
     """
     q = plan.q
-    rank = {s: i for i, s in enumerate(order)}.__getitem__
     subset_sites = plan.subset_sites
+    _site_subsets, order, _cost, getters = _structure(plan.n, q, subset_sites)
+    rank = {s: i for i, s in enumerate(order)}.__getitem__
 
     # Every factor of the scan, with the bucket it waits in, built once and
     # keyed by its source: a weight by its subset and pair, as ``(j, p, qd)``
@@ -648,7 +643,6 @@ def _eliminate(plan: ScanPlan, order: tuple[int, ...]) -> list[tuple[int, int]]:
                 table = _agreement_table(q, len(sites), bit, 1 - bit)
                 factors[j, bit] = (min(map(rank, sites)), (sites, table))
     messages: dict = {}  # (bucket, input table ids) -> (scope, table)
-    getters = _structure(plan.n, q, subset_sites).getters
 
     def sum_product(keys) -> int:
         """Sum over all configurations of the product of the factors ``keys``."""
@@ -711,10 +705,9 @@ def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate
     # sweep-sized scans on the slower odometer, and a smaller one also sends
     # complete interaction graphs (cost > q**n) to elimination, whose
     # q**n-entry tables take far more memory than the odometer.
-    order, cost = _elimination_order(plan)
-    if cost < plan.q**plan.n:
+    if _structure(plan.n, plan.q, plan.subset_sites).cost < plan.q**plan.n:
         kernel = "elimination"
-        sums = iter(_eliminate(plan, order))
+        sums = iter(_eliminate(plan))
     else:
         kernel = "odometer"
         sums = iter(_scan_classes(plan))

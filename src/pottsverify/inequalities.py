@@ -36,7 +36,8 @@ from .enumeration import (
     delta_event,
     expectation,
 )
-from .model import EMPTY_LIST, IndexList, Model, ModelError, spin_domain
+from .model import (EMPTY_LIST, IndexList, Model, ModelError, _as_coupling, is_infinite,
+                    spin_domain)
 from .serialize import witness_json
 
 __all__ = [
@@ -252,15 +253,21 @@ class QuadraticDecomposition:
         return self.u * x * x + self.v * x + self.w
 
 
+def _added_weight(x) -> Fraction:
+    """An added weight, exact by ``InteractionTable``'s rule, finite and >= 1."""
+    x = _as_coupling(x)
+    if is_infinite(x) or x < 1:
+        raise ModelError(f"added coupling must be finite and >= 1, got {x}")
+    return x
+
+
 def _added_coupling(base_model: Model, added_sites: Iterable[int],
                     x) -> tuple[frozenset, Fraction]:
     """The added site set and weight, checked against the base model."""
     key = frozenset(added_sites)
-    x = Fraction(x)
+    x = _added_weight(x)
     if key in base_model.interactions.couplings:
         raise ModelError(f"duplicate interaction {sorted(key)}")
-    if x < 1:
-        raise ModelError(f"added coupling must be >= 1, got {x}")
     base_model.require_finite()
     # Checked here, so a bad site set is named as the event it makes before
     # ``check_quadratic`` builds an augmented model on it.
@@ -329,7 +336,7 @@ def check_quadratic(
     ``U p**2 + V p d + W d**2 == A_z A_rs - A_r A_s``.
     """
     key, x = _added_coupling(base_model, added_sites, x)
-    xs = [x, *map(Fraction, extra_x)]
+    xs = [x, *map(_added_weight, extra_x)]
     direct = _covariance_requests(r, s)
     _kernel, [(scale, sums), *augmented] = _scan([
         (base_model, _decomposition_requests(key, r, s)),

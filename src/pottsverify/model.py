@@ -235,6 +235,8 @@ class InteractionTable:
                 raise ModelError(f"interaction {set(sites) or '{}'} must contain at least 2 sites")
             if not all(isinstance(i, int) and i >= 1 for i in key):
                 raise ModelError(f"interaction sites must be positive integers: {set(sites)}")
+            if key in table:
+                raise ModelError(f"duplicate interaction {sorted(key)}")
             x = _as_coupling(x)
             if x < 1:
                 raise ModelError(f"coupling for {sorted(key)} must be >= 1, got {x}")

@@ -3,7 +3,9 @@
 A change to any report row, its format or its order changes a digest.  The
 documents are the README worked example and that model with a fourth site
 tied to site 1 by an infinite coupling and to site 2 by a finite one, so
-that contracting the infinite coupling changes every value.
+that contracting the infinite coupling changes every value.  Two ring
+models, with one and with two infinite clusters, pin stderr as well, whose
+note names the site map of the contraction.
 """
 
 import hashlib
@@ -54,6 +56,85 @@ MODEL_DIGESTS = {
 }
 
 
+def _ring_doc(hard):
+    """A 9-site q=3 ring with a triple on every third consecutive triple and a
+    chord [6, 9], whose couplings on ``hard`` are infinite.  Once [7, 8, 9]
+    merges, the pairs [6, 7] and [6, 9] collide on one key."""
+    pairs = [sorted((i, i % 9 + 1)) for i in range(1, 10)]
+    interactions = pairs + [[1, 2, 3], [4, 5, 6], [7, 8, 9], [6, 9]]
+    return {
+        "n": 9, "q": 3,
+        "interactions": [
+            {"sites": sites, "x": "inf" if sites in hard else f"{k + 2}/{k % 3 + 1}"}
+            for k, sites in enumerate(interactions)
+        ],
+        "lists": {"R": [1, 4, 5, 8], "S": [4, 8, 2, 2], "B": [2, 5, 6]},
+    }
+
+
+RING_DOCS = {
+    "one-cluster": _ring_doc([[3, 4]]),
+    "two-clusters": _ring_doc([[3, 4], [7, 8], [8, 9]]),
+}
+# The (stdout, stderr) digests of each (command, format, document).
+RING_DIGESTS = {
+    ('expect', 'csv', 'one-cluster'): (
+        "18537a95aac86299fbf234c4dc1a6f1c28f7067196e304f1f3dce97739bea05a",
+        "309c27fb42b3d080bb65282e2d6efa33fe0dc8e7edfa4c89cfa25c6486cc9efd"),
+    ('expect', 'json', 'one-cluster'): (
+        "a49898b0c64ab6d829f8d3e058f058b0e4b30011503ceec93dce673ece4630e2",
+        "309c27fb42b3d080bb65282e2d6efa33fe0dc8e7edfa4c89cfa25c6486cc9efd"),
+    ('expect', 'human', 'one-cluster'): (
+        "18327387bac523619092a30d77b23d4620092b6887a5f0a3a65e0f7ca41e3342",
+        "309c27fb42b3d080bb65282e2d6efa33fe0dc8e7edfa4c89cfa25c6486cc9efd"),
+    ('verify', 'csv', 'one-cluster'): (
+        "680fab7749155b5ebbe08650c4eb3a4dfe44f75500226325bf8d88c042c4ee6e",
+        "309c27fb42b3d080bb65282e2d6efa33fe0dc8e7edfa4c89cfa25c6486cc9efd"),
+    ('verify', 'json', 'one-cluster'): (
+        "b545a217404cf31df7b43b74051b882a0788b1c44a1c7778c101efba625a453b",
+        "309c27fb42b3d080bb65282e2d6efa33fe0dc8e7edfa4c89cfa25c6486cc9efd"),
+    ('verify', 'human', 'one-cluster'): (
+        "2fc519a3221a00f25e4e8fa683c9dd3d67996350805b041b99967041cf2c17f7",
+        "309c27fb42b3d080bb65282e2d6efa33fe0dc8e7edfa4c89cfa25c6486cc9efd"),
+    ('contract-check', 'csv', 'one-cluster'): (
+        "442bc6adfb0b96c27d8e1672ead853592cbd7b5570610c2b4e205c09288c5201",
+        "84982391895486398d2c983a6054c3987aefcb2836ab6e9f7497d94af11fc64d"),
+    ('contract-check', 'json', 'one-cluster'): (
+        "44009e33feef6f91bacc8724561673b40acab5675864d295851ff8e5781d451d",
+        "84982391895486398d2c983a6054c3987aefcb2836ab6e9f7497d94af11fc64d"),
+    ('contract-check', 'human', 'one-cluster'): (
+        "6aeb3481578199f9dc44b6fcceec6c992cbe92de152e88f428ccc7d967dc8704",
+        "84982391895486398d2c983a6054c3987aefcb2836ab6e9f7497d94af11fc64d"),
+    ('expect', 'csv', 'two-clusters'): (
+        "bfee60c092b6a784e116045c6fdeba3bbff358db39abf48e14b440a17018f95a",
+        "2731474b3b9a61ffddec9b16bf252854353dbb2939bb320c23d327778f8f614c"),
+    ('expect', 'json', 'two-clusters'): (
+        "05106ab383c0860127b917bd8be8f2109851e5f07db4e69d98cc27a93b5e86aa",
+        "2731474b3b9a61ffddec9b16bf252854353dbb2939bb320c23d327778f8f614c"),
+    ('expect', 'human', 'two-clusters'): (
+        "6a1f5dba5d8d48c71212276a66189417c1d6ac2a831a6335755eb25fa4d4bd4d",
+        "2731474b3b9a61ffddec9b16bf252854353dbb2939bb320c23d327778f8f614c"),
+    ('verify', 'csv', 'two-clusters'): (
+        "dc978a898c35a5da7c404831123b97fd33b3d4de15f17e432b70e9a38fbec72f",
+        "2731474b3b9a61ffddec9b16bf252854353dbb2939bb320c23d327778f8f614c"),
+    ('verify', 'json', 'two-clusters'): (
+        "f8294501c8bb668bc06abd9c82f6f96ce5611fd88252349e3cec8cc4a2f160bb",
+        "2731474b3b9a61ffddec9b16bf252854353dbb2939bb320c23d327778f8f614c"),
+    ('verify', 'human', 'two-clusters'): (
+        "96f2dca92424ca1bb54b8fcd8d37e7ed0dd4cc67cc1a1679fdcf1148bd0debb5",
+        "2731474b3b9a61ffddec9b16bf252854353dbb2939bb320c23d327778f8f614c"),
+    ('contract-check', 'csv', 'two-clusters'): (
+        "32d01bf9f88b8b59c16f41a47fe3f508586f5475a92e47666f86d9532e777855",
+        "ab62da380cc3fa690d53a3956a5731f34e6f695d5b386fb3a80ecff50547c96b"),
+    ('contract-check', 'json', 'two-clusters'): (
+        "abdde161bd869a12e53a7ddc2b895f1f151a436eb166aaa1b2a768be7c672e68",
+        "ab62da380cc3fa690d53a3956a5731f34e6f695d5b386fb3a80ecff50547c96b"),
+    ('contract-check', 'human', 'two-clusters'): (
+        "06e690061ab20ff72562e870aae1a3c5a46b96255b98c144d824f7e929e1aba6",
+        "ab62da380cc3fa690d53a3956a5731f34e6f695d5b386fb3a80ecff50547c96b"),
+}
+
+
 def _stdout_digest(argv, capsys):
     assert main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -79,3 +160,16 @@ def test_model_commands(command, fmt, doc, tmp_path, capsys):
     path.write_text(json.dumps(README_DOC if doc == "readme" else INFINITE_DOC))
     argv = [*command, "--model", str(path), "--format", fmt]
     assert _stdout_digest(argv, capsys) == MODEL_DIGESTS[command[0], fmt, doc]
+
+
+@pytest.mark.parametrize("doc", sorted(RING_DOCS))
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+@pytest.mark.parametrize("command", ["expect", "verify", "contract-check"])
+def test_ring_commands_stdout_and_stderr(command, fmt, doc, tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(RING_DOCS[doc]))
+    assert main([command, "--model", str(path), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (captured.out, captured.err))
+    assert digests == RING_DIGESTS[command, fmt, doc]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from pottsverify import (
@@ -9,6 +10,8 @@ from pottsverify import (
     INFINITY,
     IndexList,
     InfiniteCouplingError,
+    InteractionTable,
+    Model,
     ModelError,
     all_configurations,
     build_model,
@@ -20,6 +23,7 @@ from pottsverify import (
     spin_product,
 )
 from pottsverify.generators import random_index_list, random_model
+from pottsverify.model import is_infinite
 
 EMPTY = IndexList(())
 
@@ -229,3 +233,79 @@ class TestResolveInfiniteCouplings:
         num = oracle.zeta(4, 2, finite, indices.entries, event)
         den = oracle.zeta(4, 2, finite, [], event)
         assert expectation(resolved.model, resolved.lists[0]) == num / den
+
+    @pytest.mark.parametrize("infinite", [False, True], ids=["finite", "infinite"])
+    def test_out_of_range_list_entry_rejected(self, infinite):
+        model = build_model(3, 2, [({1, 2}, INFINITY if infinite else 3)])
+        with pytest.raises(ModelError, match="list entry 9 out of range 1..3"):
+            resolve_infinite_couplings(model, [IndexList((1,)), IndexList((2, 9))])
+
+
+def resolve_by_folding(model, lists):
+    """The reference: contract the infinite clusters one at a time, in order
+    of their smallest sites, composing the site maps."""
+    clusters = []
+    for sites, x in model.interactions.items():
+        if is_infinite(x):
+            joined = set(sites)
+            for cluster in [c for c in clusters if c & joined]:
+                joined |= cluster
+                clusters.remove(cluster)
+            clusters.append(joined)
+    site_map = {i: i for i in model.sites}
+    if not clusters:
+        return model, tuple(lists), False, site_map
+    current = Model(model.n, model.q, InteractionTable(
+        {sites: x for sites, x in model.interactions.items() if not is_infinite(x)}))
+    for cluster in sorted(clusters, key=min):
+        step = contract(current, IndexList(()), {site_map[i] for i in cluster})
+        current = step.contracted_model
+        site_map = {old: step.site_map[new] for old, new in site_map.items()}
+    return current, tuple(lst.relabel(site_map) for lst in lists), True, site_map
+
+
+@st.composite
+def models_with_infinite_clusters(draw):
+    """A model on n <= 6 sites with finite couplings and 0-4 infinite ones,
+    which may overlap, and 1-3 even-length index lists.  Many finite
+    couplings make keys collide once the clusters merge."""
+    q = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 6))
+    subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(3, n))
+    infinite = draw(st.lists(subsets, max_size=4, unique=True))
+    finite = [sites for sites in draw(st.lists(subsets, max_size=10, unique=True))
+              if sites not in infinite]
+    weights = st.integers(1, 4).flatmap(
+        lambda den: st.integers(den, 5 * den).map(lambda num: Fraction(num, den)))
+    couplings = [(sites, INFINITY) for sites in infinite] + [
+        (sites, draw(weights)) for sites in finite]
+    pairs = st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), min_size=1, max_size=2)
+    lists = draw(st.lists(pairs, min_size=1, max_size=3))
+    return build_model(n, q, couplings), [IndexList(sum(lst, ())) for lst in lists]
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_with_infinite_clusters())
+def test_one_pass_resolution_matches_folding_contract_over_clusters(instance):
+    """One contraction of every infinite cluster gives the model, lists,
+    site map and flag of contracting the clusters one at a time, and its
+    expectations are those of the finite couplings conditioned on every
+    infinite coupling's spins agreeing."""
+    model, lists = instance
+    resolved = resolve_infinite_couplings(model, lists)
+    ref_model, ref_lists, ref_flag, ref_map = resolve_by_folding(model, lists)
+    assert resolved.model == ref_model
+    assert resolved.lists == ref_lists
+    assert resolved.site_map == ref_map
+    assert resolved.front_factor_discarded == ref_flag
+    hard = [sites for sites, x in model.interactions.items() if is_infinite(x)]
+    finite = {sites: x for sites, x in model.interactions.items() if not is_infinite(x)}
+
+    def agrees(config):
+        return all(oracle.delta(config, sites) for sites in hard)
+
+    z = oracle.zeta(model.n, model.q, finite, (), agrees)
+    for lst, resolved_lst, ref_lst in zip(lists, resolved.lists, ref_lists):
+        value = expectation(resolved.model, resolved_lst)
+        assert value == expectation(ref_model, ref_lst)
+        assert value == oracle.zeta(model.n, model.q, finite, lst.entries, agrees) / z

@@ -24,7 +24,6 @@ from pottsverify.cli import main
 from pottsverify.enumeration import (
     _compile,
     _eliminate,
-    _elimination_order,
     _scan_classes,
 )
 
@@ -64,8 +63,7 @@ def test_elimination_matches_odometer_and_oracle(instance):
     # Extra requests share the plan and the order with the first one.
     requests = [(indices, event), (EMPTY, event), (indices, EVERYWHERE)]
     plan = _compile([(model, requests)])
-    order, _cost = _elimination_order(plan)
-    eliminated = _eliminate(plan, order)
+    eliminated = _eliminate(plan)
     assert eliminated == _scan_classes(plan)
     acc, matching = eliminated[0]
     naive = correlation_sum_naive(model, indices, event)
@@ -163,12 +161,11 @@ def quadratic_scans(draw):
 def test_shared_buckets_match_odometer_and_lone_requests(scan):
     model, requests = scan
     plan = _compile([(model, requests)])
-    order, _cost = _elimination_order(plan)
-    eliminated = _eliminate(plan, order)
+    eliminated = _eliminate(plan)
     assert eliminated == _scan_classes(plan)
     for request, pair in zip(requests, eliminated):
         alone = _compile([(model, [request])])
-        assert _eliminate(alone, _elimination_order(alone)[0]) == [pair]
+        assert _eliminate(alone) == [pair]
 
 
 class TestSharedScan:
@@ -183,6 +180,6 @@ class TestSharedScan:
         model = ring_model(8, 4)
         request = (IndexList((1, 3, 3)), conjoin(delta_event({2, 6}, 0), delta_event({4, 5}, 1)))
         plan = _compile([(model, [request] * 3)])
-        eliminated = _eliminate(plan, _elimination_order(plan)[0])
+        eliminated = _eliminate(plan)
         assert eliminated[0] == eliminated[1] == eliminated[2]
         assert eliminated == _scan_classes(plan)

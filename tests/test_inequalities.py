@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -266,6 +267,22 @@ class TestQuadraticDecomposition:
             quadratic_decomposition(
                 base, {1, 2}, Fraction(1, 2), IndexList((1,)), IndexList((2,))
             )
+
+    @pytest.mark.parametrize("x, extra, message", [
+        (1.1, (), "is a float"),
+        (math.inf, (), "must be finite and >= 1, got inf"),
+        (2, (3, 1.1), "is a float"),
+        (2, (math.inf,), "must be finite and >= 1, got inf"),
+        (2, (Fraction(1, 2),), "must be finite and >= 1, got 1/2"),
+    ])
+    def test_added_weights_follow_the_coupling_rule(self, x, extra, message):
+        base = build_model(3, 2, [({1, 2}, 2)])
+        r = IndexList((1, 2))
+        with pytest.raises(ModelError, match=message):
+            check_quadratic(base, {2, 3}, x, r, r, extra_x=extra)
+        if not extra:
+            with pytest.raises(ModelError, match=message):
+                quadratic_decomposition(base, {2, 3}, x, r, r)
 
     def test_fuzz_identity_and_coefficient_inequalities(self):
         rng = random.Random(89)

@@ -22,7 +22,6 @@ from pottsverify import enumeration
 from pottsverify.enumeration import (
     _compile,
     _eliminate,
-    _elimination_order,
     _family_cache,
     _labelled_sums,
     _request_terms,
@@ -36,7 +35,7 @@ MEMOS = (_structure, _family_cache, _request_terms, _labelled_sums)
 
 def both_kernels(model, requests):
     plan = _compile([(model, requests)])
-    return plan, _eliminate(plan, _elimination_order(plan)[0]), _scan_classes(plan)
+    return plan, _eliminate(plan), _scan_classes(plan)
 
 
 @st.composite
@@ -95,8 +94,7 @@ def test_one_pass_over_groups_matches_separate_scans_and_the_oracle(groups):
     """One plan binds every group's weights; on both kernels each group's
     integers equal its own one-group scan and ``correlation_sum_naive``."""
     plan = _compile(groups)
-    order = _elimination_order(plan)[0]
-    for batched in (_eliminate(plan, order), _scan_classes(plan)):
+    for batched in (_eliminate(plan), _scan_classes(plan)):
         rows = iter(batched)
         for scale, (model, requests) in zip(plan.scales, groups):
             sums = list(itertools.islice(rows, len(requests)))

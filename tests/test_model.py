@@ -216,6 +216,10 @@ class TestInteractionTable:
         keys = [sorted(sites) for sites, _ in table.items()]
         assert keys == [[1, 2], [2, 3], [1, 2, 3]]
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ModelError, match=r"duplicate interaction \[1, 2\]"):
+            InteractionTable({(1, 2): 2, (2, 1): 3})
+
     def test_model_is_immutable(self):
         model = build_model(2, 2, [({1, 2}, 3)])
         with pytest.raises(TypeError):
