@@ -15,12 +15,15 @@ xi
     verified at every point.
 contract-check
     The vertex-merging identity on one (model, R, B) instance.
+approx-x
+    A float log-coupling J to an approximate rational weight.
 
-Every command but approx-x returns one row per check, with the same columns
-(trial, n, q, s, |R|, |S|, quantity, value_num, value_den, satisfied);
-``main`` alone emits them, in human, json, or csv format, and sets the exit
-code from them.  Values are exact integer ratios.  Output is a pure function
-of the arguments, so identical invocations are byte-identical.
+Each subcommand binds its runner; ``main`` parses, runs it, emits its rows
+(one per check, columns trial, n, q, s, |R|, |S|, quantity, value_num,
+value_den, satisfied) in human, json, or csv format, and sets the exit code
+from them.  Values are exact integer ratios.  approx-x returns no rows; it
+writes its one line itself.  Output is a pure function of the arguments, so
+identical invocations are byte-identical.
 
 Diagnostics go to stderr.  A failing model check (theorem1, theorem2,
 quadratic, contraction) leaves a one-line ``witness:`` model document there,
@@ -33,6 +36,7 @@ mathematical check failed (an engine bug), 2 means a usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -100,32 +104,24 @@ def _row(trial: int, n: int, q: int, s: int, len_r: int, len_s: int,
     }
 
 
-def _failed_row(row: dict, witness: str, err: TextIO) -> dict:
-    """A failing check's row: its witness goes to stderr and into the row."""
-    print(f"witness: {witness}", file=err)
-    row["witness"] = json.loads(witness)
+def _check_row(trial: int, model: Model, r: IndexList, s: IndexList,
+               report: InequalityReport, err: TextIO) -> dict:
+    """The row of a model check's report; a failing check's witness goes to
+    stderr and into the row."""
+    row = _row(trial, model.n, model.q, model.interactions.s, len(r), len(s),
+               report.kind, report.value, report.satisfied)
+    if not report.satisfied:
+        print(f"witness: {report.witness}", file=err)
+        row["witness"] = json.loads(report.witness)
     return row
 
 
-def _check_row(trial: int, model: Model, r: IndexList, s: IndexList,
-               report: InequalityReport, err: TextIO) -> dict:
-    """The row of a theorem1, theorem2 or quadratic report; a failure leaves its witness."""
-    row = _row(trial, model.n, model.q, model.interactions.s, len(r), len(s),
-               report.kind, report.value, report.satisfied)
-    return row if report.satisfied else _failed_row(row, report.witness, err)
-
-
-def _contraction_row(trial: int, model: Model, r: IndexList, merged: frozenset[int],
-                     check: IdentityCheck, err: TextIO) -> dict:
-    """The row of a contraction check: ``|S|`` carries ``|B|``, the value is lhs - rhs.
-
-    A mismatch leaves a witness that ``contract-check --model`` replays.
-    """
-    row = _row(trial, model.n, model.q, model.interactions.s, len(r), len(merged),
-               "contraction", check.lhs - check.rhs, check.equal)
-    if check.equal:
-        return row
-    return _failed_row(row, witness_json(model, {"R": r, "B": IndexList(tuple(merged))}), err)
+def _contraction_report(model: Model, r: IndexList, b: IndexList,
+                        check: IdentityCheck) -> InequalityReport:
+    """An identity check as a report: the value is lhs - rhs, and a mismatch's
+    witness holds ``R`` and ``B`` for ``contract-check --model`` to replay."""
+    witness = None if check.equal else witness_json(model, {"R": r, "B": b})
+    return InequalityReport("contraction", (check.lhs - check.rhs,), check.equal, witness)
 
 
 def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:
@@ -185,8 +181,9 @@ def _contraction_trial(args, rng: random.Random, trial: int, err: TextIO) -> dic
     model = _random_model(args, rng, n_min=2)
     merged = frozenset(rng.sample(range(1, model.n + 1), rng.randint(2, model.n)))
     r = random_index_list(rng, model.n, args.max_list_len)
-    return _contraction_row(trial, model, r, merged,
-                            check_contraction_identity(model, r, merged), err)
+    b = IndexList(tuple(merged))  # |S| carries |B|, the number of sites merged
+    check = check_contraction_identity(model, r, merged)
+    return _check_row(trial, model, r, b, _contraction_report(model, r, b, check), err)
 
 
 def _xi_trial(args, point: tuple[int, int, int], trial: int, err: TextIO) -> dict:
@@ -227,14 +224,17 @@ _SUITE_TRIALS = {
 def _suite_draws(args: argparse.Namespace, suite: str) -> Iterable:
     """One draw per trial: the suite's seeded RNG, or for xi a (q, a, b) point."""
     if suite == "xi":
-        q_values = args.q_set if args.command == "xi" else range(2, 13)
-        return itertools.product(q_values, args.exponents, args.exponents)
+        return itertools.product(args.xi_q_set, args.exponents, args.exponents)
     rng = random.Random(args.seed * len(SUITES) + 1 + SUITES.index(suite))
     return itertools.repeat(rng, args.trials)
 
 
 def _run_sweep(args: argparse.Namespace, err: TextIO) -> list[dict]:
     suites = SUITES if args.suite == "all" else (args.suite,)
+    # Suites first: the xi command has no --n-max.
+    if {"contraction", "quadratic"} & set(suites) and args.n_max < 2:
+        raise ModelDocumentError(
+            "--n-max must be >= 2 for the contraction and quadratic suites")
     return [
         _SUITE_TRIALS[suite](args, draw, trial, err)
         for suite in suites
@@ -300,14 +300,15 @@ def _run_contract_check(args: argparse.Namespace, err: TextIO) -> list[dict]:
     merged = frozenset(b.entries)
     check = check_contraction_identity(model, r, merged)
     print(f"lhs={check.lhs} rhs={check.rhs}", file=err)
-    return [_contraction_row(0, model, r, merged, check, err)]
+    b = IndexList(tuple(merged))  # each site once, in |S| and in the witness
+    return [_check_row(0, model, r, b, _contraction_report(model, r, b, check), err)]
 
 
-def _approx_x(args: argparse.Namespace) -> str:
+def _approx_x(args: argparse.Namespace, err: TextIO) -> list[dict]:
     """Convenience: float log-coupling J to an APPROXIMATE rational weight.
 
-    The engine itself only accepts exact weights; this converts
-    ``exp(J)`` to a nearby fraction for people starting from a float J.
+    The engine itself only accepts exact weights; this writes ``exp(J)`` as
+    a nearby fraction, for people starting from a float J, and checks nothing.
     """
     j = args.log_coupling
     if not 0 <= j < math.inf:
@@ -319,10 +320,11 @@ def _approx_x(args: argparse.Namespace) -> str:
     x = Fraction(weight).limit_denominator(args.max_denominator)
     if x < 1:
         x = Fraction(1)
-    return (
+    sys.stdout.write(
         f"approximate: x = {x} (~ exp({j!r}) = {weight!r}); "
         "not exact, rounded to a nearby rational\n"
     )
+    return []
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -358,6 +360,7 @@ def _int_at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pottsverify",
@@ -366,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, run, model: bool = True) -> None:
+        p.set_defaults(run=run)
         if model:
             p.add_argument("--model", dest="model_path", metavar="PATH",
                            help="JSON model file")
@@ -379,17 +383,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="output_format", choices=FORMATS,
                        default="human", help="report format (default human)")
 
-    add_common(sub.add_parser("expect", help="thermal average of a spin product"))
-    add_common(sub.add_parser("verify", help="inequality checks on one model"))
+    add_common(sub.add_parser("expect", help="thermal average of a spin product"), _run_expect)
+    add_common(sub.add_parser("verify", help="inequality checks on one model"), _run_verify)
 
     p = sub.add_parser("contract-check", help="vertex-merging identity on one instance")
-    add_common(p)
+    add_common(p, _run_contract_check)
     p.add_argument("--B", dest="b_sites", type=_sites_arg, metavar="1,2",
                    help="site set to merge (overrides lists.B in the file)")
 
     p = sub.add_parser("xi", help="power-sum gap family sweep")
-    add_common(p, model=False)
-    p.add_argument("--q-set", dest="q_set", type=_int_set_arg,
+    add_common(p, _run_sweep, model=False)
+    p.add_argument("--q-set", dest="xi_q_set", type=_int_set_arg,
                    default=tuple(range(2, 13)), metavar="2,3,4",
                    help="q values to sweep (default 2..12)")
     p.add_argument("--exponents", dest="exponents", type=_int_set_arg,
@@ -405,9 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="nonnegative float log-coupling to approximate")
     p.add_argument("--max-denominator", dest="max_denominator", type=_int_at_least(1),
                    default=10**6)
+    # Its one line is all its output; the human format emits no rows.
+    p.set_defaults(run=_approx_x, output_format="human")
 
     p = sub.add_parser("sweep", help="seeded random-instance verification suites")
-    add_common(p, model=False)
+    add_common(p, _run_sweep, model=False)
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(0), default=100)
@@ -420,31 +426,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-interactions", dest="max_interactions",
                    type=_int_at_least(0), default=6)
     p.add_argument("--max-list-len", dest="max_list_len", type=_int_at_least(0), default=6)
-    p.set_defaults(exponents=(2, 4, 6))
+    p.set_defaults(exponents=(2, 4, 6), xi_q_set=tuple(range(2, 13)))
     return parser
-
-
-_COMMANDS = {
-    "expect": _run_expect,
-    "verify": _run_verify,
-    "contract-check": _run_contract_check,
-    "xi": _run_sweep,
-    "sweep": _run_sweep,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if (args.command == "sweep" and args.n_max < 2
-            and args.suite in ("all", "contraction", "quadratic")):
-        print("error: --n-max must be >= 2 for the contraction and quadratic suites",
-              file=sys.stderr)
-        return 2
     try:
-        if args.command == "approx-x":
-            sys.stdout.write(_approx_x(args))
-            return 0
-        rows = _COMMANDS[args.command](args, sys.stderr)
+        rows = args.run(args, sys.stderr)
     except (ModelDocumentError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

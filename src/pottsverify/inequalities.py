@@ -249,7 +249,8 @@ class QuadraticDecomposition:
     z_disagree: Fraction
 
     def value_at(self, x) -> Fraction:
-        x = Fraction(x)
+        """The polynomial at an added weight, which must be exact, finite and >= 1."""
+        x = _added_weight(x)
         return self.u * x * x + self.v * x + self.w
 
 

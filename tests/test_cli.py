@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pottsverify import IndexList, build_model, INFINITY
-from pottsverify.cli import ROW_FIELDS, main, parse_model_file
+from pottsverify.cli import ROW_FIELDS, _build_parser, main, parse_model_file
 from pottsverify.contraction import IdentityCheck
 from pottsverify.inequalities import InequalityReport
 from pottsverify.serialize import (
@@ -457,3 +458,46 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; no call may leave state in it."""
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_calls_in_any_order_match_calls_on_a_fresh_parser(self, tmp_path):
+        # The file names no S list, so only --S adds verify's second row.
+        path = write_doc(tmp_path, {**WORKED_EXAMPLE_DOC, "lists": {"R": [1, 3], "B": [1, 2]}})
+        argvs = [
+            [*command, "--format", fmt]
+            for command in (
+                ["expect", "--model", path], ["verify", "--model", path],
+                ["verify", "--model", path, "--S", "2,2"],
+                ["contract-check", "--model", path], ["xi", "--q-set", "2,3"], ["xi"],
+                ["sweep", "--suite", "all", "--trials", "2", "--n-max", "3"],
+                ["sweep", "--suite", "xi"],
+            )
+            for fmt in ("human", "json", "csv")
+        ]
+        argvs += [
+            ["approx-x", "--J", "0.5"], ["approx-x", "--J", "nan"],
+            ["sweep", "--n-max", "1"], ["verify"], ["frobnicate"],
+        ]
+        fresh = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            fresh.append(self.run(argv))
+        assert {code for code, _out, _err in fresh} == {0, 2}
+        _build_parser.cache_clear()
+        for order in (range(len(argvs)), reversed(range(len(argvs)))):
+            for i in order:
+                assert self.run(argvs[i]) == fresh[i], argvs[i]
+        assert _build_parser.cache_info().misses == 1

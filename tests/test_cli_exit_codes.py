@@ -170,3 +170,24 @@ def test_argv_fuzz_keeps_the_exit_code_contract(data, fuzz_model_path):
     assert "Traceback" not in err.getvalue()
     error_lines = [line for line in err.getvalue().splitlines() if "error: " in line]
     assert len(error_lines) == (1 if code == 2 else 0)
+
+
+@pytest.mark.parametrize("suite, code", [
+    ("all", 2), ("contraction", 2), ("quadratic", 2), ("theorem1", 0), ("theorem2", 0), ("xi", 0),
+])
+def test_single_site_sweep_refuses_only_the_suites_that_merge_sites(suite, code, capsys):
+    argv = ["sweep", "--suite", suite, "--n-max", "1", "--trials", "3", "--format", "csv"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --n-max must be >= 2 for the contraction and quadratic suites\n")
+    else:
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) > 1
+
+
+def test_xi_command_without_n_max_runs(capsys):
+    assert main(["xi", "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""

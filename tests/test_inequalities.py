@@ -284,6 +284,19 @@ class TestQuadraticDecomposition:
             with pytest.raises(ModelError, match=message):
                 quadratic_decomposition(base, {2, 3}, x, r, r)
 
+    @pytest.mark.parametrize("x, message", [
+        (1.1, "is a float"),
+        (math.inf, "must be finite and >= 1, got inf"),
+        (Fraction(1, 2), "must be finite and >= 1, got 1/2"),
+    ])
+    def test_value_at_follows_the_coupling_rule(self, x, message):
+        base = build_model(2, 3, [])
+        r, s = IndexList((1, 1)), IndexList((2, 2))
+        qd = quadratic_decomposition(base, {1, 2}, 2, r, s)
+        with pytest.raises(ModelError, match=message):
+            qd.value_at(x)
+        assert qd.value_at("3/2") == qd.u * Fraction(9, 4) + qd.v * Fraction(3, 2) + qd.w
+
     def test_fuzz_identity_and_coefficient_inequalities(self):
         rng = random.Random(89)
         done = 0
