@@ -24,9 +24,12 @@ count is the same kind of sum with the weight left out.
   (site 0 is 0, each later digit at most one above the largest before it),
   so it visits ``sum(S(n, b) for b <= q)`` classes instead of ``q**n``
   configurations, with S the Stirling numbers of the second kind: 2,795
-  instead of 65,536 at n=8, q=4.  On each single-site step only the
-  subsets containing that site re-evaluate their delta, and the weight is
-  maintained multiplicatively.  Each sum's table product over a class's
+  instead of 65,536 at n=8, q=4.  The walk is depth first over the
+  strings' prefixes.  Each subset is decided once per prefix that ends
+  just before its highest site: its lower sites share a digit or not, and
+  each digit at the highest site then agrees with it or not.  A prefix's
+  weight is its parent's times one small factor per group, so the weights
+  are built by products alone.  Each sum's table product over a class's
   ``q!/(q-b)!`` relabellings comes from a cache keyed by the number of
   blocks b and the digits at the sum's table sites.  Sums with the same
   tables share that cache, and a miss labels only the blocks those sites
@@ -54,9 +57,9 @@ the added set is a delta subset, and every augmented model, where it is an
 interaction, in one pass.  The weightings share what does not depend on
 the weights:
 
-* The odometer walks the classes once.  Each group keeps its own running
-  weight, and each family's relabelled sum is looked up once per class for
-  every sum of every group in that family.
+* The odometer walks the classes once.  Each group has its own prefix
+  weights along that walk, and each family's relabelled sum is looked up
+  once per class for every sum of every group in that family.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -70,11 +73,12 @@ the hypergraph, ``q`` and the lists alone is kept in four memos
 used entry evicted first), so later scans of the same hypergraph reuse it.
 
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
-  ``_STRUCTURE_MEMO`` entries: the watched subsets holding each site, the
-  elimination order and its cost, and ``_eliminate``'s index-map getters
-  by ``(scope, joint)``.  ``_compile`` lists the watched subsets by size
-  and then by sites, interactions and event subsets alike, so a subset
-  takes the same place whether it is weighted or not.
+  ``_STRUCTURE_MEMO`` entries: the watched subsets by their highest site,
+  with getters of their lower sites, the elimination order and its cost,
+  and ``_eliminate``'s index-map getters by ``(scope, joint)``.
+  ``_compile`` lists the watched subsets by size and then by sites,
+  interactions and event subsets alike, so a subset takes the same place
+  whether it is weighted or not.
 * ``_family_cache``, keyed by ``(q, tables)``, at most ``_FAMILY_MEMO``
   entries: the odometer's relabelled sums of a family of sums with those
   per-site tables, by cache key.  They depend on neither the weights nor
@@ -381,11 +385,13 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
 
 
 class _Structure(NamedTuple):
-    """What a scan reads of its hypergraph alone: the watched subsets that
-    hold each site, the elimination order and its estimated cost, and
+    """What a scan reads of its hypergraph alone.  ``highest`` holds, per
+    site, the watched subsets whose highest site it is and, for each, an
+    itemgetter of its lower sites and their number, which the odometer
+    reads.  Then the elimination order, its estimated cost, and
     ``_eliminate``'s index-map getters by ``(scope, joint)``."""
 
-    site_subsets: tuple[tuple[int, ...], ...]
+    highest: tuple[tuple[tuple[int, ...], tuple[tuple[itemgetter, int], ...]], ...]
     order: tuple[int, ...]
     cost: int
     getters: dict
@@ -401,8 +407,11 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
     deterministic.  The cost is the sum over buckets of
     ``q**(bucket scope size)``.
     """
-    site_subsets = tuple(
-        tuple(j for j, sites in enumerate(subset_sites) if s in sites) for s in range(n))
+    highest: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    for j, sites in enumerate(subset_sites):
+        js, gets = highest[sites[-1]]
+        js.append(j)
+        gets.append((itemgetter(*sites[:-1]), len(sites) - 1))
     neighbours: list[set[int]] = [set() for _ in range(n)]
     for sites in subset_sites:
         for s in sites:
@@ -422,7 +431,8 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
             neighbours[s].discard(v)
         remaining.remove(v)
         order.append(v)
-    return _Structure(site_subsets, tuple(order), cost, {})
+    return _Structure(tuple((tuple(js), tuple(gets)) for js, gets in highest),
+                      tuple(order), cost, {})
 
 
 def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[tuple[int, int]]:
@@ -479,6 +489,17 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     labels 0..b-1 in order of first appearance.  The weight and the delta
     constraints are the same throughout a class.
 
+    The walk is depth first over the strings' prefixes, without recursion.
+    A watched subset is decided at its highest site, whose digit comes
+    last: once per prefix before that site the common digit of its lower
+    sites is read (-1 if they differ), and each digit the site can take
+    then costs one comparison.  A prefix's weight, per group, is its
+    parent's times a factor: the numerator of every weighted subset
+    decided at the new site whose lower sites share the new digit, and the
+    denominator of every other one.  So the scaled weight, the product over
+    the subsets of one or the other, is built by products alone.  Only the
+    subsets that some sum's delta constraints read keep a delta.
+
     Sums with the same per-site tables form one family, whatever their
     delta constraints, group and weighting; a family's product summed over
     a class's relabellings is looked up once per class for all its sums,
@@ -490,12 +511,12 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     the blocks' rows (``_labelled_sums``, see ``_block_profile``), which
     classes with different digits and different families share.  So the
     labelling work follows the few distinct block rows rather than the
-    number of site patterns.  Each group keeps its own running weight.
-    Each request's integers, divided by its group's scales, give the
-    Fraction of ``correlation_sum_naive`` and its matching count.
+    number of site patterns.  Each request's integers, divided by its
+    group's scales, give the Fraction of ``correlation_sum_naive`` and its
+    matching count.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    site_subsets = _structure(n, q, subset_sites).site_subsets
+    highest = _structure(n, q, subset_sites).highest
     by_terms: dict = {}
     for si, (terms, delta_reqs, group) in enumerate(plan_sums):
         family = by_terms.get(terms)
@@ -513,53 +534,79 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
         t = len(profile)
         return _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
 
-    # Each site's watched subsets: (index, spin getter, size).
-    site_checks = [tuple([(j, itemgetter(*subset_sites[j]), len(subset_sites[j])) for j in js])
-                   for js in site_subsets]
-    # Each subset's weightings: (group, numerator, denominator).
-    reweights = [tuple((g, *row[j]) for g, row in enumerate(weight_rows) if row[j] is not None)
-                 for j in range(len(subset_sites))]
+    # Each site's decided subsets: their lower-site getters, each group's
+    # (position, numerator, denominator) of those it weights, and
+    # (position, subset) of those whose delta a sum reads.
+    read = {j for _terms, delta_reqs, _group in plan_sums for j, _bit in delta_reqs}
+    levels = [(gets,
+               [[(i, *row[j]) for i, j in enumerate(js) if row[j] is not None]
+                for row in weight_rows],
+               [(i, j) for i, j in enumerate(js) if j in read])
+              for js, gets in highest]
     digits = [0] * n + [1]
-    top = [0] * n  # top[s] = max(digits[: s + 1])
+    blocks = [0] * (n + 1)  # blocks[s]: the number of blocks among digits[:s]
     deltas = [1] * len(subset_sites)
-    weights = [prod([pair[0] for pair in row if pair is not None]) for row in weight_rows]
+    weights = [1] * len(weight_rows)  # the groups' weights of the prefix digits[:s]
+    decided: list = [None] * n  # per site: (commons, children, reads) after digits[:s]
 
     last = n - 1
+    s = 0
     while True:
-        for key_digits, cache, tabs, members in families:
-            value = None
-            for si, delta_reqs, group in members:
-                for j, bit in delta_reqs:
-                    if deltas[j] != bit:
-                        break
-                else:
-                    if value is None:
-                        key = key_digits(digits)
-                        value = cache.get(key)
-                        if value is None:
-                            value = cache[key] = relabelled(key, tabs)
-                    accs[si] += value if group is None else weights[group] * value
-        # Odometer step: site n-1 fastest; a digit past its bound resets to 0.
-        s = last
-        while s:
-            d = digits[s] + 1
-            carry = d == q or d > top[s - 1] + 1
-            digits[s] = 0 if carry else d
-            for j, spins_of, size in site_checks[s]:
-                spins = spins_of(digits)
-                nd = 1 if spins.count(spins[0]) == size else 0
-                if nd != deltas[j]:
-                    deltas[j] = nd
-                    for g, p, qd in reweights[j]:
-                        weights[g] = weights[g] * p // qd if nd else weights[g] * qd // p
-            if not carry:
+        # Enter site s after the prefix digits[:s]: each subset decided here
+        # gets the common digit of its lower sites, or -1 where they differ
+        # (a getter of one site returns its digit, of several a tuple).
+        gets, weighted, reads = levels[s]
+        b = blocks[s]
+        top = b + 1 if b < q else q  # the digits site s can take: 0..top-1
+        if gets:
+            commons = [v if k == 1 else v[0] if v.count(v[0]) == k else -1
+                       for get, k in gets for v in (get(digits),)]
+            columns = []
+            for weight, subsets in zip(weights, weighted):
+                column = [weight] * top
+                for i, p, qd in subsets:
+                    c = commons[i]
+                    for d in range(top):
+                        column[d] *= p if c == d else qd
+                columns.append(column)
+            children = list(zip(*columns))  # children[d]: the groups' weights after digit d
+        else:
+            commons, children = (), [weights] * top
+        decided[s] = commons, children, reads
+        d = 0
+        while True:
+            digits[s] = d
+            for i, j in reads:
+                deltas[j] = commons[i] == d
+            weights = children[d]
+            if s < last:
                 break
-            s -= 1
-        if not s:
-            return _combine(plan, accs)
-        m = max(top[s - 1], digits[s])
-        top[s:] = [m] * (n - s)
-        digits[n] = m + 1
+            digits[n] = b + (d == b)
+            for key_digits, cache, tabs, members in families:
+                value = None
+                for si, delta_reqs, group in members:
+                    for j, bit in delta_reqs:
+                        if deltas[j] != bit:
+                            break
+                    else:
+                        if value is None:
+                            key = key_digits(digits)
+                            value = cache.get(key)
+                            if value is None:
+                                value = cache[key] = relabelled(key, tabs)
+                        accs[si] += value if group is None else weights[group] * value
+            # On to the next digit at the deepest site that has one left: a
+            # digit is its site's last when it opened a block or is q - 1.
+            while d == blocks[s] or d == q - 1:
+                s -= 1
+                if s < 0:
+                    return _combine(plan, accs)
+                d = digits[s]
+            commons, children, reads = decided[s]
+            b = blocks[s]
+            d += 1
+        blocks[s + 1] = b + (d == b)
+        s += 1
 
 
 # --- bucket-elimination kernel ----------------------------------------------
@@ -615,7 +662,7 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     """
     q = plan.q
     subset_sites = plan.subset_sites
-    _site_subsets, order, _cost, getters = _structure(plan.n, q, subset_sites)
+    _highest, order, _cost, getters = _structure(plan.n, q, subset_sites)
     rank = {s: i for i, s in enumerate(order)}.__getitem__
 
     # Every factor of the scan, with the bucket it waits in, built once and
