@@ -63,7 +63,8 @@ class InfiniteCouplingError(ModelError):
 
 
 def is_infinite(x: Coupling) -> bool:
-    return x == INFINITY
+    # A Fraction never equals inf, and comparing it with a float is slow.
+    return x.__class__ is not Fraction and x == INFINITY
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,8 @@ EMPTY_LIST = IndexList(())
 
 
 def _as_coupling(x) -> Coupling:
+    if x.__class__ is Fraction:
+        return x
     if is_infinite(x):
         return INFINITY
     if isinstance(x, float):

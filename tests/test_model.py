@@ -15,6 +15,7 @@ from pottsverify import (
     spin_domain,
     spin_value,
 )
+from pottsverify.model import is_infinite
 
 
 class TestBuildModel:
@@ -219,6 +220,27 @@ class TestInteractionTable:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ModelError, match=r"duplicate interaction \[1, 2\]"):
             InteractionTable({(1, 2): 2, (2, 1): 3})
+
+    @pytest.mark.parametrize("x, infinite", [
+        (math.inf, True),
+        (float("inf"), True),
+        (Fraction(10**30), False),
+        (Fraction(3, 2), False),
+        (7, False),
+    ])
+    def test_is_infinite(self, x, infinite):
+        assert is_infinite(x) is infinite
+
+    @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(10**30), 7, INFINITY])
+    def test_weight_kept_equal(self, x):
+        weight = InteractionTable({(1, 2): x}).couplings[frozenset({1, 2})]
+        assert weight == x
+        assert isinstance(weight, Fraction) != is_infinite(x)
+
+    def test_float_weight_rejected_with_the_float_message(self):
+        with pytest.raises(ModelError, match=r"^coupling 1\.5 is a float; supply an exact "
+                                             r"Fraction, int, or INFINITY$"):
+            InteractionTable({(1, 2): 1.5})
 
     def test_model_is_immutable(self):
         model = build_model(2, 2, [({1, 2}, 3)])
