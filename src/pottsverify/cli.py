@@ -59,7 +59,7 @@ from .inequalities import (
     check_power_sum_gap_recursion,
     check_quadratic,
 )
-from .model import EMPTY_LIST, IndexList, Model, ModelError
+from .model import EMPTY_LIST, IndexList, Model, ModelError, _check_range
 from .serialize import ModelDocumentError, model_from_dict, witness_json
 
 __all__ = ["main", "parse_model_file"]
@@ -253,9 +253,7 @@ def _load_instance(args: argparse.Namespace, err: TextIO):
 
     def pick(flag: tuple[int, ...] | None, name: str) -> IndexList | None:
         if flag is not None:
-            for i in flag:
-                if not 1 <= i <= model.n:
-                    raise ModelDocumentError(f"--{name}: site {i} out of range 1..{model.n}")
+            _check_range(model.n, flag, f"--{name}: site")
             return IndexList(flag)
         return named.get(name)
 

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .enumeration import _check_indices, correlation_sum, delta_event
+from .enumeration import correlation_sum, delta_event
 from .model import (
     IndexList,
     InteractionTable,
     Model,
-    ModelError,
+    _check_range,
+    _site_set,
     is_infinite,
 )
 
@@ -105,13 +106,10 @@ def contract(model: Model, indices: IndexList, merged_sites: Iterable[int]) -> C
     Entries of ``indices`` inside the merged set map to the merged vertex;
     the list length is preserved.
     """
-    merged = frozenset(merged_sites)
-    if len(merged) < 2:
-        raise ModelError(f"merged site set must contain at least 2 sites, got {set(merged)}")
-    if not merged <= set(model.sites):
-        raise ModelError(f"merged sites {sorted(merged)} not within 1..{model.n}")
+    merged = _site_set(merged_sites, "merged site set")
+    _check_range(model.n, merged, "merged site")
     model.require_finite()
-    _check_indices(model, indices)
+    _check_range(model.n, indices, "list entry")
     anchor = min(merged)
     block = {i: anchor if i in merged else i for i in model.sites}
     contracted, front, site_map = _contract_model(model, block)
@@ -153,7 +151,7 @@ def resolve_infinite_couplings(
     the identity site map.
     """
     for lst in lists:
-        _check_indices(model, lst)
+        _check_range(model.n, lst, "list entry")
     block = {i: i for i in model.sites}
 
     def find(i: int) -> int:

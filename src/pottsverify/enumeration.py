@@ -114,6 +114,8 @@ from .model import (
     IndexList,
     Model,
     ModelError,
+    _check_range,
+    _site_set,
     spin_domain,
 )
 
@@ -168,9 +170,7 @@ class EventPredicate:
             raise ModelError(f"unknown sign constraint {self.sign_constraint!r}")
         constraints = []
         for sites, bit in self.delta_constraints:
-            key = frozenset(sites)
-            if len(key) < 2:
-                raise ModelError(f"delta constraint {set(sites) or '{}'} needs >= 2 sites")
+            key = _site_set(sites, "delta constraint")
             if bit not in (0, 1):
                 raise ModelError(f"delta constraint bit must be 0 or 1, got {bit!r}")
             constraints.append((key, bit))
@@ -243,7 +243,7 @@ def uniform_correlation_sum(model: Model, indices: IndexList) -> Fraction:
         raise ModelError(
             f"closed form requires s=0 (all weights 1), model has s={model.interactions.s}"
         )
-    _check_indices(model, indices)
+    _check_range(model.n, indices, "list entry")
     if indices.odd_groups:
         return Fraction(0)
     value = Fraction(model.q) ** (model.n - len(indices.support))
@@ -252,19 +252,11 @@ def uniform_correlation_sum(model: Model, indices: IndexList) -> Fraction:
     return value
 
 
-def _check_indices(model: Model, indices: IndexList) -> None:
-    for i in indices:
-        if i > model.n:
-            raise ModelError(f"list entry {i} out of range 1..{model.n}")
-
-
 def _check_event(model: Model, event: EventPredicate) -> None:
     if event.sign_indices is not None:
-        _check_indices(model, event.sign_indices)
+        _check_range(model.n, event.sign_indices, "list entry")
     for sites, _bit in event.delta_constraints:
-        for i in sites:
-            if i > model.n:
-                raise ModelError(f"event site {i} out of range 1..{model.n}")
+        _check_range(model.n, sites, "event site")
 
 
 # --- compiled plan -----------------------------------------------------------
@@ -354,7 +346,7 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
         if id(requests) not in distinct:
             distinct[id(requests)] = requests
             for indices, event in requests:
-                _check_indices(model, indices)
+                _check_range(model.n, indices, "list entry")
                 _check_event(model, event)
                 watched.update([sites for sites, _bit in event.delta_constraints])
     keys = sorted(watched, key=lambda key: (len(key), sorted(key)))

@@ -24,9 +24,8 @@ from .enumeration import (
     SumResult,
     ZERO,
     _check_event,
-    _check_indices,
 )
-from .model import Configuration, IndexList, Model, ModelError
+from .model import Configuration, IndexList, Model, ModelError, _check_range, _site_set
 
 __all__ = [
     "all_configurations",
@@ -48,12 +47,8 @@ def generalized_delta(config: Configuration, sites: Iterable[int]) -> int:
     ``sites`` must contain at least two distinct 1-indexed sites within the
     configuration.
     """
-    key = frozenset(sites)
-    if len(key) < 2:
-        raise ModelError(f"interaction {set(key) or '{}'} must contain at least 2 sites")
-    for i in key:
-        if not 1 <= i <= len(config):
-            raise ModelError(f"site {i} out of range 1..{len(config)}")
+    key = _site_set(sites, "interaction")
+    _check_range(len(config), key, "site")
     values = {config.doubled_spins[i - 1] for i in key}
     return 1 if len(values) == 1 else 0
 
@@ -144,7 +139,7 @@ def correlation_sum_naive(
 ) -> SumResult:
     """Reference evaluation: full per-configuration recomputation in Fractions."""
     model.require_finite()
-    _check_indices(model, indices)
+    _check_range(model.n, indices, "list entry")
     _check_event(model, event)
     total = Fraction(0)
     visited = 0

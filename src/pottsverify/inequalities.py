@@ -30,7 +30,6 @@ from typing import Iterable
 
 from .enumeration import (
     EVERYWHERE,
-    _check_event,
     _scan,
     centered_power_sum,
     delta_event,
@@ -263,17 +262,14 @@ def _added_weight(x) -> Fraction:
 
 
 def _added_coupling(base_model: Model, added_sites: Iterable[int],
-                    x) -> tuple[frozenset, Fraction]:
-    """The added site set and weight, checked against the base model."""
+                    x) -> tuple[frozenset, Fraction, Model]:
+    """The added site set and weight, and the base model with them added,
+    which checks the site set as a new interaction of the base model."""
     key = frozenset(added_sites)
     x = _added_weight(x)
-    if key in base_model.interactions.couplings:
-        raise ModelError(f"duplicate interaction {sorted(key)}")
+    augmented = base_model.with_coupling(key, x)
     base_model.require_finite()
-    # Checked here, so a bad site set is named as the event it makes before
-    # ``check_quadratic`` builds an augmented model on it.
-    _check_event(base_model, delta_event(key, 1))
-    return key, x
+    return key, x, augmented
 
 
 def _decomposition_requests(key: frozenset, r: IndexList, s: IndexList) -> list:
@@ -303,7 +299,7 @@ def quadratic_decomposition(
     ``added_sites`` must not already carry a coupling in the base model and
     ``x`` must be at least 1.
     """
-    key, x = _added_coupling(base_model, added_sites, x)
+    key, x, _augmented = _added_coupling(base_model, added_sites, x)
     _kernel, [(scale, sums)] = _scan([(base_model, _decomposition_requests(key, r, s))])
     den = scale * scale << (len(r) + len(s))
     u, v, w = (Fraction(c, den) for c in _coefficients(sums))
@@ -336,12 +332,13 @@ def check_quadratic(
     sums.  So the identity is the integer equation
     ``U p**2 + V p d + W d**2 == A_z A_rs - A_r A_s``.
     """
-    key, x = _added_coupling(base_model, added_sites, x)
+    key, x, augmented_model = _added_coupling(base_model, added_sites, x)
     xs = [x, *map(_added_weight, extra_x)]
     direct = _covariance_requests(r, s)
     _kernel, [(scale, sums), *augmented] = _scan([
         (base_model, _decomposition_requests(key, r, s)),
-        *[(base_model.with_coupling(key, x_val), direct) for x_val in xs],
+        (augmented_model, direct),
+        *[(base_model.with_coupling(key, x_val), direct) for x_val in xs[1:]],
     ])
     u, v, w = _coefficients(sums)
     identity_ok = all(
@@ -355,6 +352,6 @@ def check_quadratic(
         values=(Fraction(u, den), Fraction(v, den), Fraction(w, den)),
         satisfied=satisfied,
         witness=None if satisfied else witness_json(
-            base_model.with_coupling(key, x), {"R": r, "S": s, "B": IndexList(tuple(key))}
+            augmented_model, {"R": r, "S": s, "B": IndexList(tuple(key))}
         ),
     )

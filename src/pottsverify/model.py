@@ -18,16 +18,23 @@ Conventions shared by every module:
   directly as exact rationals ``>= 1`` (or ``math.inf``), never as float
   log-couplings.
 * All types are immutable after construction.
+* Only ``model`` states and raises the input rules: a site, list entry
+  or spin label is a plain ``int`` (never a ``bool``) in ``1..bound``;
+  an interaction, delta constraint or merged set holds at least two
+  sites; no interaction repeats; ``q >= 2``; a weight is exact (never a
+  float or a ``bool``) and ``>= 1``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 __all__ = [
     "Configuration",
@@ -62,6 +69,22 @@ class InfiniteCouplingError(ModelError):
     infinite coupling; resolve it first (see ``contraction``)."""
 
 
+def _check_range(bound: int, values: Iterable, what: str) -> None:
+    """Raise for the first value that is not an ``int`` in ``1..bound``; a
+    ``bool`` or other subclass of ``int`` is not one."""
+    for i in values:
+        if i.__class__ is not int or not 1 <= i <= bound:
+            raise ModelError(f"{what} {i} out of range 1..{bound}")
+
+
+def _site_set(sites: Iterable, what: str) -> frozenset:
+    """``sites`` as a set, which must hold at least two sites."""
+    key = frozenset(sites)
+    if len(key) < 2:
+        raise ModelError(f"{what} must contain at least 2 sites, got {set(key) or '{}'}")
+    return key
+
+
 def is_infinite(x: Coupling) -> bool:
     # A Fraction never equals inf, and comparing it with a float is slow.
     return x.__class__ is not Fraction and x == INFINITY
@@ -93,8 +116,7 @@ class SpinDomain:
 
     def value(self, k: int) -> Fraction:
         """Centered value of the spin with label ``k`` (1-indexed)."""
-        if not 1 <= k <= self.q:
-            raise ModelError(f"spin label {k} out of range 1..{self.q}")
+        _check_range(self.q, (k,), "spin label")
         return Fraction(2 * k - (self.q + 1), 2)
 
     def label_of_doubled(self, u: int) -> int:
@@ -130,13 +152,10 @@ class Configuration:
     @classmethod
     def from_labels(cls, labels: Iterable[int], q: int) -> "Configuration":
         """Build from uncentered labels in ``1..q``."""
-        dom = spin_domain(q)
-        vals = []
-        for k in labels:
-            if not 1 <= k <= q:
-                raise ModelError(f"spin label {k} out of range 1..{q}")
-            vals.append(dom.doubled_values[k - 1])
-        return cls(tuple(vals))
+        dom = spin_domain(q).doubled_values
+        labels = tuple(labels)
+        _check_range(q, labels, "spin label")
+        return cls(tuple([dom[k - 1] for k in labels]))
 
     def labels(self, q: int) -> tuple[int, ...]:
         """Uncentered labels in ``1..q`` of every site."""
@@ -161,7 +180,7 @@ class IndexList:
     def __post_init__(self) -> None:
         entries = tuple(sorted(self.entries))
         for i in entries:
-            if not isinstance(i, int) or i < 1:
+            if i.__class__ is not int or i < 1:
                 raise ModelError(f"index list entries must be positive integers, got {i!r}")
         object.__setattr__(self, "entries", entries)
 
@@ -213,9 +232,10 @@ def _as_coupling(x) -> Coupling:
         return x
     if is_infinite(x):
         return INFINITY
-    if isinstance(x, float):
+    if isinstance(x, (bool, float)):
         raise ModelError(
-            f"coupling {x!r} is a float; supply an exact Fraction, int, or INFINITY"
+            f"coupling {x!r} is a {'bool' if isinstance(x, bool) else 'float'}; "
+            "supply an exact Fraction, int, or INFINITY"
         )
     return Fraction(x)
 
@@ -224,7 +244,9 @@ def _as_coupling(x) -> Coupling:
 class InteractionTable:
     """Map from site subsets ``A`` (``|A| >= 2``) to coupling weights ``x_A``.
 
-    Every weight is an exact rational ``>= 1`` (ferromagnetic) or INFINITY.
+    Built from a mapping or from ``(sites, weight)`` pairs; a site set may
+    appear only once.  Every weight is an exact rational ``>= 1``
+    (ferromagnetic) or INFINITY.
     ``s`` counts the strictly active interactions (``x_A > 1``).
     """
 
@@ -232,11 +254,10 @@ class InteractionTable:
 
     def __post_init__(self) -> None:
         table: dict[frozenset[int], Coupling] = {}
-        for sites, x in dict(self.couplings).items():
-            key = frozenset(sites)
-            if len(key) < 2:
-                raise ModelError(f"interaction {set(sites) or '{}'} must contain at least 2 sites")
-            if not all(isinstance(i, int) and i >= 1 for i in key):
+        pairs = self.couplings
+        for sites, x in pairs.items() if isinstance(pairs, Mapping) else pairs:
+            key = _site_set(sites, "interaction")
+            if not all(i.__class__ is int and i >= 1 for i in key):
                 raise ModelError(f"interaction sites must be positive integers: {set(sites)}")
             if key in table:
                 raise ModelError(f"duplicate interaction {sorted(key)}")
@@ -277,12 +298,8 @@ class Model:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ModelError(f"site count n must be >= 1, got {self.n}")
-        if self.q < 2:
-            raise ModelError(f"spin count q must be >= 2, got {self.q}")
-        for sites in self.interactions.couplings:
-            for i in sites:
-                if i > self.n:
-                    raise ModelError(f"interaction site {i} out of range 1..{self.n}")
+        spin_domain(self.q)
+        _check_range(self.n, chain.from_iterable(self.interactions.couplings), "interaction site")
 
     @property
     def domain(self) -> SpinDomain:
@@ -315,12 +332,8 @@ class Model:
 
     def with_coupling(self, sites: Iterable[int], x) -> "Model":
         """A copy of this model with one interaction added."""
-        key = frozenset(sites)
-        if key in self.interactions.couplings:
-            raise ModelError(f"duplicate interaction {sorted(key)}")
-        table = dict(self.interactions.couplings)
-        table[key] = x
-        return Model(self.n, self.q, InteractionTable(table))
+        pairs = (*self.interactions.couplings.items(), (sites, x))
+        return Model(self.n, self.q, InteractionTable(pairs))
 
 
 def build_model(n: int, q: int, couplings: Iterable[tuple[Iterable[int], object]] = ()) -> Model:
@@ -329,10 +342,4 @@ def build_model(n: int, q: int, couplings: Iterable[tuple[Iterable[int], object]
     Rejects out-of-range sites, interactions with fewer than two sites,
     weights below 1, and duplicate site sets.
     """
-    table: dict[frozenset[int], object] = {}
-    for sites, x in couplings:
-        key = frozenset(sites)
-        if key in table:
-            raise ModelError(f"duplicate interaction {sorted(key)}")
-        table[key] = x
-    return Model(n, q, InteractionTable(table))
+    return Model(n, q, InteractionTable(tuple(couplings)))

@@ -22,6 +22,7 @@ from .model import (
     IndexList,
     Model,
     ModelError,
+    _check_range,
     build_model,
     is_infinite,
 )
@@ -121,11 +122,12 @@ def model_from_dict(doc) -> tuple[Model, dict[str, IndexList]]:
         where = f"lists.{name}"
         if not isinstance(raw, list):
             raise ModelDocumentError(f"{where}: expected a list of sites")
-        entries = [_require_int(i, where) for i in raw]
-        for i in entries:
-            if not 1 <= i <= n:
-                raise ModelDocumentError(f"{where}: site {i} out of range 1..{n}")
-        lists[name] = IndexList(tuple(entries))
+        entries = tuple([_require_int(i, where) for i in raw])
+        try:
+            _check_range(n, entries, f"{where}: site")
+        except ModelError as exc:
+            raise ModelDocumentError(str(exc)) from None
+        lists[name] = IndexList(entries)
     return model, lists
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gibbs import weighted_configurations
-from .model import Configuration, Model, ModelError, spin_domain
+from .model import Configuration, Model, ModelError, _check_range, spin_domain
 
 __all__ = [
     "SpinPermutation",
@@ -79,8 +79,7 @@ def marginal_distribution(model: Model, site: int) -> tuple[Fraction, ...]:
     checked rather than assumed.
     """
     model.require_finite()
-    if not 1 <= site <= model.n:
-        raise ModelError(f"site {site} out of range 1..{model.n}")
+    _check_range(model.n, (site,), "site")
     dom = model.domain.doubled_values
     sums = {u: Fraction(0) for u in dom}
     z = Fraction(0)

@@ -88,6 +88,11 @@ class TestParseModelFile:
         doc = {"n": 2, "q": 2, "interactions": [{"sites": [1, 5], "x": "2"}]}
         with pytest.raises(ModelDocumentError, match="out of range"):
             parse_model_file(write_doc(tmp_path, doc))
+        with pytest.raises(ModelDocumentError, match=r"^interaction site 5 out of range 1\.\.2$"):
+            model_from_dict(doc)
+        doc = {"n": 2, "q": 2, "lists": {"R": [1, 0]}}
+        with pytest.raises(ModelDocumentError, match=r"^lists\.R: site 0 out of range 1\.\.2$"):
+            model_from_dict(doc)
 
     def test_small_interaction(self, tmp_path):
         doc = {"n": 2, "q": 2, "interactions": [{"sites": [1], "x": "2"}]}
@@ -149,6 +154,11 @@ class TestExpectCommand:
         path = write_doc(tmp_path, {"n": 2, "q": 2, "interactions": []})
         assert main(["expect", "--model", path]) == 2
         assert "no R list" in capsys.readouterr().err
+
+    def test_r_site_out_of_range_is_one_error_line(self, tmp_path, capsys):
+        path = write_doc(tmp_path, WORKED_EXAMPLE_DOC)
+        assert main(["expect", "--model", path, "--R", "1,0"]) == 2
+        assert capsys.readouterr().err == "error: --R: site 0 out of range 1..3\n"
 
     def test_missing_model_file(self, capsys):
         assert main(["expect", "--model", "/nonexistent.json", "--R", "1"]) == 2

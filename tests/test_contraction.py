@@ -239,6 +239,8 @@ class TestResolveInfiniteCouplings:
         model = build_model(3, 2, [({1, 2}, INFINITY if infinite else 3)])
         with pytest.raises(ModelError, match="list entry 9 out of range 1..3"):
             resolve_infinite_couplings(model, [IndexList((1,)), IndexList((2, 9))])
+        with pytest.raises(ModelError, match=r"^merged site 7 out of range 1\.\.3$"):
+            contract(model, IndexList(()), {1, 7})
 
 
 def resolve_by_folding(model, lists):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,23 @@ class TestEventPredicate:
         model = build_model(2, 2, [])
         with pytest.raises(ModelError):
             correlation_sum(model, EMPTY, delta_event({1, 3}, 1))
+
+    @pytest.mark.parametrize("model, kernel", [
+        (build_model(6, 2, [({i, i + 1}, 2) for i in range(1, 6)]), "elimination"),
+        (build_model(4, 3, [({i, j}, 2) for i in range(1, 5) for j in range(i + 1, 5)]),
+         "odometer"),
+    ], ids=["chain", "complete"])
+    @pytest.mark.parametrize("bad_site", [lambda n: 0, lambda n: -1, lambda n: n + 1,
+                                          lambda n: 2.0], ids=["0", "-1", "n+1", "2.0"])
+    def test_bad_event_site_is_refused(self, model, kernel, bad_site):
+        """A delta site outside 1..n, or not an int, never reaches either
+        kernel or the oracle: each names it."""
+        assert correlation_sum(model, EMPTY, delta_event({1, 2}, 1)).kernel == kernel
+        site = bad_site(model.n)
+        message = f"^{re.escape(f'event site {site} out of range 1..{model.n}')}$"
+        for evaluate in (correlation_sum, correlation_sum_naive):
+            with pytest.raises(ModelError, match=message):
+                evaluate(model, EMPTY, delta_event({1, site}, 1))
 
 
 class TestCorrelationSum:

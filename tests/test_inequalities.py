@@ -261,6 +261,17 @@ class TestQuadraticDecomposition:
                 pair_model_q2, {1, 2}, 2, IndexList((1,)), IndexList((2,))
             )
 
+    @pytest.mark.parametrize("added, message", [
+        ({0, 1}, r"^interaction sites must be positive integers: \{0, 1\}$"),
+        ({1, 4}, r"^interaction site 4 out of range 1\.\.3$"),
+    ], ids=["0", "n+1"])
+    @pytest.mark.parametrize("check", [quadratic_decomposition, check_quadratic])
+    def test_added_set_outside_the_sites_rejected(self, check, added, message):
+        base = build_model(3, 2, [({1, 2}, 2)])
+        r = IndexList((1, 2))
+        with pytest.raises(ModelError, match=message):
+            check(base, added, 2, r, r)
+
     def test_weight_below_one_rejected(self):
         base = build_model(2, 3, [])
         with pytest.raises(ModelError):

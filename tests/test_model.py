@@ -1,10 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pottsverify
 from pottsverify import (
     Configuration,
     INFINITY,
@@ -12,6 +15,10 @@ from pottsverify import (
     InteractionTable,
     ModelError,
     build_model,
+    correlation_sum,
+    delta_event,
+    generalized_delta,
+    marginal_distribution,
     spin_domain,
     spin_value,
 )
@@ -248,3 +255,41 @@ class TestInteractionTable:
             model.interactions.couplings[frozenset({1, 2})] = Fraction(5)
         with pytest.raises(Exception):
             model.n = 4
+
+
+class TestInputRules:
+    """The site, site-set, duplicate, spin-count and weight rules live in
+    ``model``; every entry point reports a bad site the same way."""
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda m: correlation_sum(m, IndexList((2, 9))), "list entry 9"),
+        (lambda m: build_model(3, 3, [({1, 2}, 2), ({3, 4}, 2)]), "interaction site 4"),
+        (lambda m: generalized_delta(Configuration((0, 0, 0)), {1, 4}), "site 4"),
+        (lambda m: marginal_distribution(m, 0), "site 0"),
+        (lambda m: Configuration.from_labels((1, 4), m.q), "spin label 4"),
+    ], ids=["kernel-list", "interaction-site", "generalized-delta", "marginal",
+            "spin-label"])
+    def test_bad_site_is_named_in_the_range_form(self, call, bad):
+        model = build_model(3, 3, [({1, 2}, 2)])
+        with pytest.raises(ModelError, match=f"^{re.escape(bad)} out of range 1\\.\\.3$"):
+            call(model)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: IndexList((True, 2)), "index list entries must be positive integers, got True"),
+        (lambda: InteractionTable({(True, 3): 2}),
+         "interaction sites must be positive integers: {True, 3}"),
+        (lambda: build_model(2, 2, [({1, 2}, True)]),
+         "coupling True is a bool; supply an exact Fraction, int, or INFINITY"),
+        (lambda: spin_value(2, True), "spin label True out of range 1..2"),
+        (lambda: correlation_sum(build_model(2, 2), IndexList(()), delta_event({True, 2}, 1)),
+         "event site True out of range 1..2"),
+    ], ids=["list-entry", "interaction-site", "weight", "spin-label", "event-site"])
+    def test_bool_is_neither_a_site_nor_a_weight(self, call, message):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_only_model_formats_the_range_message(self):
+        package = Path(pottsverify.__file__).parent
+        formatting = [path.name for path in sorted(package.glob("*.py"))
+                      if "out of range 1.." in path.read_text()]
+        assert formatting == ["model.py"]
