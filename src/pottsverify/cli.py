@@ -316,8 +316,6 @@ def _approx_x(args: argparse.Namespace, err: TextIO) -> list[dict]:
     except OverflowError:
         raise ModelDocumentError(f"--J {j!r} is too large: exp(J) overflows a float") from None
     x = Fraction(weight).limit_denominator(args.max_denominator)
-    if x < 1:
-        x = Fraction(1)
     sys.stdout.write(
         f"approximate: x = {x} (~ exp({j!r}) = {weight!r}); "
         "not exact, rounded to a nearby rational\n"

@@ -35,8 +35,7 @@ from .enumeration import (
     delta_event,
     expectation,
 )
-from .model import (EMPTY_LIST, IndexList, Model, ModelError, _as_coupling, is_infinite,
-                    spin_domain)
+from .model import EMPTY_LIST, IndexList, Model, ModelError, _as_coupling, spin_domain
 from .serialize import witness_json
 
 __all__ = [
@@ -249,16 +248,8 @@ class QuadraticDecomposition:
 
     def value_at(self, x) -> Fraction:
         """The polynomial at an added weight, which must be exact, finite and >= 1."""
-        x = _added_weight(x)
+        x = _as_coupling(x)
         return self.u * x * x + self.v * x + self.w
-
-
-def _added_weight(x) -> Fraction:
-    """An added weight, exact by ``InteractionTable``'s rule, finite and >= 1."""
-    x = _as_coupling(x)
-    if is_infinite(x) or x < 1:
-        raise ModelError(f"added coupling must be finite and >= 1, got {x}")
-    return x
 
 
 def _added_coupling(base_model: Model, added_sites: Iterable[int],
@@ -266,10 +257,8 @@ def _added_coupling(base_model: Model, added_sites: Iterable[int],
     """The added site set and weight, and the base model with them added,
     which checks the site set as a new interaction of the base model."""
     key = frozenset(added_sites)
-    x = _added_weight(x)
-    augmented = base_model.with_coupling(key, x)
-    base_model.require_finite()
-    return key, x, augmented
+    x = _as_coupling(x)
+    return key, x, base_model.with_coupling(key, x)
 
 
 def _decomposition_requests(key: frozenset, r: IndexList, s: IndexList) -> list:
@@ -333,7 +322,7 @@ def check_quadratic(
     ``U p**2 + V p d + W d**2 == A_z A_rs - A_r A_s``.
     """
     key, x, augmented_model = _added_coupling(base_model, added_sites, x)
-    xs = [x, *map(_added_weight, extra_x)]
+    xs = [x, *map(_as_coupling, extra_x)]
     direct = _covariance_requests(r, s)
     _kernel, [(scale, sums), *augmented] = _scan([
         (base_model, _decomposition_requests(key, r, s)),

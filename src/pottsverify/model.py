@@ -21,8 +21,10 @@ Conventions shared by every module:
 * Only ``model`` states and raises the input rules: a site, list entry
   or spin label is a plain ``int`` (never a ``bool``) in ``1..bound``;
   an interaction, delta constraint or merged set holds at least two
-  sites; no interaction repeats; ``q >= 2``; a weight is exact (never a
-  float or a ``bool``) and ``>= 1``.
+  sites; no interaction repeats; the counts ``n >= 1`` and ``q >= 2`` are
+  plain ``int``s; interactions are an ``InteractionTable``; a weight is an
+  exact rational ``>= 1`` (or INFINITY where allowed), and any other weight
+  type is refused.  ``_as_coupling`` alone checks the ``>= 1`` hypothesis.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from numbers import Rational
 from types import MappingProxyType
 from typing import Union
 
@@ -103,8 +106,8 @@ class SpinDomain:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ModelError(f"spin count q must be >= 2, got {self.q}")
+        if self.q.__class__ is not int or self.q < 2:
+            raise ModelError(f"spin count q must be >= 2 and a plain int, got {self.q!r}")
 
     @property
     def doubled_values(self) -> tuple[int, ...]:
@@ -127,7 +130,8 @@ class SpinDomain:
         return k
 
 
-@lru_cache(maxsize=None)
+# Typed, so that 2.0 or True does not hit the domain cached for 2 or 1.
+@lru_cache(maxsize=None, typed=True)
 def spin_domain(q: int) -> SpinDomain:
     return SpinDomain(q)
 
@@ -227,17 +231,27 @@ class IndexList:
 EMPTY_LIST = IndexList(())
 
 
-def _as_coupling(x) -> Coupling:
+def _as_coupling(x, sites: frozenset | None = None) -> Coupling:
+    """``x`` by the one weight rule: an exact rational ``>= 1`` (a ``Fraction``,
+    a non-bool ``numbers.Rational``, or a string ``Fraction`` reads), or, on
+    the interaction ``sites``, INFINITY; an added coupling (no ``sites``) is finite."""
     if x.__class__ is Fraction:
-        return x
-    if is_infinite(x):
+        if x >= 1:
+            return x
+    elif x.__class__ is not bool and isinstance(x, (Rational, str)):
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"coupling {x!r} is not a rational") from None
+        if x >= 1:
+            return x
+    elif not (isinstance(x, float) and x == INFINITY):
+        raise ModelError(f"coupling {x!r} is a {type(x).__name__}; "
+                         "supply an exact Fraction, int, or INFINITY")
+    elif sites is not None:
         return INFINITY
-    if isinstance(x, (bool, float)):
-        raise ModelError(
-            f"coupling {x!r} is a {'bool' if isinstance(x, bool) else 'float'}; "
-            "supply an exact Fraction, int, or INFINITY"
-        )
-    return Fraction(x)
+    raise ModelError(f"added coupling must be finite and >= 1, got {x}" if sites is None
+                     else f"coupling for {sorted(sites)} must be >= 1, got {x}")
 
 
 @dataclass(frozen=True)
@@ -246,8 +260,7 @@ class InteractionTable:
 
     Built from a mapping or from ``(sites, weight)`` pairs; a site set may
     appear only once.  Every weight is an exact rational ``>= 1``
-    (ferromagnetic) or INFINITY.
-    ``s`` counts the strictly active interactions (``x_A > 1``).
+    (ferromagnetic) or INFINITY; ``s`` counts those above 1.
     """
 
     couplings: Mapping[frozenset[int], Coupling]
@@ -261,10 +274,7 @@ class InteractionTable:
                 raise ModelError(f"interaction sites must be positive integers: {set(sites)}")
             if key in table:
                 raise ModelError(f"duplicate interaction {sorted(key)}")
-            x = _as_coupling(x)
-            if x < 1:
-                raise ModelError(f"coupling for {sorted(key)} must be >= 1, got {x}")
-            table[key] = x
+            table[key] = _as_coupling(x, key)
         object.__setattr__(self, "couplings", MappingProxyType(table))
 
     @property
@@ -296,9 +306,11 @@ class Model:
     interactions: InteractionTable = EMPTY_TABLE
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ModelError(f"site count n must be >= 1, got {self.n}")
+        if self.n.__class__ is not int or self.n < 1:
+            raise ModelError(f"site count n must be >= 1 and a plain int, got {self.n!r}")
         spin_domain(self.q)
+        if not isinstance(self.interactions, InteractionTable):
+            raise ModelError(f"interactions {self.interactions!r} are not an InteractionTable")
         _check_range(self.n, chain.from_iterable(self.interactions.couplings), "interaction site")
 
     @property
@@ -339,7 +351,7 @@ class Model:
 def build_model(n: int, q: int, couplings: Iterable[tuple[Iterable[int], object]] = ()) -> Model:
     """Validate and build a model from ``(site-set, weight)`` pairs.
 
-    Rejects out-of-range sites, interactions with fewer than two sites,
-    weights below 1, and duplicate site sets.
+    Rejects bad counts, out-of-range sites, interactions with fewer than two
+    sites, weights that are inexact or below 1, and duplicate site sets.
     """
     return Model(n, q, InteractionTable(tuple(couplings)))

@@ -70,6 +70,36 @@ def test_unreadable_model_file(content, message, tmp_path, capsys):
     assert err == f"error: {path}: {message}\n"
 
 
+def _doc(**fields):
+    return {"n": 2, "q": 2, **fields}
+
+
+def _entry(**fields):
+    return _doc(interactions=[{"sites": [1, 2], "x": "2", **fields}])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_entry(x=None), "interactions[0].x: expected a rational string, got NoneType"),
+    (_doc(n=2.5), "n: expected an integer, got 2.5"),
+    ({"n": 2}, "missing required key 'q'"),
+    (_doc(interactions={}), "interactions: expected a list"),
+    (_doc(interactions=[[1, 2]]), "interactions[0]: expected an object with 'sites' and 'x'"),
+    (_entry(y=1), "interactions[0]: unknown keys ['y']"),
+    (_doc(interactions=[{"sites": [1, 2]}]), "interactions[0]: both 'sites' and 'x' are required"),
+    (_entry(sites="12"), "interactions[0].sites: expected a list of sites"),
+    (_doc(lists=[]), "lists: expected an object of named lists"),
+    (_doc(lists={"R": 1}), "lists.R: expected a list of sites"),
+    (_doc(n=0), "site count n must be >= 1 and a plain int, got 0"),
+], ids=["null-weight", "float-n", "missing-q", "interactions-object", "entry-list",
+        "entry-unknown-key", "entry-missing-x", "sites-string", "lists-list", "list-int",
+        "zero-n"])
+def test_invalid_model_document_names_the_field(doc, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.binary())
 def test_arbitrary_model_bytes_exit_two(content):

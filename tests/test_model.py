@@ -1,11 +1,12 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pottsverify
 from pottsverify import (
@@ -13,16 +14,18 @@ from pottsverify import (
     INFINITY,
     IndexList,
     InteractionTable,
+    Model,
     ModelError,
     build_model,
     correlation_sum,
     delta_event,
     generalized_delta,
     marginal_distribution,
+    resolve_infinite_couplings,
     spin_domain,
     spin_value,
 )
-from pottsverify.model import is_infinite
+from pottsverify.model import EMPTY_LIST, is_infinite
 
 
 class TestBuildModel:
@@ -283,7 +286,10 @@ class TestInputRules:
         (lambda: spin_value(2, True), "spin label True out of range 1..2"),
         (lambda: correlation_sum(build_model(2, 2), IndexList(()), delta_event({True, 2}, 1)),
          "event site True out of range 1..2"),
-    ], ids=["list-entry", "interaction-site", "weight", "spin-label", "event-site"])
+        (lambda: build_model(True, 2), "site count n must be >= 1 and a plain int, got True"),
+        (lambda: build_model(2, True), "spin count q must be >= 2 and a plain int, got True"),
+    ], ids=["list-entry", "interaction-site", "weight", "spin-label", "event-site",
+            "site-count", "spin-count"])
     def test_bool_is_neither_a_site_nor_a_weight(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
@@ -293,3 +299,53 @@ class TestInputRules:
         formatting = [path.name for path in sorted(package.glob("*.py"))
                       if "out of range 1.." in path.read_text()]
         assert formatting == ["model.py"]
+        weight_rule = [path.name for path in sorted(package.glob("*.py"))
+                       if ">= 1, got" in path.read_text()]
+        assert weight_rule == ["model.py"]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_model(2.0, 2), "site count n must be >= 1 and a plain int, got 2.0"),
+        (lambda: build_model(0, 2), "site count n must be >= 1 and a plain int, got 0"),
+        (lambda: build_model(2, 2.5), "spin count q must be >= 2 and a plain int, got 2.5"),
+        (lambda: spin_value(2.0, 1), "spin count q must be >= 2 and a plain int, got 2.0"),
+        (lambda: Model(2, 2, {(1, 2): 2}), "interactions {(1, 2): 2} are not an InteractionTable"),
+        (lambda: build_model(2, 2, [({1, 2}, None)]),
+         "coupling None is a NoneType; supply an exact Fraction, int, or INFINITY"),
+        (lambda: build_model(2, 2, [({1, 2}, 1j)]),
+         "coupling 1j is a complex; supply an exact Fraction, int, or INFINITY"),
+        (lambda: build_model(2, 2, [({1, 2}, Decimal("1.5"))]),
+         "coupling Decimal('1.5') is a Decimal; supply an exact Fraction, int, or INFINITY"),
+        (lambda: build_model(2, 2, [({1, 2}, "abc")]), "coupling 'abc' is not a rational"),
+        (lambda: build_model(2, 2, [({1, 2}, "inf")]), "coupling 'inf' is not a rational"),
+    ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
+            "complex-weight", "decimal-weight", "text-weight", "inf-text-weight"])
+    def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# Each value is a small int or of a wrong type.  The ints keep n and q at most
+# 4, so every model that builds is cheap to scan; floats equal to such ints are
+# drawn on purpose, since ``2.0`` passes every range test.
+WRONG_TYPES = st.one_of(st.booleans(), st.integers(-1, 4).map(float), st.floats(),
+                        st.text(max_size=5), st.none(), st.complex_numbers(max_magnitude=4))
+COUNTS = st.one_of(st.integers(-1, 4), WRONG_TYPES)
+SITE_SETS = st.one_of(st.sets(st.integers(1, 4), min_size=2, max_size=3),
+                      st.lists(COUNTS, max_size=4))
+WEIGHTS = st.one_of(COUNTS, st.sampled_from(["3/2", "1/2", "inf", "1/0"]),
+                    st.fractions(max_value=Fraction(99, 100)), st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=COUNTS, q=COUNTS, sites=SITE_SETS, x=WEIGHTS)
+def test_library_input_raises_model_error_or_builds_a_scannable_model(n, q, sites, x):
+    """The library's counterpart of the argv fuzz: whatever the counts, site
+    set and weight, ``build_model`` raises ``ModelError`` or returns a model
+    the kernel can scan."""
+    try:
+        model = build_model(n, q, [(sites, x)])
+    except ModelError:
+        return
+    if model.interactions.has_infinite:
+        model = resolve_infinite_couplings(model).model
+    assert correlation_sum(model, EMPTY_LIST).value >= model.configuration_count
