@@ -6,13 +6,13 @@ event ``E``: the sum, over configurations in ``E``, of the spin product of
 partition function times the thermal average of the spin product.
 
 ``correlation_sum`` / ``correlation_sums`` evaluate a scan of requests on one
-of two integer-exact kernels, chosen per scan from the model's structure.
-Both work on the same compiled plan: weights are scaled by the product of
+of three integer-exact kernels, chosen per scan from the plan's shape.  All
+three work on the same compiled plan: weights are scaled by the product of
 all coupling denominators, spin products by ``2**|R|``, and the two scales
-are divided out exactly once at the end, so either kernel yields the same
+are divided out exactly once at the end, so every kernel yields the same
 reduced Fractions.
 
-Neither kernel sees a sign: a request is an exact integer combination of
+No kernel sees a sign: a request is an exact integer combination of
 sign-free sums of per-site table products.  With P the product of the signs
 of a sign list's spins and Q = P**2, the indicator of a positive product is
 (Q + P)/2, of a negative one (Q - P)/2 and of a zero one 1 - Q.  A matching
@@ -47,10 +47,29 @@ count is the same kind of sum with the weight left out.
   inputs are the same (the weight-only buckets, and each bucket before a
   sum's own table or delta factors join in), which is summed once for all
   of them.
+* The random-cluster kernel evaluates the Fortuin-Kasteleyn expansion.  A
+  weight ``x_A >= 1`` scales to ``den + (num - den) * delta_A`` with both
+  parts nonnegative integers, so the weight is a sum over the subsets of
+  the weighted subsets, and each term asks only that the spins be
+  constant on the blocks of the partition that its subsets induce.  A
+  dynamic program per group maps each reachable partition, a sorted tuple
+  of site bitmasks, to an integer coefficient; it holds at most
+  ``min(2**s, reachable partitions)`` entries.  A sum's bit-1 delta
+  subsets are merged into every partition and its bit-0 subsets enter by
+  inclusion-exclusion.  A partition then contributes the product over its
+  blocks of the block's table product summed over the q values, so no
+  configuration is visited at all.  This is an evaluation method for the
+  same sums, not a new result.
 
-Dispatch: a scan is eliminated when the elimination order's estimated cost
-is below ``q**n``, and runs on the odometer otherwise, as every scan on a
-complete interaction graph does.  ``SumResult`` records which kernel ran.
+Dispatch (``_choose_kernel``): with ``s_w`` the number of subsets that some
+group weights, a scan runs on the random-cluster kernel when ``2**s_w``
+times its number of distinct delta patterns is below the estimate of the
+kernel that would run otherwise.  That other kernel is elimination, at its
+order's estimated cost, when the cost is below ``q**n``, and else the
+odometer, at its class count, as on every complete interaction graph.  So
+the many small scans of a sweep are clustered, while a large ``s`` (a
+ring's 15 weights, a dense model's 48) keeps a scan on its other kernel
+without any cap.  ``SumResult`` records which kernel ran.
 
 One scan can bind several weightings of one hypergraph.  A *group* is a
 model and its requests; the groups of a scan share ``n`` and ``q``, the scan
@@ -67,6 +86,8 @@ the weights:
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
   the differing weights do not reach is summed once for all groups.
+* The random-cluster kernel runs one dynamic program per group, and the
+  groups' sums share the block values of their tables.
 
 ``correlation_sums`` is the one-group case.
 
@@ -104,7 +125,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from math import perm, prod
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -188,7 +209,7 @@ def sign_event(indices: IndexList, sign: str) -> EventPredicate:
 
 def delta_event(sites: Iterable[int], bit: int) -> EventPredicate:
     """Configurations where the spins on ``sites`` are all equal (1) or not (0)."""
-    return EventPredicate(delta_constraints=((frozenset(sites), bit),))
+    return EventPredicate(delta_constraints=((sites, bit),))
 
 
 def conjoin(*events: EventPredicate) -> EventPredicate:
@@ -210,7 +231,8 @@ class SumResult:
     """An exact correlation sum plus enumeration counters.
 
     ``kernel`` names the path that computed it: ``"odometer"`` (the
-    equality-class walk), ``"elimination"`` or ``"naive"`` (the reference
+    equality-class walk), ``"elimination"``, ``"cluster"`` (the
+    random-cluster expansion) or ``"naive"`` (the reference
     ``gibbs.correlation_sum_naive``).
     ``configs_visited`` is the size of the configuration space, ``q**n``,
     whichever kernel ran and however many classes the odometer visited.
@@ -263,7 +285,7 @@ def _check_event(model: Model, event: EventPredicate) -> None:
 
 
 class ScanPlan(NamedTuple):
-    """The per-scan tables both kernels read; sites are 0-indexed.
+    """The per-scan tables every kernel reads; sites are 0-indexed.
 
     A plan binds one or more groups, each a model and its requests; the
     groups share ``n`` and ``q``, and the plan watches the union of their
@@ -673,7 +695,8 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     The integers equal those of ``_scan_classes(plan)``, and so match
     ``correlation_sum_naive``, sign constraints included: the plan holds
     only sign-free sums.  The dispatch sends a scan here when the order's
-    estimated cost is below ``q**n``.
+    estimated cost is below ``q**n`` and not above the cluster estimate
+    (see ``_choose_kernel``).
     """
     q = plan.q
     subset_sites = plan.subset_sites
@@ -746,7 +769,138 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     ])
 
 
+# --- random-cluster kernel ---------------------------------------------------
+
+
+def _merge(partition: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """``partition``, a sorted tuple of site bitmasks, with every block that
+    meets ``mask`` joined into one."""
+    joined = mask
+    rest = []
+    for block in partition:
+        if block & mask:
+            joined |= block
+        else:
+            rest.append(block)
+    rest.append(joined)
+    rest.sort()
+    return tuple(rest)
+
+
+def _cluster(plan: ScanPlan) -> list[tuple[int, int]]:
+    """Every request's ``(scaled sum, matching count)`` by the random-cluster
+    expansion.
+
+    A scaled weight factor is ``den + (num - den) * delta``, both parts
+    nonnegative integers, so a group's scaled weight is a sum over the
+    subsets T of its weighted subsets of ``prod((num - den) over T) *
+    prod(den off T) * prod(delta over T)``, and ``prod(delta over T)`` is
+    the indicator that every block of the partition T induces is
+    constant.  Per group a dynamic program maps each reachable partition
+    to its integer coefficient: from the all-singletons partition at 1,
+    each weighted subset A keeps ``c * den`` of coefficient c on partition
+    P and sends ``c * (num - den)`` to P with A's blocks merged.  A sum's
+    bit-1 delta subsets are merged into every partition; its bit-0 subsets
+    come in by inclusion-exclusion, ``prod(1 - delta over Z) =
+    sum((-1)**|U| * prod(delta over U) for U in subsets of Z)``.  A
+    partition's value for the sum's tables is the product over its blocks
+    of ``sum(prod(tab[v] for the block's table sites) for v in range(q))``,
+    ``q`` for a block without a table site.  Block values are memoised per
+    terms, merged distributions per group and merged subsets, and the
+    signed expansion per delta pattern, so sums that share them compute
+    them once.  No division is left over.
+    """
+    n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
+    masks = [sum([1 << s for s in sites]) for sites in subset_sites]
+    singletons = tuple([1 << s for s in range(n)])
+    joined: dict = {(None, ()): {singletons: 1}}  # (group, merged subsets) -> distribution
+    for group, row in enumerate(weight_rows):
+        dist = {singletons: 1}
+        for mask, pair in zip(masks, row):
+            if pair is not None and pair[0] != pair[1]:  # a weight of 1 is the factor 1
+                num, den = pair
+                step: dict = {}
+                for partition, c in dist.items():
+                    step[partition] = step.get(partition, 0) + c * den
+                    merged = _merge(partition, mask)
+                    step[merged] = step.get(merged, 0) + c * (num - den)
+                dist = step
+        joined[group, ()] = dist
+
+    def distribution(group, merges: tuple[int, ...]) -> dict:
+        dist = joined.get((group, merges))
+        if dist is None:
+            mask = masks[merges[-1]]
+            dist = joined[group, merges] = {}
+            for partition, c in distribution(group, merges[:-1]).items():
+                merged = _merge(partition, mask)
+                dist[merged] = dist.get(merged, 0) + c
+        return dist
+
+    expansions: dict = {(): [(1, ())]}  # delta_reqs -> [(sign, merged subsets), ...]
+    blocks: dict = {}  # terms -> {block: value}
+    accs = []
+    for terms, delta_reqs, group in plan_sums:
+        tabs = blocks.get(terms)
+        if tabs is None:
+            tabs = blocks[terms] = {}
+        expansion = expansions.get(delta_reqs)
+        if expansion is None:
+            ones = {j for j, bit in delta_reqs if bit}
+            zeros = sorted({j for j, bit in delta_reqs if not bit})
+            expansion = expansions[delta_reqs] = [
+                (-1 if size % 2 else 1, tuple(sorted(ones.union(chosen))))
+                for size in range(len(zeros) + 1) for chosen in combinations(zeros, size)]
+        total = 0
+        for sign, merges in expansion:
+            part = 0
+            for partition, c in distribution(group, merges).items():
+                for block in partition:
+                    v = tabs.get(block)
+                    if v is None:
+                        rows = [tab for s, tab in terms if block >> s & 1]
+                        v = tabs[block] = sum(map(prod, zip(*rows))) if rows else q
+                    c *= v
+                part += c
+            total += sign * part
+        accs.append(total)
+    return _combine(plan, accs)
+
+
 # --- dispatch ----------------------------------------------------------------
+
+
+def _class_count(n: int, q: int) -> int:
+    """``sum(S(n, b) for b <= q)``: the classes the odometer visits."""
+    top = min(n, q)  # S(n, b) is 0 for b > n
+    stirling = [1] + [0] * top  # S(m, b) for b <= top, from m = 0
+    for _ in range(n):
+        stirling = [0] + [b * stirling[b] + stirling[b - 1] for b in range(1, top + 1)]
+    return sum(stirling)
+
+
+def _choose_kernel(plan: ScanPlan) -> str:
+    """The kernel a scan runs on: the random-cluster kernel when ``2**s_w``
+    times the distinct delta patterns, with ``s_w`` the subsets that some
+    group weights (at 1 too), is below the estimate of the kernel that runs
+    otherwise.
+    That is elimination, at its estimated cost, where the cost is below
+    ``q**n``, and else the odometer, at its class count."""
+    n, q = plan.n, plan.q
+    clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
+        [any(pairs) for pairs in zip(*plan.weight_rows)])
+    # Each site's bucket costs at least q, so below both n * q and the class
+    # count the choice needs no structure.
+    if clusters < n * q and clusters < _class_count(n, q):
+        return "cluster"
+    cost = _structure(n, q, plan.subset_sites).cost
+    # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
+    # sweep-sized scans on the slower odometer, and a smaller one also sends
+    # complete interaction graphs (cost > q**n) to elimination, whose
+    # q**n-entry tables take far more memory than the odometer.
+    if cost < q**n:
+        return "cluster" if clusters < cost else "elimination"
+    return "cluster" if clusters < _class_count(n, q) else "odometer"
 
 
 def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]
@@ -757,22 +911,16 @@ def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate
     ``q``.  Returns the kernel that ran and, per group, its scale (the
     product of its coupling denominators) and each request's ``(scaled
     sum, matching count)``: the request's correlation sum is the scaled sum
-    over ``scale << len(indices)``.  The kernel is chosen from the
-    hypergraph alone (see the module docstring).
+    over ``scale << len(indices)``.  The kernel is chosen from the plan's
+    shape alone: its hypergraph, weighted subsets and delta patterns (see
+    ``_choose_kernel``).
     """
     for model, _requests in groups:
         model.require_finite()
     plan = _compile(groups)
-    # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
-    # sweep-sized scans on the slower odometer, and a smaller one also sends
-    # complete interaction graphs (cost > q**n) to elimination, whose
-    # q**n-entry tables take far more memory than the odometer.
-    if _structure(plan.n, plan.q, plan.subset_sites).cost < plan.q**plan.n:
-        kernel = "elimination"
-        sums = iter(_eliminate(plan))
-    else:
-        kernel = "odometer"
-        sums = iter(_scan_classes(plan))
+    kernel = _choose_kernel(plan)
+    run = {"cluster": _cluster, "elimination": _eliminate, "odometer": _scan_classes}[kernel]
+    sums = iter(run(plan))
     return kernel, [(scale, list(islice(sums, len(requests))))
                     for scale, (_model, requests) in zip(plan.scales, groups)]
 

@@ -82,7 +82,10 @@ def _check_range(bound: int, values: Iterable, what: str) -> None:
 
 def _site_set(sites: Iterable, what: str) -> frozenset:
     """``sites`` as a set, which must hold at least two sites."""
-    key = frozenset(sites)
+    try:
+        key = frozenset(sites)
+    except TypeError:
+        raise ModelError(f"{what} {sites!r} is not a set of sites") from None
     if len(key) < 2:
         raise ModelError(f"{what} must contain at least 2 sites, got {set(key) or '{}'}")
     return key
@@ -130,10 +133,17 @@ class SpinDomain:
         return k
 
 
-# Typed, so that 2.0 or True does not hit the domain cached for 2 or 1.
-@lru_cache(maxsize=None, typed=True)
-def spin_domain(q: int) -> SpinDomain:
+@lru_cache(maxsize=None)
+def _cached_domain(q: int) -> SpinDomain:
     return SpinDomain(q)
+
+
+def spin_domain(q: int) -> SpinDomain:
+    """The domain of ``q``, cached for a plain ``int``.  Any other ``q`` goes
+    straight to ``SpinDomain``'s check, which refuses it: the cache would
+    answer 2.0 or True with the domain of 2 or 1, and an unhashable ``q``
+    with a ``TypeError``."""
+    return _cached_domain(q) if q.__class__ is int else SpinDomain(q)
 
 
 def spin_value(q: int, k: int) -> Fraction:
@@ -270,8 +280,9 @@ class InteractionTable:
         pairs = self.couplings
         for sites, x in pairs.items() if isinstance(pairs, Mapping) else pairs:
             key = _site_set(sites, "interaction")
-            if not all(i.__class__ is int and i >= 1 for i in key):
-                raise ModelError(f"interaction sites must be positive integers: {set(sites)}")
+            for i in key:
+                if i.__class__ is not int or i < 1:
+                    raise ModelError(f"interaction site {i!r} is not a positive integer")
             if key in table:
                 raise ModelError(f"duplicate interaction {sorted(key)}")
             table[key] = _as_coupling(x, key)

@@ -3,7 +3,10 @@
 Deliberately kept free of any import from the package under test: spins are
 plain Fractions, configurations are tuples, deltas are set-size checks, and
 sums iterate the full configuration space.  Expected values frozen into the
-tests were computed with these functions.
+tests were computed with these functions.  ``cluster_zeta`` is the one
+exception to the walk: it expands the weights and delta constraints over
+subsets of the interactions, with union-find for the blocks, so its cost
+does not grow with q**n.
 """
 
 from fractions import Fraction
@@ -83,3 +86,68 @@ def power_sum_gap_recursion(q, a, b):
     satisfied = (gap_next == gap + increment and all(t > 0 for t in summands)
                  and gap >= 0 and gap_next >= 0)
     return gap, gap_next, increment, satisfied
+
+
+def cluster_zeta(n, q, couplings, entries, deltas=(), sign=None):
+    """``zeta`` by the random-cluster expansion, without walking the
+    configurations: a weight ``x_A`` is ``1 + (x_A - 1) * delta_A``, a delta
+    constraint with bit 1 the factor ``delta_A`` and one with bit 0 the
+    factor ``1 - delta_A``.  Expanding the product gives a sum over subsets
+    T of these factors; the deltas of T ask that the spins be constant on
+    each block of the partition that union-find builds from T's sets, and
+    the sum over such configurations is a product over the blocks.  ``sign``
+    is ``(kind, sign_entries)`` with kind ``"positive"``, ``"negative"`` or
+    ``"zero"``: the blocks that hold a sign entry are summed per sign of
+    their common spin, and only sign patterns of the right kind are kept.
+    With no couplings and no entries the result counts the configurations
+    the constraints select."""
+    factors = [(sites, Fraction(1), Fraction(x) - 1) for sites, x in couplings.items()]
+    factors += [(sites, Fraction(1 - bit), Fraction(2 * bit - 1)) for sites, bit in deltas]
+    kind, sign_entries = sign if sign is not None else (None, ())
+    values = centered_values(q)
+    total = Fraction(0)
+    for chosen in itertools.product((False, True), repeat=len(factors)):
+        coefficient = Fraction(1)
+        parent = list(range(n + 1))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for (sites, off, on), taken in zip(factors, chosen):
+            coefficient *= on if taken else off
+            if taken:
+                first, *rest = sites
+                for i in rest:
+                    parent[find(i)] = find(first)
+        if coefficient == 0:
+            continue
+        blocks = {find(site) for site in range(1, n + 1)}
+        powers, sign_powers = dict.fromkeys(blocks, 0), dict.fromkeys(blocks, 0)
+        for i in entries:
+            powers[find(i)] += 1
+        for i in sign_entries:
+            sign_powers[find(i)] += 1
+        # A block's sum over the values of each sign its spin can take.
+        by_sign = {
+            block: {e: sum((v**powers[block] for v in values if (v > 0) - (v < 0) == e),
+                           Fraction(0)) for e in (-1, 0, 1)}
+            for block in powers
+        }
+        signed = [block for block in powers if sign_powers[block]]
+        value = Fraction(0)
+        for pattern in itertools.product((-1, 0, 1), repeat=len(signed)):
+            product_sign = 1
+            for block, e in zip(signed, pattern):
+                product_sign *= e ** sign_powers[block]
+            if kind is None or product_sign == {"positive": 1, "negative": -1, "zero": 0}[kind]:
+                term = Fraction(1)
+                for block, e in zip(signed, pattern):
+                    term *= by_sign[block][e]
+                value += term
+        for block in powers:
+            if not sign_powers[block]:
+                value *= sum(by_sign[block].values())
+        total += coefficient * value
+    return total

@@ -1,0 +1,113 @@
+"""The random-cluster kernel against the other two kernels, the naive
+reference and the oracle's own cluster expansion."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from pottsverify import (
+    IndexList,
+    NEGATIVE,
+    POSITIVE,
+    ZERO,
+    build_model,
+    conjoin,
+    correlation_sum,
+    correlation_sum_naive,
+    delta_event,
+    sign_event,
+)
+from pottsverify.enumeration import _class_count, _cluster, _compile, _eliminate, _scan_classes
+
+
+@st.composite
+def quadratic_style_scans(draw):
+    """Groups shaped like ``check_quadratic``'s: a base model whose requests
+    name an added subset D in delta events of both bits, then one to three
+    models that weight D on top of the base, all passing one request list.
+    Any request may carry a sign event and more delta events.  q runs up to
+    8, with n and the interactions kept small there, because the naive
+    reference walks all q**n configurations."""
+    q = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 5 if q <= 3 else 4 if q == 4 else 3))
+    subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(3, n))
+    d = draw(subsets)
+    shared = [sites for sites in draw(st.lists(subsets, max_size=5 if q <= 4 else 2, unique=True))
+              if sites != d]
+    weights = st.integers(1, 5).flatmap(
+        lambda den: st.integers(den, 4 * den).map(lambda num: Fraction(num, den)))
+    lists = st.lists(st.integers(1, n), max_size=4).map(lambda s: IndexList(tuple(s)))
+    signs = st.sampled_from((POSITIVE, NEGATIVE, ZERO))
+
+    def requests(base):
+        drawn = []
+        for _ in range(draw(st.integers(1, 3))):
+            events = []
+            if draw(st.booleans()):
+                events.append(sign_event(draw(lists), draw(signs)))
+            for sites in draw(st.lists(subsets, max_size=2)):
+                events.append(delta_event(sites, draw(st.integers(0, 1))))
+            if base:
+                events.append(delta_event(d, draw(st.integers(0, 1))))
+            drawn.append((draw(lists), conjoin(*events)))
+        return drawn
+
+    base = build_model(n, q, [(sites, draw(weights)) for sites in shared])
+    direct = requests(False)
+    groups = [(base, requests(True))]
+    groups += [(base.with_coupling(d, draw(weights)), direct)
+               for _ in range(draw(st.integers(1, 3)))]
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_style_scans())
+def test_three_kernels_the_naive_reference_and_the_cluster_oracle_agree(groups):
+    plan = _compile(groups)
+    clustered = _cluster(plan)
+    assert clustered == _eliminate(plan) == _scan_classes(plan)
+    rows = iter(clustered)
+    for scale, (model, requests) in zip(plan.scales, groups):
+        couplings = dict(model.interactions.couplings)
+        for indices, event in requests:
+            acc, matching = next(rows)
+            naive = correlation_sum_naive(model, indices, event)
+            sign = (None if event.sign_constraint is None
+                    else (event.sign_constraint, event.sign_indices.entries))
+            deltas = event.delta_constraints
+            value = oracle.cluster_zeta(model.n, model.q, couplings, indices.entries, deltas, sign)
+            count = oracle.cluster_zeta(model.n, model.q, {}, (), deltas, sign)
+            assert Fraction(acc, scale << len(indices)) == naive.value == value
+            assert matching == naive.configs_matching == count
+    assert next(rows, None) is None
+
+
+def test_the_cluster_oracle_matches_the_brute_force_oracle():
+    couplings = {frozenset({1, 2}): Fraction(3, 2), frozenset({2, 3, 4}): Fraction(5)}
+    deltas = ((frozenset({1, 3}), 0), (frozenset({2, 4}), 1))
+    for q in (2, 3, 4):
+        for entries in ((), (1,), (1, 2, 2, 4), (3, 3)):
+            expected = oracle.zeta(4, q, couplings, entries, lambda c: (
+                not oracle.delta(c, {1, 3}) and oracle.delta(c, {2, 4})
+                and oracle.spin_prod(c, (1, 4)) < 0))
+            assert oracle.cluster_zeta(4, q, couplings, entries, deltas,
+                                       ("negative", (1, 4))) == expected
+
+
+def test_class_count_is_the_restricted_growth_strings():
+    assert _class_count(8, 4) == 2795
+    assert [_class_count(n, 2) for n in range(1, 6)] == [1, 2, 4, 8, 16]
+    assert [_class_count(n, n) for n in range(1, 7)] == [1, 2, 5, 15, 52, 203]
+    assert _class_count(2, 10**6) == 2
+
+
+def test_small_scans_run_on_the_cluster_kernel():
+    """``2**s_w`` times the distinct delta patterns, 8 here, is below the
+    elimination estimate of a short chain, so the scan is clustered."""
+    model = build_model(4, 3, [({1, 2}, 2), ({2, 3}, Fraction(3, 2)), ({3, 4}, 3)])
+    lists = IndexList((1, 4))
+    result = correlation_sum(model, lists, delta_event({1, 3}, 0))
+    naive = correlation_sum_naive(model, lists, delta_event({1, 3}, 0))
+    assert result.kernel == "cluster"
+    assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)

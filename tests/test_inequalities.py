@@ -262,7 +262,7 @@ class TestQuadraticDecomposition:
             )
 
     @pytest.mark.parametrize("added, message", [
-        ({0, 1}, r"^interaction sites must be positive integers: \{0, 1\}$"),
+        ({0, 1}, r"^interaction site 0 is not a positive integer$"),
         ({1, 4}, r"^interaction site 4 out of range 1\.\.3$"),
     ], ids=["0", "n+1"])
     @pytest.mark.parametrize("check", [quadratic_decomposition, check_quadratic])

@@ -20,6 +20,7 @@ from pottsverify import (
 )
 from pottsverify import enumeration
 from pottsverify.enumeration import (
+    _cluster,
     _compile,
     _eliminate,
     _family_cache,
@@ -91,10 +92,10 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
 @settings(max_examples=100, deadline=None)
 @given(scans_on_one_hypergraph(1, 4))
 def test_one_pass_over_groups_matches_separate_scans_and_the_oracle(groups):
-    """One plan binds every group's weights; on both kernels each group's
+    """One plan binds every group's weights; on every kernel each group's
     integers equal its own one-group scan and ``correlation_sum_naive``."""
     plan = _compile(groups)
-    for batched in (_eliminate(plan), _scan_classes(plan)):
+    for batched in (_eliminate(plan), _scan_classes(plan), _cluster(plan)):
         rows = iter(batched)
         for scale, (model, requests) in zip(plan.scales, groups):
             sums = list(itertools.islice(rows, len(requests)))
@@ -110,16 +111,19 @@ def test_one_pass_over_groups_matches_separate_scans_and_the_oracle(groups):
 
 def test_quadratic_check_makes_one_kernel_pass(monkeypatch):
     """Each ``check_quadratic`` scans its decomposition and every augmented
-    model in one kernel pass, on one structure: on a chain, where elimination
-    runs, and on a complete graph, where the odometer does."""
+    model in one kernel pass, on one structure: on a short chain, where the
+    random-cluster kernel runs, on a ring of eight, where elimination does,
+    and on a complete graph, where the odometer does."""
     passes = []
-    for name in ("_eliminate", "_scan_classes"):
+    for name in ("_cluster", "_eliminate", "_scan_classes"):
         kernel = getattr(enumeration, name)
         monkeypatch.setattr(enumeration, name, lambda *args, name=name, kernel=kernel:
                             passes.append(name) or kernel(*args))
     chain = build_model(4, 3, [({1, 2}, 2), ({2, 3}, Fraction(3, 2)), ({3, 4}, 3)])
+    wide = build_model(8, 3, [({i, i + 1}, Fraction(i + 2, i)) for i in range(1, 8)])
     complete = build_model(4, 3, [(pair, 2) for pair in itertools.combinations(range(1, 5), 2)])
-    for model, added, kernel in ((chain, {1, 4}, "_eliminate"),
+    for model, added, kernel in ((chain, {1, 4}, "_cluster"),
+                                 (wide, {1, 8}, "_eliminate"),
                                  (complete, {1, 2, 3}, "_scan_classes")):
         passes.clear()
         _structure.cache_clear()

@@ -280,7 +280,7 @@ class TestInputRules:
     @pytest.mark.parametrize("call, message", [
         (lambda: IndexList((True, 2)), "index list entries must be positive integers, got True"),
         (lambda: InteractionTable({(True, 3): 2}),
-         "interaction sites must be positive integers: {True, 3}"),
+         "interaction site True is not a positive integer"),
         (lambda: build_model(2, 2, [({1, 2}, True)]),
          "coupling True is a bool; supply an exact Fraction, int, or INFINITY"),
         (lambda: spin_value(2, True), "spin label True out of range 1..2"),
@@ -317,8 +317,17 @@ class TestInputRules:
          "coupling Decimal('1.5') is a Decimal; supply an exact Fraction, int, or INFINITY"),
         (lambda: build_model(2, 2, [({1, 2}, "abc")]), "coupling 'abc' is not a rational"),
         (lambda: build_model(2, 2, [({1, 2}, "inf")]), "coupling 'inf' is not a rational"),
+        (lambda: build_model(2, 2, [(None, 2)]), "interaction None is not a set of sites"),
+        (lambda: build_model(2, 2, [(5, 2)]), "interaction 5 is not a set of sites"),
+        (lambda: build_model(2, 2, [([[1], [2]], 2)]),
+         "interaction [[1], [2]] is not a set of sites"),
+        (lambda: delta_event(None, 1), "delta constraint None is not a set of sites"),
+        (lambda: Model(2, [2]), "spin count q must be >= 2 and a plain int, got [2]"),
+        (lambda: spin_value([2], 1), "spin count q must be >= 2 and a plain int, got [2]"),
     ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
-            "complex-weight", "decimal-weight", "text-weight", "inf-text-weight"])
+            "complex-weight", "decimal-weight", "text-weight", "inf-text-weight",
+            "none-sites", "int-sites", "unhashable-sites", "none-delta-sites", "list-q",
+            "list-q-domain"])
     def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
@@ -328,10 +337,11 @@ class TestInputRules:
 # 4, so every model that builds is cheap to scan; floats equal to such ints are
 # drawn on purpose, since ``2.0`` passes every range test.
 WRONG_TYPES = st.one_of(st.booleans(), st.integers(-1, 4).map(float), st.floats(),
-                        st.text(max_size=5), st.none(), st.complex_numbers(max_magnitude=4))
+                        st.text(max_size=5), st.none(), st.complex_numbers(max_magnitude=4),
+                        st.lists(st.integers(1, 4), max_size=2))
 COUNTS = st.one_of(st.integers(-1, 4), WRONG_TYPES)
 SITE_SETS = st.one_of(st.sets(st.integers(1, 4), min_size=2, max_size=3),
-                      st.lists(COUNTS, max_size=4))
+                      st.lists(COUNTS, max_size=4), COUNTS)
 WEIGHTS = st.one_of(COUNTS, st.sampled_from(["3/2", "1/2", "inf", "1/0"]),
                     st.fractions(max_value=Fraction(99, 100)), st.just(math.inf))
 
