@@ -12,6 +12,12 @@ all coupling denominators, spin products by ``2**|R|``, and the two scales
 are divided out exactly once at the end, so every kernel yields the same
 reduced Fractions.
 
+All three read one constraint form, written by ``_compile``: a factor
+``(agree, differ)`` on a subset is ``agree`` where the subset's spins all
+agree and ``differ`` elsewhere.  A scaled weight ``x_A = num/den`` is
+``(num, den)``, a delta constraint with bit b is ``(b, 1 - b)``, and a
+weight of 1, the factor 1, is left out of the plan.
+
 No kernel sees a sign: a request is an exact integer combination of
 sign-free sums of per-site table products.  With P the product of the signs
 of a sign list's spins and Q = P**2, the indicator of a positive product is
@@ -40,26 +46,25 @@ count is the same kind of sum with the weight left out.
   rows.
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
-  integer tables: one per interaction (the scaled weight), one per site
-  table of the sum, and a 0/1 indicator per delta constraint.  Its cost is
+  integer tables: one per subset factor (a scaled weight or a delta
+  constraint) and one per site table of the sum.  Its cost is
   about ``sum(q**(bucket size))``, which on a low-width hypergraph such as
   a ring is far below ``q**n``.  A scan's sums share every bucket whose
   inputs are the same (the weight-only buckets, and each bucket before a
   sum's own table or delta factors join in), which is summed once for all
   of them.
-* The random-cluster kernel evaluates the Fortuin-Kasteleyn expansion.  A
-  weight ``x_A >= 1`` scales to ``den + (num - den) * delta_A`` with both
-  parts nonnegative integers, so the weight is a sum over the subsets of
-  the weighted subsets, and each term asks only that the spins be
-  constant on the blocks of the partition that its subsets induce.  A
-  dynamic program per group maps each reachable partition, a sorted tuple
-  of site bitmasks, to an integer coefficient; it holds at most
-  ``min(2**s, reachable partitions)`` entries.  A sum's bit-1 delta
-  subsets are merged into every partition and its bit-0 subsets enter by
-  inclusion-exclusion.  A partition then contributes the product over its
-  blocks of the block's table product summed over the q values, so no
-  configuration is visited at all.  This is an evaluation method for the
-  same sums, not a new result.
+* The random-cluster kernel evaluates the Fortuin-Kasteleyn expansion.
+  Each factor is ``differ + (agree - differ) * delta_A``, so a product of
+  factors is a sum over the subsets of its factors, and each term asks
+  only that the spins be constant on the blocks of the partition that its
+  subsets induce.  A dynamic program maps each reachable partition, a
+  sorted tuple of site bitmasks, to an integer coefficient, one factor at
+  a time: a group's weights (under ``x_A >= 1`` both parts are
+  nonnegative), then a sum's delta constraints.  It holds at most
+  ``min(2**s, reachable partitions)`` entries.  A partition then
+  contributes the product over its blocks of the block's table product
+  summed over the q values, so no configuration is visited at all.  This
+  is an evaluation method for the same sums, not a new result.
 
 Dispatch (``_choose_kernel``): with ``s_w`` the number of subsets that some
 group weights, a scan runs on the random-cluster kernel when ``2**s_w``
@@ -125,7 +130,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import chain, islice, permutations
 from math import perm, prod
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -293,14 +298,18 @@ class ScanPlan(NamedTuple):
     interactions and the extra subsets that event constraints name, in one
     canonical order, by size and then by sites.  So a subset takes the same
     place whether it carries a weight or only a delta, and scans on one
-    hypergraph share one ``_structure``.  ``weight_rows`` holds one row per
-    group: the ``(numerator, denominator)`` of the group's weight on each
-    subset, ``None`` where it has none.  ``scales`` holds the product of
-    each group's coupling denominators.  Each of the distinct ``sums`` is
-    ``(terms, delta_reqs, group)``: the sum, over the configurations meeting
-    the ``(subset, bit)`` delta constraints, of the product of the per-site
-    tables ``terms``, times the group's scaled weight, or no weight when
-    ``group`` is ``None``.  The groups' requests follow one another, each
+    hypergraph share one ``_structure``.  A factor ``(agree, differ)`` on a
+    subset is ``agree`` where the subset's spins all agree, else
+    ``differ``.  ``weight_rows`` holds one row per group: the factor
+    ``(numerator, denominator)`` of the group's weight on each subset,
+    ``None`` where it has none or weights it 1, which is the factor 1; a
+    subset that only such weights name is not watched.  ``scales`` holds
+    the product of each group's coupling denominators.  Each of the
+    distinct ``sums`` is ``(terms, delta_reqs, group)``: the sum over all
+    configurations of the product of the per-site tables ``terms``, the
+    delta factors ``delta_reqs``, each ``(subset, b, 1 - b)`` for bit b,
+    and the group's scaled weight, or no weight when ``group`` is
+    ``None``.  The groups' requests follow one another, each
     ``(value, count, divisor)``: integer combinations
     ``((coefficient, sum index), ...)`` of ``sums`` that, divided by
     ``divisor``, give its scaled sum and its matching count.
@@ -357,14 +366,16 @@ def _request_terms(q: int, indices: IndexList, kind: str | None,
 def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]
              ) -> ScanPlan:
     """Bind each group's weights and its requests' delta constraints to the
-    memoised sign-free sums of each request (``_request_terms``).  The
-    groups' models must share ``n`` and ``q``, so groups that pass the same
-    request list, such as ``check_quadratic``'s augmented models, bind it
-    once."""
-    watched = set()
+    memoised sign-free sums of each request (``_request_terms``), both as
+    factors (see ``ScanPlan``); this is the one place that writes them.  A
+    weight of 1 is the factor 1 and is left out.  The groups' models must
+    share ``n`` and ``q``, so groups that pass the same request list, such
+    as ``check_quadratic``'s augmented models, bind it once."""
+    weighted = [{key: x.as_integer_ratio() for key, x in model.interactions.couplings.items()
+                 if x != 1} for model, _requests in groups]
+    watched = set().union(*weighted)
     distinct: dict[int, Sequence] = {}
     for model, requests in groups:
-        watched.update(model.interactions.couplings)
         if id(requests) not in distinct:
             distinct[id(requests)] = requests
             for indices, event in requests:
@@ -375,18 +386,17 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
     subset_index = {key: j for j, key in enumerate(keys)}
     q = groups[0][0].q
     bound = {
-        key: [(tuple([(subset_index[sites], bit) for sites, bit in event.delta_constraints]),
+        key: [(tuple([(subset_index[sites], bit, 1 - bit)
+                      for sites, bit in event.delta_constraints]),
                *_request_terms(q, indices, event.sign_constraint, event.sign_indices))
               for indices, event in requests]
         for key, requests in distinct.items()
     }
 
-    weight_rows = []
+    weight_rows = tuple([tuple(map(ratios.get, keys)) for ratios in weighted])
     sums: dict[tuple, int] = {}
     compiled_requests = []
-    for group, (model, requests) in enumerate(groups):
-        weights = map(model.interactions.couplings.get, keys)
-        weight_rows.append(tuple([None if x is None else x.as_integer_ratio() for x in weights]))
+    for group, (_model, requests) in enumerate(groups):
         for delta_reqs, combination, divisor in bound[id(requests)]:
             compiled_requests.append((
                 tuple([(c, sums.setdefault((value, delta_reqs, group), len(sums)))
@@ -397,7 +407,7 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
             ))
     subset_sites = tuple(tuple(sorted(i - 1 for i in key)) for key in keys)
     scales = tuple(prod([pair[1] for pair in row if pair is not None]) for row in weight_rows)
-    return ScanPlan(groups[0][0].n, q, subset_sites, tuple(weight_rows), tuple(sums),
+    return ScanPlan(groups[0][0].n, q, subset_sites, weight_rows, tuple(sums),
                     tuple(compiled_requests), scales)
 
 
@@ -536,8 +546,9 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     common digit, each holding every group's factor at every digit; the
     prefix's children come from one C-level product per digit and group
     over the rows its subsets' common digits pick, the parent's weight
-    multiplied last.  Only the subsets that some sum's delta constraints
-    read keep a delta.
+    multiplied last.  Only the subsets that some sum's delta factors read
+    keep a delta, and a sum counts a class where each of those deltas
+    equals its factor's ``agree``, the constraint's bit.
 
     Sums with the same per-site tables form one family, whatever their
     delta constraints, group and weighting; a family's product summed over
@@ -576,7 +587,7 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     # Each site's decided subsets: their lower-site getters, (position,
     # factor rows) of those some group weights, and (position, subset) of
     # those whose delta a sum reads.
-    read = {j for _terms, delta_reqs, _group in plan_sums for j, _bit in delta_reqs}
+    read = {j for _terms, delta_reqs, _group in plan_sums for j, _agree, _differ in delta_reqs}
     weightings = list(zip(*weight_rows))  # per subset, each group's pair or None
     levels = [(gets,
                [(i, _factor_rows(q, weightings[j]))
@@ -622,8 +633,8 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
             for key_digits, cache, tabs, members in families:
                 value = None
                 for si, delta_reqs, group in members:
-                    for j, bit in delta_reqs:
-                        if deltas[j] != bit:
+                    for j, agree, _differ in delta_reqs:
+                        if deltas[j] != agree:
                             break
                     else:
                         if value is None:
@@ -680,10 +691,11 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
 
     Sites are summed out in the order of the plan's ``_structure``; each
     ``(scope, table)`` factor waits in the bucket of its first site in that
-    order, and a site no factor mentions contributes ``q``.  One context serves the whole scan.  Each
-    table is built once: a weight per subset and pair, whichever groups
-    give the subset that weight, a site's table per site and table, an
-    indicator per subset and bit.  A bucket's message is memoised by the
+    order, and a site no factor mentions contributes ``q``.  One context
+    serves the whole scan.  Each table is built once: a subset's table per
+    factor ``(subset, agree, differ)``, whichever groups give the subset
+    that weight and whichever sums carry that delta constraint, and a
+    site's table per site and table.  A bucket's message is memoised by the
     bucket's position and the identities of its input tables, so sums that
     give a bucket the same inputs share one summation and one message
     object, and so keep sharing downstream, across groups as well.  The getters
@@ -704,29 +716,21 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     rank = {s: i for i, s in enumerate(order)}.__getitem__
 
     # Every factor of the scan, with the bucket it waits in, built once and
-    # keyed by its source: a weight by its subset and pair, as ``(j, p, qd)``
-    # so groups with the same weight there share it, a site table by its
-    # ``(site, table)`` term, an indicator by its ``(subset, bit)``.
+    # keyed by its source: a subset's factor by ``(j, agree, differ)``, so
+    # groups with the same weight there share it, and a site table by its
+    # ``(site, table)`` term.
+    weight_keys = [tuple([(j, *pair) for j, pair in enumerate(row) if pair is not None])
+                   for row in plan.weight_rows]
     factors: dict = {}
-    weight_keys = []
-    for row in plan.weight_rows:
-        keys = []
-        for j, (sites, pair) in enumerate(zip(subset_sites, row)):
-            if pair is not None:
-                key = (j, *pair)
-                if key not in factors:
-                    table = _agreement_table(q, len(sites), *pair)
-                    factors[key] = (min(map(rank, sites)), (sites, table))
-                keys.append(key)
-        weight_keys.append(tuple(keys))
-    for terms, delta_reqs, _group in plan.sums:
+    for key in chain(*weight_keys, *[delta_reqs for _terms, delta_reqs, _group in plan.sums]):
+        if key not in factors:
+            j, agree, differ = key
+            sites = subset_sites[j]
+            table = _agreement_table(q, len(sites), agree, differ)
+            factors[key] = (min(map(rank, sites)), (sites, table))
+    for terms, _delta_reqs, _group in plan.sums:
         for s, tab in terms:
             factors.setdefault((s, tab), (rank(s), ((s,), tab)))
-        for j, bit in delta_reqs:
-            if (j, bit) not in factors:
-                sites = subset_sites[j]
-                table = _agreement_table(q, len(sites), bit, 1 - bit)
-                factors[j, bit] = (min(map(rank, sites)), (sites, table))
     messages: dict = {}  # (bucket, input table ids) -> (scope, table)
 
     def sum_product(keys) -> int:
@@ -787,82 +791,73 @@ def _merge(partition: tuple[int, ...], mask: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
+def _times_factor(dist: dict, mask: int, agree: int, differ: int) -> dict:
+    """``dist`` times the factor ``differ + (agree - differ) * delta`` on the
+    subset ``mask``: each partition keeps ``c * differ`` of its coefficient
+    c and sends ``c * (agree - differ)`` to itself with the subset's blocks
+    merged."""
+    out: dict = {}
+    for partition, c in dist.items():
+        if differ:  # a bit-1 delta keeps nothing unmerged
+            out[partition] = out.get(partition, 0) + c * differ
+        merged = _merge(partition, mask)
+        out[merged] = out.get(merged, 0) + c * (agree - differ)
+    return out
+
+
 def _cluster(plan: ScanPlan) -> list[tuple[int, int]]:
     """Every request's ``(scaled sum, matching count)`` by the random-cluster
     expansion.
 
-    A scaled weight factor is ``den + (num - den) * delta``, both parts
-    nonnegative integers, so a group's scaled weight is a sum over the
-    subsets T of its weighted subsets of ``prod((num - den) over T) *
-    prod(den off T) * prod(delta over T)``, and ``prod(delta over T)`` is
-    the indicator that every block of the partition T induces is
-    constant.  Per group a dynamic program maps each reachable partition
-    to its integer coefficient: from the all-singletons partition at 1,
-    each weighted subset A keeps ``c * den`` of coefficient c on partition
-    P and sends ``c * (num - den)`` to P with A's blocks merged.  A sum's
-    bit-1 delta subsets are merged into every partition; its bit-0 subsets
-    come in by inclusion-exclusion, ``prod(1 - delta over Z) =
-    sum((-1)**|U| * prod(delta over U) for U in subsets of Z)``.  A
-    partition's value for the sum's tables is the product over its blocks
+    Every factor ``(agree, differ)`` on a subset A is ``differ + (agree -
+    differ) * delta_A``, so a product of factors is a sum over the subsets
+    T of its factors of ``prod(agree - differ over T) * prod(differ off T)
+    * prod(delta over T)``, and ``prod(delta over T)`` is the indicator
+    that every block of the partition T induces is constant.  A dynamic
+    program maps each reachable partition to its integer coefficient, one
+    factor at a time (``_times_factor``): a group's distribution starts
+    from the all-singletons partition at 1 and takes the group's weights,
+    and a sum's distribution is its group's after the sum's delta factors.
+    A partition's value for the sum's tables is the product over its blocks
     of ``sum(prod(tab[v] for the block's table sites) for v in range(q))``,
     ``q`` for a block without a table site.  Block values are memoised per
-    terms, merged distributions per group and merged subsets, and the
-    signed expansion per delta pattern, so sums that share them compute
-    them once.  No division is left over.
+    terms and distributions per group and prefix of delta factors, so sums
+    that share them compute them once.  No division is left over.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     masks = [sum([1 << s for s in sites]) for sites in subset_sites]
     singletons = tuple([1 << s for s in range(n)])
-    joined: dict = {(None, ()): {singletons: 1}}  # (group, merged subsets) -> distribution
+    dists: dict = {(None, ()): {singletons: 1}}  # (group, delta factors) -> distribution
     for group, row in enumerate(weight_rows):
         dist = {singletons: 1}
         for mask, pair in zip(masks, row):
-            if pair is not None and pair[0] != pair[1]:  # a weight of 1 is the factor 1
-                num, den = pair
-                step: dict = {}
-                for partition, c in dist.items():
-                    step[partition] = step.get(partition, 0) + c * den
-                    merged = _merge(partition, mask)
-                    step[merged] = step.get(merged, 0) + c * (num - den)
-                dist = step
-        joined[group, ()] = dist
+            if pair is not None:
+                dist = _times_factor(dist, mask, *pair)
+        dists[group, ()] = dist
 
-    def distribution(group, merges: tuple[int, ...]) -> dict:
-        dist = joined.get((group, merges))
+    def distribution(group, deltas: tuple) -> dict:
+        dist = dists.get((group, deltas))
         if dist is None:
-            mask = masks[merges[-1]]
-            dist = joined[group, merges] = {}
-            for partition, c in distribution(group, merges[:-1]).items():
-                merged = _merge(partition, mask)
-                dist[merged] = dist.get(merged, 0) + c
+            j, agree, differ = deltas[-1]
+            dist = dists[group, deltas] = _times_factor(
+                distribution(group, deltas[:-1]), masks[j], agree, differ)
         return dist
 
-    expansions: dict = {(): [(1, ())]}  # delta_reqs -> [(sign, merged subsets), ...]
     blocks: dict = {}  # terms -> {block: value}
     accs = []
     for terms, delta_reqs, group in plan_sums:
         tabs = blocks.get(terms)
         if tabs is None:
             tabs = blocks[terms] = {}
-        expansion = expansions.get(delta_reqs)
-        if expansion is None:
-            ones = {j for j, bit in delta_reqs if bit}
-            zeros = sorted({j for j, bit in delta_reqs if not bit})
-            expansion = expansions[delta_reqs] = [
-                (-1 if size % 2 else 1, tuple(sorted(ones.union(chosen))))
-                for size in range(len(zeros) + 1) for chosen in combinations(zeros, size)]
         total = 0
-        for sign, merges in expansion:
-            part = 0
-            for partition, c in distribution(group, merges).items():
-                for block in partition:
-                    v = tabs.get(block)
-                    if v is None:
-                        rows = [tab for s, tab in terms if block >> s & 1]
-                        v = tabs[block] = sum(map(prod, zip(*rows))) if rows else q
-                    c *= v
-                part += c
-            total += sign * part
+        for partition, c in distribution(group, delta_reqs).items():
+            for block in partition:
+                v = tabs.get(block)
+                if v is None:
+                    rows = [tab for s, tab in terms if block >> s & 1]
+                    v = tabs[block] = sum(map(prod, zip(*rows))) if rows else q
+                c *= v
+            total += c
         accs.append(total)
     return _combine(plan, accs)
 
@@ -882,8 +877,8 @@ def _class_count(n: int, q: int) -> int:
 def _choose_kernel(plan: ScanPlan) -> str:
     """The kernel a scan runs on: the random-cluster kernel when ``2**s_w``
     times the distinct delta patterns, with ``s_w`` the subsets that some
-    group weights (at 1 too), is below the estimate of the kernel that runs
-    otherwise.
+    group weights (``_compile`` leaves out weights of 1), is below the
+    estimate of the kernel that runs otherwise.
     That is elimination, at its estimated cost, where the cost is below
     ``q**n``, and else the odometer, at its class count."""
     n, q = plan.n, plan.q

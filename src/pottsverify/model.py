@@ -24,7 +24,9 @@ Conventions shared by every module:
   sites; no interaction repeats; the counts ``n >= 1`` and ``q >= 2`` are
   plain ``int``s; interactions are an ``InteractionTable``; a weight is an
   exact rational ``>= 1`` (or INFINITY where allowed), and any other weight
-  type is refused.  ``_as_coupling`` alone checks the ``>= 1`` hypothesis.
+  type is refused; a weight read from text carries a decimal exponent of
+  at most ``_MAX_EXPONENT``.  ``_as_coupling`` alone checks the ``>= 1``
+  hypothesis.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ INFINITY = math.inf
 #: A coupling weight: an exact rational >= 1, or INFINITY.
 Coupling = Union[Fraction, float]
 
+#: The largest decimal exponent a rational's text may carry, CPython's
+#: default bound on the digits of an int read from text: "1e999999999",
+#: 11 characters, would otherwise ask for a billion-digit numerator.
+_MAX_EXPONENT = 4300
+
 
 class ModelError(ValueError):
     """A model, index list, or configuration violates a structural invariant."""
@@ -89,6 +96,22 @@ def _site_set(sites: Iterable, what: str) -> frozenset:
     if len(key) < 2:
         raise ModelError(f"{what} must contain at least 2 sites, got {set(key) or '{}'}")
     return key
+
+
+def _check_exponent(text: str, what: str) -> None:
+    """Raise a ModelError naming ``what`` when the rational ``text`` carries
+    a decimal exponent above ``_MAX_EXPONENT`` in size, before ``Fraction``
+    builds its power of ten.  Malformed text is left to ``Fraction``."""
+    _mantissa, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            power = int(exponent)
+        except ValueError:
+            pass  # malformed, or more digits than int reads: Fraction refuses it too
+        else:
+            if abs(power) > _MAX_EXPONENT:
+                raise ModelError(f"{what} {text!r} has a decimal exponent outside "
+                                 f"-{_MAX_EXPONENT}..{_MAX_EXPONENT}")
 
 
 def is_infinite(x: Coupling) -> bool:
@@ -198,10 +221,6 @@ class IndexList:
                 raise ModelError(f"index list entries must be positive integers, got {i!r}")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def of(cls, *entries: int) -> "IndexList":
-        return cls(entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -244,11 +263,14 @@ EMPTY_LIST = IndexList(())
 def _as_coupling(x, sites: frozenset | None = None) -> Coupling:
     """``x`` by the one weight rule: an exact rational ``>= 1`` (a ``Fraction``,
     a non-bool ``numbers.Rational``, or a string ``Fraction`` reads), or, on
-    the interaction ``sites``, INFINITY; an added coupling (no ``sites``) is finite."""
+    the interaction ``sites``, INFINITY; an added coupling (no ``sites``) is finite.
+    A string's exponent is bounded by ``_check_exponent``."""
     if x.__class__ is Fraction:
         if x >= 1:
             return x
     elif x.__class__ is not bool and isinstance(x, (Rational, str)):
+        if isinstance(x, str):
+            _check_exponent(x, "coupling")
         try:
             x = Fraction(x)
         except (ValueError, ZeroDivisionError):

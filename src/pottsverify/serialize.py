@@ -22,6 +22,7 @@ from .model import (
     IndexList,
     Model,
     ModelError,
+    _check_exponent,
     _check_range,
     build_model,
     is_infinite,
@@ -59,7 +60,10 @@ def parse_rational(value, where: str) -> Coupling:
         if text.lower() in ("inf", "infinity"):
             return INFINITY
         try:
+            _check_exponent(text, "rational")
             return Fraction(text)
+        except ModelError as exc:
+            raise ModelDocumentError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelDocumentError(f"{where}: malformed rational {value!r} ({exc})") from None
     raise ModelDocumentError(f"{where}: expected a rational string, got {type(value).__name__}")

@@ -136,6 +136,11 @@ class TestSerializeRoundTrip:
         assert parse_rational("inf", "x") == INFINITY
         with pytest.raises(ModelDocumentError):
             parse_rational(True, "x")
+        assert parse_rational("1e4300", "x") == 10**4300
+        assert parse_rational("25E-4300", "x") == Fraction(25, 10**4300)
+        for text in ("1e1000000", "1E-4301", " 2.5e+99999 "):
+            with pytest.raises(ModelDocumentError, match="^x: rational .* has a decimal exponent"):
+                parse_rational(text, "x")
 
 
 class TestExpectCommand:
@@ -159,6 +164,14 @@ class TestExpectCommand:
         path = write_doc(tmp_path, WORKED_EXAMPLE_DOC)
         assert main(["expect", "--model", path, "--R", "1,0"]) == 2
         assert capsys.readouterr().err == "error: --R: site 0 out of range 1..3\n"
+
+    def test_huge_decimal_exponent_is_one_error_line(self, tmp_path, capsys):
+        doc = {"n": 2, "q": 2, "interactions": [{"sites": [1, 2], "x": "1e999999999"}]}
+        path = write_doc(tmp_path, doc)
+        assert main(["expect", "--model", path, "--R", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: interactions[0].x: rational '1e999999999' has a decimal "
+            "exponent outside -4300..4300\n")
 
     def test_missing_model_file(self, capsys):
         assert main(["expect", "--model", "/nonexistent.json", "--R", "1"]) == 2

@@ -111,3 +111,22 @@ def test_small_scans_run_on_the_cluster_kernel():
     naive = correlation_sum_naive(model, lists, delta_event({1, 3}, 0))
     assert result.kernel == "cluster"
     assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
+
+
+def test_compile_leaves_out_weights_of_one():
+    """A weight of 1 is the factor 1: no kernel sees it, and a subset that
+    only such weights name is not watched unless an event names it."""
+    shared = [({1, 2}, Fraction(3, 2)), ({3, 4}, 2)]
+    ones = [({2, 3}, 1), ({1, 2, 3}, Fraction(5, 5)), ({1, 4}, 1)]
+    lists = IndexList((1, 4))
+    requests = [(lists, delta_event({2, 3}, 0)),
+                (lists, conjoin(delta_event({1, 3}, 1), sign_event(lists, NEGATIVE)))]
+    direct = [(lists, delta_event({1, 3}, 0))]
+    with_ones = build_model(4, 3, shared + ones)
+    without = build_model(4, 3, shared)
+    plan = _compile([(with_ones, requests), (with_ones.with_coupling({2, 4}, 1), direct),
+                     (without.with_coupling({2, 4}, 3), direct)])
+    assert plan == _compile([(without, requests), (without, direct),
+                             (without.with_coupling({2, 4}, 3), direct)])
+    assert (0, 3) not in plan.subset_sites and (1, 2) in plan.subset_sites
+    assert all(pair != (1, 1) for row in plan.weight_rows for pair in row)

@@ -285,6 +285,7 @@ class TestQuadraticDecomposition:
         (2, (3, 1.1), "is a float"),
         (2, (math.inf,), "must be finite and >= 1, got inf"),
         (2, (Fraction(1, 2),), "must be finite and >= 1, got 1/2"),
+        ("1e1000000", (), "^coupling '1e1000000' has a decimal exponent outside -4300..4300$"),
     ])
     def test_added_weights_follow_the_coupling_rule(self, x, extra, message):
         base = build_model(3, 2, [({1, 2}, 2)])
@@ -299,6 +300,7 @@ class TestQuadraticDecomposition:
         (1.1, "is a float"),
         (math.inf, "must be finite and >= 1, got inf"),
         (Fraction(1, 2), "must be finite and >= 1, got 1/2"),
+        ("1e-1000000", "^coupling '1e-1000000' has a decimal exponent outside -4300..4300$"),
     ])
     def test_value_at_follows_the_coupling_rule(self, x, message):
         base = build_model(2, 3, [])

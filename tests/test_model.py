@@ -302,6 +302,9 @@ class TestInputRules:
         weight_rule = [path.name for path in sorted(package.glob("*.py"))
                        if ">= 1, got" in path.read_text()]
         assert weight_rule == ["model.py"]
+        exponent_rule = [path.name for path in sorted(package.glob("*.py"))
+                         if "decimal exponent outside" in path.read_text()]
+        assert exponent_rule == ["model.py"]
 
     @pytest.mark.parametrize("call, message", [
         (lambda: build_model(2.0, 2), "site count n must be >= 1 and a plain int, got 2.0"),
@@ -317,6 +320,10 @@ class TestInputRules:
          "coupling Decimal('1.5') is a Decimal; supply an exact Fraction, int, or INFINITY"),
         (lambda: build_model(2, 2, [({1, 2}, "abc")]), "coupling 'abc' is not a rational"),
         (lambda: build_model(2, 2, [({1, 2}, "inf")]), "coupling 'inf' is not a rational"),
+        (lambda: build_model(2, 2, [({1, 2}, "1e1000000")]),
+         "coupling '1e1000000' has a decimal exponent outside -4300..4300"),
+        (lambda: build_model(2, 2, [({1, 2}, "5E-4301")]),
+         "coupling '5E-4301' has a decimal exponent outside -4300..4300"),
         (lambda: build_model(2, 2, [(None, 2)]), "interaction None is not a set of sites"),
         (lambda: build_model(2, 2, [(5, 2)]), "interaction 5 is not a set of sites"),
         (lambda: build_model(2, 2, [([[1], [2]], 2)]),
@@ -326,6 +333,7 @@ class TestInputRules:
         (lambda: spin_value([2], 1), "spin count q must be >= 2 and a plain int, got [2]"),
     ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
             "complex-weight", "decimal-weight", "text-weight", "inf-text-weight",
+            "huge-exponent-weight", "tiny-exponent-weight",
             "none-sites", "int-sites", "unhashable-sites", "none-delta-sites", "list-q",
             "list-q-domain"])
     def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
