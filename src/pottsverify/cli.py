@@ -83,6 +83,9 @@ def parse_model_file(path: str) -> tuple[Model, dict[str, IndexList]]:
         raise ModelDocumentError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ModelDocumentError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ModelDocumentError(f"{path}: an integer has more than {limit} digits") from None
     except RecursionError:
         raise ModelDocumentError(f"{path}: JSON nested too deeply") from None
     try:

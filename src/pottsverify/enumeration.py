@@ -66,15 +66,16 @@ count is the same kind of sum with the weight left out.
   summed over the q values, so no configuration is visited at all.  This
   is an evaluation method for the same sums, not a new result.
 
-Dispatch (``_choose_kernel``): with ``s_w`` the number of subsets that some
-group weights, a scan runs on the random-cluster kernel when ``2**s_w``
-times its number of distinct delta patterns is below the estimate of the
-kernel that would run otherwise.  That other kernel is elimination, at its
-order's estimated cost, when the cost is below ``q**n``, and else the
-odometer, at its class count, as on every complete interaction graph.  So
-the many small scans of a sweep are clustered, while a large ``s`` (a
-ring's 15 weights, a dense model's 48) keeps a scan on its other kernel
-without any cap.  ``SumResult`` records which kernel ran.
+Dispatch (``_choose_kernel``) weighs two estimates: for the random-cluster
+kernel, ``2**s_w`` times the scan's number of distinct delta patterns, with
+``s_w`` the number of subsets that some group weights, and for elimination,
+its order's estimated cost.  A scan is clustered when its estimate is below
+both that cost and ``q**n``, the configurations that the odometer's classes
+stand for.  Else it runs on elimination when the cost is below ``q**n``, and
+on the odometer otherwise, as on a complete interaction graph.  So a scan
+that weights few subsets is clustered on any hypergraph, while a large
+``s_w`` (a ring's 15 weights, a dense model's 48) keeps a scan on its other
+kernel without any cap.  ``SumResult`` records which kernel ran.
 
 One scan can bind several weightings of one hypergraph.  A *group* is a
 model and its requests; the groups of a scan share ``n`` and ``q``, the scan
@@ -369,35 +370,28 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
     memoised sign-free sums of each request (``_request_terms``), both as
     factors (see ``ScanPlan``); this is the one place that writes them.  A
     weight of 1 is the factor 1 and is left out.  The groups' models must
-    share ``n`` and ``q``, so groups that pass the same request list, such
-    as ``check_quadratic``'s augmented models, bind it once."""
+    share ``n`` and ``q``."""
     weighted = [{key: x.as_integer_ratio() for key, x in model.interactions.couplings.items()
                  if x != 1} for model, _requests in groups]
     watched = set().union(*weighted)
-    distinct: dict[int, Sequence] = {}
     for model, requests in groups:
-        if id(requests) not in distinct:
-            distinct[id(requests)] = requests
-            for indices, event in requests:
-                _check_range(model.n, indices, "list entry")
-                _check_event(model, event)
-                watched.update([sites for sites, _bit in event.delta_constraints])
+        for indices, event in requests:
+            _check_range(model.n, indices, "list entry")
+            _check_event(model, event)
+            watched.update([sites for sites, _bit in event.delta_constraints])
     keys = sorted(watched, key=lambda key: (len(key), sorted(key)))
     subset_index = {key: j for j, key in enumerate(keys)}
     q = groups[0][0].q
-    bound = {
-        key: [(tuple([(subset_index[sites], bit, 1 - bit)
-                      for sites, bit in event.delta_constraints]),
-               *_request_terms(q, indices, event.sign_constraint, event.sign_indices))
-              for indices, event in requests]
-        for key, requests in distinct.items()
-    }
 
     weight_rows = tuple([tuple(map(ratios.get, keys)) for ratios in weighted])
     sums: dict[tuple, int] = {}
     compiled_requests = []
     for group, (_model, requests) in enumerate(groups):
-        for delta_reqs, combination, divisor in bound[id(requests)]:
+        for indices, event in requests:
+            delta_reqs = tuple([(subset_index[sites], bit, 1 - bit)
+                                for sites, bit in event.delta_constraints])
+            combination, divisor = _request_terms(q, indices, event.sign_constraint,
+                                                  event.sign_indices)
             compiled_requests.append((
                 tuple([(c, sums.setdefault((value, delta_reqs, group), len(sums)))
                        for c, value, _count in combination]),
@@ -707,8 +701,8 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     The integers equal those of ``_scan_classes(plan)``, and so match
     ``correlation_sum_naive``, sign constraints included: the plan holds
     only sign-free sums.  The dispatch sends a scan here when the order's
-    estimated cost is below ``q**n`` and not above the cluster estimate
-    (see ``_choose_kernel``).
+    estimated cost is below ``q**n`` and at most ``2**s_w`` times the delta
+    patterns, the cluster estimate (see ``_choose_kernel``).
     """
     q = plan.q
     subset_sites = plan.subset_sites
@@ -865,37 +859,30 @@ def _cluster(plan: ScanPlan) -> list[tuple[int, int]]:
 # --- dispatch ----------------------------------------------------------------
 
 
-def _class_count(n: int, q: int) -> int:
-    """``sum(S(n, b) for b <= q)``: the classes the odometer visits."""
-    top = min(n, q)  # S(n, b) is 0 for b > n
-    stirling = [1] + [0] * top  # S(m, b) for b <= top, from m = 0
-    for _ in range(n):
-        stirling = [0] + [b * stirling[b] + stirling[b - 1] for b in range(1, top + 1)]
-    return sum(stirling)
-
-
 def _choose_kernel(plan: ScanPlan) -> str:
-    """The kernel a scan runs on: the random-cluster kernel when ``2**s_w``
-    times the distinct delta patterns, with ``s_w`` the subsets that some
-    group weights (``_compile`` leaves out weights of 1), is below the
-    estimate of the kernel that runs otherwise.
-    That is elimination, at its estimated cost, where the cost is below
-    ``q**n``, and else the odometer, at its class count."""
+    """The kernel a scan runs on, from two estimates: for the random-cluster
+    kernel, ``2**s_w`` times the distinct delta patterns, with ``s_w`` the
+    subsets that some group weights (``_compile`` leaves out weights of 1),
+    and for elimination, its order's cost.  The scan is clustered when its
+    estimate is below both that cost and ``q**n``, the configurations the
+    odometer's classes stand for; else it runs on elimination when the cost
+    is below ``q**n``, and on the odometer otherwise."""
     n, q = plan.n, plan.q
     clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
         [any(pairs) for pairs in zip(*plan.weight_rows)])
-    # Each site's bucket costs at least q, so below both n * q and the class
-    # count the choice needs no structure.
-    if clusters < n * q and clusters < _class_count(n, q):
+    # Each site's bucket costs at least q, and q**n >= n * q, so below
+    # n * q the choice needs no structure.
+    if clusters < n * q:
         return "cluster"
     cost = _structure(n, q, plan.subset_sites).cost
+    configs = q**n
+    if clusters < min(cost, configs):
+        return "cluster"
     # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
-    # sweep-sized scans on the slower odometer, and a smaller one also sends
-    # complete interaction graphs (cost > q**n) to elimination, whose
-    # q**n-entry tables take far more memory than the odometer.
-    if cost < q**n:
-        return "cluster" if clusters < cost else "elimination"
-    return "cluster" if clusters < _class_count(n, q) else "odometer"
+    # scans on the slower odometer, and a smaller one also sends complete
+    # interaction graphs (cost > q**n) to elimination, whose q**n-entry
+    # tables take far more memory than the odometer.
+    return "elimination" if cost < configs else "odometer"
 
 
 def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]

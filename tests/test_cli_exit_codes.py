@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -68,6 +69,20 @@ def test_unreadable_model_file(content, message, tmp_path, capsys):
     assert main(["verify", "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify"], '{"n": 2, "q": 2, "interactions": [{"sites": [1, 2], "x": 1%s}]}'),
+    (["expect", "--R", "1"], '{"n": 1%s, "q": 2}'),
+], ids=["verify-x", "expect-n"])
+def test_model_file_integer_past_the_digit_limit(argv, text, tmp_path, capsys):
+    """json.load refuses an integer of more than 4300 digits with a plain
+    ValueError; the CLI names the file and exits 2."""
+    path = tmp_path / "model.json"
+    path.write_text(text % ("0" * 5000))
+    assert main([*argv, "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: an integer has more than {sys.get_int_max_str_digits()} digits\n")
 
 
 def _doc(**fields):

@@ -2,11 +2,13 @@
 reference and the oracle's own cluster expansion."""
 
 from fractions import Fraction
+from itertools import combinations, islice
 
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from pottsverify import (
+    EVERYWHERE,
     IndexList,
     NEGATIVE,
     POSITIVE,
@@ -18,7 +20,15 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _class_count, _cluster, _compile, _eliminate, _scan_classes
+from pottsverify import enumeration
+from pottsverify.cli import main
+from pottsverify.enumeration import (
+    _choose_kernel,
+    _cluster,
+    _compile,
+    _eliminate,
+    _scan_classes,
+)
 
 
 @st.composite
@@ -95,13 +105,6 @@ def test_the_cluster_oracle_matches_the_brute_force_oracle():
                                        ("negative", (1, 4))) == expected
 
 
-def test_class_count_is_the_restricted_growth_strings():
-    assert _class_count(8, 4) == 2795
-    assert [_class_count(n, 2) for n in range(1, 6)] == [1, 2, 4, 8, 16]
-    assert [_class_count(n, n) for n in range(1, 7)] == [1, 2, 5, 15, 52, 203]
-    assert _class_count(2, 10**6) == 2
-
-
 def test_small_scans_run_on_the_cluster_kernel():
     """``2**s_w`` times the distinct delta patterns, 8 here, is below the
     elimination estimate of a short chain, so the scan is clustered."""
@@ -111,6 +114,21 @@ def test_small_scans_run_on_the_cluster_kernel():
     naive = correlation_sum_naive(model, lists, delta_event({1, 3}, 0))
     assert result.kernel == "cluster"
     assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
+
+
+def test_dispatch_compares_the_cluster_estimate_with_cost_and_q_to_the_n():
+    """K5's pairs at q = 5 give ``2**10`` clusters, below both q**n = 3125
+    and elimination's cost, so the scan is clustered.  The dense benchmark
+    shape, 48 weights on 8 sites at q = 4, stays on the odometer, and a
+    12-site ring at q = 3, whose cost is far below q**n, on elimination."""
+    def kernel(n, q, subsets):
+        model = build_model(n, q, [(sites, 2) for sites in subsets])
+        return _choose_kernel(_compile([(model, [(IndexList((1, 2)), EVERYWHERE)])]))
+
+    assert kernel(5, 5, combinations(range(1, 6), 2)) == "cluster"
+    dense = [*combinations(range(1, 9), 2), *islice(combinations(range(1, 9), 3), 20)]
+    assert kernel(8, 4, dense) == "odometer"
+    assert kernel(12, 3, [(i, i % 12 + 1) for i in range(1, 13)]) == "elimination"
 
 
 def test_compile_leaves_out_weights_of_one():
@@ -130,3 +148,21 @@ def test_compile_leaves_out_weights_of_one():
                              (without.with_coupling({2, 4}, 3), direct)])
     assert (0, 3) not in plan.subset_sites and (1, 2) in plan.subset_sites
     assert all(pair != (1, 1) for row in plan.weight_rows for pair in row)
+
+
+def test_the_kernels_agree_on_every_plan_that_a_sweep_compiles(monkeypatch, capsys):
+    """The sweep's own scans, on whichever kernel the dispatch picks for
+    each, give the same integers on all three kernels."""
+    plans = []
+
+    def compile_and_keep(groups):
+        plans.append(_compile(groups))
+        return plans[-1]
+
+    monkeypatch.setattr(enumeration, "_compile", compile_and_keep)
+    assert main(["sweep", "--suite", "all", "--seed", "42", "--trials", "20",
+                 "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert len(plans) == 100
+    for plan in plans:
+        assert _cluster(plan) == _eliminate(plan) == _scan_classes(plan)

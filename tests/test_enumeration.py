@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -93,13 +94,14 @@ class TestEventPredicate:
 
     @pytest.mark.parametrize("model, kernel", [
         (build_model(6, 2, [({i, i + 1}, 2) for i in range(1, 6)]), "elimination"),
-        (build_model(4, 3, [({i, j}, 2) for i in range(1, 5) for j in range(i + 1, 5)]),
+        (build_model(4, 3, [(sites, 2) for k in (2, 3) for sites in combinations(range(1, 5), k)]),
          "odometer"),
-    ], ids=["chain", "complete"])
+        (build_model(4, 3, [(sites, 2) for sites in combinations(range(1, 5), 2)]), "cluster"),
+    ], ids=["chain", "complete", "complete-pairs"])
     @pytest.mark.parametrize("bad_site", [lambda n: 0, lambda n: -1, lambda n: n + 1,
                                           lambda n: 2.0], ids=["0", "-1", "n+1", "2.0"])
     def test_bad_event_site_is_refused(self, model, kernel, bad_site):
-        """A delta site outside 1..n, or not an int, never reaches either
+        """A delta site outside 1..n, or not an int, never reaches any
         kernel or the oracle: each names it."""
         assert correlation_sum(model, EMPTY, delta_event({1, 2}, 1)).kernel == kernel
         site = bad_site(model.n)
