@@ -43,7 +43,12 @@ count is the same kind of sum with the weight left out.
   blocks b and the digits at the sum's table sites.  Sums with the same
   tables share that cache, and a miss labels only the blocks those sites
   touch, reusing the result of any earlier miss whose blocks had the same
-  rows.
+  rows.  The last site is not stepped: after each prefix of the other
+  n-1 sites (715 at n=8, q=4), the sums with the same tables read one
+  vector of those products, one entry per digit of the last site, and
+  each adds its dot product with its group's child weights.  A delta
+  decided at the last site holds at one digit at most, the one its lower
+  sites share, so it keeps that digit's term (bit 1) or drops it (bit 0).
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per subset factor (a scaled weight or a delta
@@ -71,11 +76,11 @@ kernel, ``2**s_w`` times the scan's number of distinct delta patterns, with
 ``s_w`` the number of subsets that some group weights, and for elimination,
 its order's estimated cost.  A scan is clustered when its estimate is below
 both that cost and ``q**n``, the configurations that the odometer's classes
-stand for.  Else it runs on elimination when the cost is below ``q**n``, and
-on the odometer otherwise, as on a complete interaction graph.  So a scan
-that weights few subsets is clustered on any hypergraph, while a large
-``s_w`` (a ring's 15 weights, a dense model's 48) keeps a scan on its other
-kernel without any cap.  ``SumResult`` records which kernel ran.
+stand for.  Else it runs on elimination when twice the cost is below
+``q**n``, and on the odometer otherwise, as on a dense interaction graph.
+So a scan that weights few subsets is clustered on any hypergraph, while a
+large ``s_w`` (a ring's 15 weights, a dense model's 48) keeps a scan on its
+other kernel without any cap.  ``SumResult`` records which kernel ran.
 
 One scan can bind several weightings of one hypergraph.  A *group* is a
 model and its requests; the groups of a scan share ``n`` and ``q``, the scan
@@ -86,8 +91,8 @@ interaction, in one pass.  The weightings share what does not depend on
 the weights:
 
 * The odometer walks the classes once.  Each group has its own prefix
-  weights along that walk, and each family's relabelled sum is looked up
-  once per class for every sum of every group in that family.
+  weights along that walk, and each family's vector of relabelled sums is
+  looked up once per prefix for every sum of every group in that family.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -111,8 +116,9 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   whether it is weighted or not.
 * ``_family_cache``, keyed by ``(q, tables)``, at most ``_FAMILY_MEMO``
   entries: the odometer's relabelled sums of a family of sums with those
-  per-site tables, by cache key.  They depend on neither the weights nor
-  ``n`` nor the sites the tables sit on.
+  per-site tables, of single classes and of a prefix's children, by cache
+  key.  They depend on neither the weights nor ``n`` nor the sites the
+  tables sit on.
 * ``_labelled_sums``, keyed by ``(q, block profile)``, at most
   ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
   profile's blocks, which those relabelled sums are made of.
@@ -493,9 +499,10 @@ def _labelled_sums(q: int, profile: tuple) -> int:
 
 @lru_cache(maxsize=_FAMILY_MEMO)
 def _family_cache(q: int, tabs: tuple) -> dict:
-    """The relabelled sums of a family with tables ``tabs``, by cache key
-    (see ``_scan_classes``), shared by every scan at ``q``.  A family that
-    reads no site is keyed by b alone: its sum is the class size q!/(q-b)!."""
+    """The relabelled sums of a family with tables ``tabs``, of classes and
+    of prefixes' children, by cache key (see ``_scan_classes``), shared by
+    every scan at ``q``.  A family that reads no site is keyed by b alone:
+    a class's sum is the class size q!/(q-b)!."""
     return {} if tabs else {b: perm(q, b) for b in range(1, q + 1)}
 
 
@@ -544,39 +551,88 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     keep a delta, and a sum counts a class where each of those deltas
     equals its factor's ``agree``, the constraint's bit.
 
-    Sums with the same per-site tables form one family, whatever their
-    delta constraints, group and weighting; a family's product summed over
-    a class's relabellings is looked up once per class for all its sums,
-    and cached by b and the representative's digits at the family's sites,
-    in the family's ``_family_cache``, which later scans with the same
-    tables reuse.  On a miss only the t blocks those sites touch are
-    labelled, and each labelling extends to the untouched blocks in
-    ``(q-t)!/(q-b)!`` ways; the labelling sums are memoised once more by
-    the blocks' rows (``_labelled_sums``, see ``_block_profile``), which
-    classes with different digits and different families share.  So the
-    labelling work follows the few distinct block rows rather than the
-    number of site patterns.  Each request's integers, divided by its
-    group's scales, give the Fraction of ``correlation_sum_naive`` and its
-    matching count.
+    The last site is not stepped: after each prefix of length n-1, all its
+    digits are summed at once.  Sums with the same per-site tables form one
+    family, whatever their delta constraints, group and weighting.  Per
+    prefix, a family looks up one vector: its product summed over each
+    child class's relabellings, one entry per digit of the last site.  A
+    sum whose deltas decided at earlier sites all hold adds the C-level dot
+    product of its group's child weights with that vector, or the vector's
+    sum for a count.  A delta decided at the last site holds at one digit
+    at most, the common digit c of its lower sites (none where c is -1):
+    bit 1 keeps that digit's term alone, and bit 0 the dot product less
+    that term.  A sum with two such deltas masks the digits instead.  A
+    vector whose entries are all 0, as they are when the family's tables
+    multiply to an odd function of the centred spins, is stored empty, and
+    its family adds nothing after that prefix.
+
+    A family's relabelled sums live in its ``_family_cache``, which later
+    scans with the same tables reuse.  A class's sum is keyed by its b and
+    the representative's digits at the family's sites.  A vector is keyed
+    by ``~b``, with b the prefix's blocks, and the same digits with -1 for
+    the last site's, so the two kinds of key never meet; on a miss it is
+    built from its classes' entries.  On a class's miss only the t blocks
+    the family's sites touch are labelled, and each labelling extends to
+    the untouched blocks in ``(q-t)!/(q-b)!`` ways; the labelling sums are
+    memoised once more by the blocks' rows (``_labelled_sums``, see
+    ``_block_profile``), which classes with different digits and different
+    families share.  So the labelling work follows the few distinct block
+    rows rather than the number of site patterns.  Each request's integers,
+    divided by its group's scales, give the Fraction of
+    ``correlation_sum_naive`` and its matching count.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     highest = _structure(n, q, subset_sites).highest
+    last = n - 1
+    at_last = {j: i for i, j in enumerate(highest[last][0])}  # subset -> its place there
+    # Per delta pattern: (subset, bit) of each delta decided before the last
+    # site, and (place at the last site, bit) of each other one.
+    splits: dict = {}
+    # Sums with the same per-site tables form one family: the getter of its
+    # cache keys, its cache and tables, then (index, group) of its sums
+    # without deltas and (index, group, split) of the others.
     by_terms: dict = {}
     for si, (terms, delta_reqs, group) in enumerate(plan_sums):
         family = by_terms.get(terms)
         if family is None:
-            # digits[n] holds b, so one itemgetter call reads the cache key.
+            # digits[n] holds a class's b, or ~b while the last site's
+            # vectors are read (and digits[last] -1), so one itemgetter call
+            # reads either kind of cache key.
             tabs = tuple(tab for _s, tab in terms)
             family = by_terms[terms] = (
-                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs, [])
-        family[3].append((si, delta_reqs, group))
+                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs, [], [])
+        if not delta_reqs:
+            family[3].append((si, group))
+            continue
+        split = splits.get(delta_reqs)
+        if split is None:
+            earlier, lasts = split = splits[delta_reqs] = [], []
+            for j, agree, _differ in delta_reqs:
+                if j in at_last:
+                    lasts.append((at_last[j], agree))
+                else:
+                    earlier.append((j, agree))
+        family[4].append((si, group, split))
     families = list(by_terms.values())
     accs = [0] * len(plan_sums)
+    ones = (1,) * q
 
-    def relabelled(key, tabs) -> int:
-        profile = _block_profile(key[:-1], tabs)
-        t = len(profile)
-        return _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
+    def vector(key_digits, cache, tabs, b, top):
+        """A family's relabelled sums over the children of a prefix with b
+        blocks, by the last site's digit, from the classes' entries; empty
+        when all of them are 0."""
+        values = []
+        for d in range(top):
+            digits[last], digits[n] = d, b + (d == b)
+            key = key_digits(digits)
+            value = cache.get(key)
+            if value is None:
+                profile = _block_profile(key[:-1], tabs)
+                t = len(profile)
+                value = cache[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
+            values.append(value)
+        digits[last], digits[n] = -1, ~b
+        return tuple(values) if any(values) else ()
 
     # Each site's decided subsets: their lower-site getters, (position,
     # factor rows) of those some group weights, and (position, subset) of
@@ -589,13 +645,12 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
                [(i, j) for i, j in enumerate(js) if j in read])
               for js, gets in highest]
     g = len(weight_rows)
-    digits = [0] * n + [1]
-    blocks = [0] * (n + 1)  # blocks[s]: the number of blocks among digits[:s]
+    digits = [0] * last + [-1, 0]
+    blocks = [0] * n  # blocks[s]: the number of blocks among digits[:s]
     deltas = [1] * len(subset_sites)
     weights = [1] * len(weight_rows)  # the groups' weights of the prefix digits[:s]
     decided: list = [None] * n  # per site: (commons, children, reads) after digits[:s]
 
-    last = n - 1
     s = 0
     while True:
         # Enter site s after the prefix digits[:s]: each subset decided here
@@ -611,42 +666,61 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
             # d: the factors of the subsets' rows, each picked by the subset's
             # common digit, multiplied in C, and then the parent's weight.
             products = map(prod, zip(*[rows[commons[i]] for i, rows in weighted], weights * top))
-            children = list(zip(*[products] * g))  # children[d]: the groups' weights
         else:
-            commons, children = (), [weights] * top
-        decided[s] = commons, children, reads
-        d = 0
-        while True:
-            digits[s] = d
-            for i, j in reads:
-                deltas[j] = commons[i] == d
-            weights = children[d]
-            if s < last:
-                break
-            digits[n] = b + (d == b)
-            for key_digits, cache, tabs, members in families:
-                value = None
-                for si, delta_reqs, group in members:
-                    for j, agree, _differ in delta_reqs:
+            commons, products = (), weights * top
+        if s < last:
+            children = list(zip(*[iter(products)] * g))  # children[d]: the groups' weights
+            decided[s] = commons, children, reads
+            d = 0
+        else:
+            # Every digit of the last site at once: columns[k][d] is group
+            # k's weight after digit d, and vec[d] the family's sum there.
+            products = tuple(products)
+            columns = [products[k::g] for k in range(g)]
+            digits[n] = ~b
+            for key_digits, cache, tabs, plain, gated in families:
+                key = key_digits(digits)
+                vec = cache.get(key)
+                if vec is None:
+                    vec = cache[key] = vector(key_digits, cache, tabs, b, top)
+                if not vec:  # every sum of the family adds 0 here
+                    continue
+                for si, group in plain:
+                    accs[si] += sum(vec) if group is None else sum(map(mul, columns[group], vec))
+                for si, group, (earlier, lasts) in gated:
+                    for j, agree in earlier:
                         if deltas[j] != agree:
                             break
                     else:
-                        if value is None:
-                            key = key_digits(digits)
-                            value = cache.get(key)
-                            if value is None:
-                                value = cache[key] = relabelled(key, tabs)
-                        accs[si] += value if group is None else weights[group] * value
-            # On to the next digit at the deepest site that has one left: a
-            # digit is its site's last when it opened a block or is q - 1.
-            while d == blocks[s] or d == q - 1:
+                        column = ones if group is None else columns[group]
+                        if len(lasts) == 1:
+                            # A delta decided here holds at one digit at
+                            # most, its lower sites' common digit c (none
+                            # where c is -1).
+                            [(i, agree)] = lasts
+                            c = commons[i]
+                            term = column[c] * vec[c] if c >= 0 else 0
+                            accs[si] += term if agree else sum(map(mul, column, vec)) - term
+                        elif lasts:  # the digits where every one holds
+                            accs[si] += sum([w * v for d, (w, v) in enumerate(zip(column, vec))
+                                             if all([(commons[i] == d) == agree
+                                                     for i, agree in lasts])])
+                        else:
+                            accs[si] += sum(map(mul, column, vec))
+            # Back to the deepest earlier site with a digit left: a digit is
+            # its site's last when it opened a block or is q - 1.
+            s -= 1
+            while s >= 0 and (digits[s] == blocks[s] or digits[s] == q - 1):
                 s -= 1
-                if s < 0:
-                    return _combine(plan, accs)
-                d = digits[s]
+            if s < 0:
+                return _combine(plan, accs)
             commons, children, reads = decided[s]
             b = blocks[s]
-            d += 1
+            d = digits[s] + 1
+        digits[s] = d
+        for i, j in reads:
+            deltas[j] = commons[i] == d
+        weights = children[d]
         blocks[s + 1] = b + (d == b)
         s += 1
 
@@ -701,8 +775,8 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     The integers equal those of ``_scan_classes(plan)``, and so match
     ``correlation_sum_naive``, sign constraints included: the plan holds
     only sign-free sums.  The dispatch sends a scan here when the order's
-    estimated cost is below ``q**n`` and at most ``2**s_w`` times the delta
-    patterns, the cluster estimate (see ``_choose_kernel``).
+    estimated cost is below half of ``q**n`` and at most ``2**s_w`` times the
+    delta patterns, the cluster estimate (see ``_choose_kernel``).
     """
     q = plan.q
     subset_sites = plan.subset_sites
@@ -865,8 +939,8 @@ def _choose_kernel(plan: ScanPlan) -> str:
     subsets that some group weights (``_compile`` leaves out weights of 1),
     and for elimination, its order's cost.  The scan is clustered when its
     estimate is below both that cost and ``q**n``, the configurations the
-    odometer's classes stand for; else it runs on elimination when the cost
-    is below ``q**n``, and on the odometer otherwise."""
+    odometer's classes stand for; else it runs on elimination when twice
+    the cost is below ``q**n``, and on the odometer otherwise."""
     n, q = plan.n, plan.q
     clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
         [any(pairs) for pairs in zip(*plan.weight_rows)])
@@ -878,11 +952,13 @@ def _choose_kernel(plan: ScanPlan) -> str:
     configs = q**n
     if clusters < min(cost, configs):
         return "cluster"
-    # The crossover C in ``C * cost < q**n`` is 1: a larger C leaves more
-    # scans on the slower odometer, and a smaller one also sends complete
-    # interaction graphs (cost > q**n) to elimination, whose q**n-entry
-    # tables take far more memory than the odometer.
-    return "elimination" if cost < configs else "odometer"
+    # The crossover C in ``C * cost < q**n`` is 2, fitted on replayed plans.
+    # Up to a ratio q**n / cost of 1.72 (a sweep's small dense scans, or a
+    # dense model that leaves out a pair of weight 1) the odometer is faster
+    # in sum, up to 7x on the dense model.  No replayed scan lies between
+    # 1.72 and 7.5, a ring's ratio is above 100, and a short chain's about 3,
+    # which keeps C below 3.
+    return "elimination" if 2 * cost < configs else "odometer"
 
 
 def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]

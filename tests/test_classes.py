@@ -1,6 +1,7 @@
 """The equality-class walk against the naive oracle."""
 
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,21 +19,27 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _compile, _scan_classes
+from pottsverify.enumeration import _compile, _eliminate, _scan_classes
 
 EMPTY = IndexList(())
 SIGNS = (POSITIVE, NEGATIVE, ZERO)
 
 
+def assert_groups_agree(groups):
+    """Each group's requests from one class walk, a value and a matching
+    count each, equal the naive oracle's on the group's own model."""
+    plan = _compile(groups)
+    classes = iter(_scan_classes(plan))
+    for scale, (model, requests) in zip(plan.scales, groups):
+        for indices, event in requests:
+            acc, matching = next(classes)
+            naive = correlation_sum_naive(model, indices, event)
+            assert str(Fraction(acc, scale << len(indices))) == str(naive.value)
+            assert matching == naive.configs_matching
+
+
 def assert_walks_agree(model, requests):
-    """Each request's value and matching count from the class walk equal
-    the naive oracle's."""
-    plan = _compile([(model, requests)])
-    classes = _scan_classes(plan)
-    for (indices, event), (acc, matching) in zip(requests, classes):
-        naive = correlation_sum_naive(model, indices, event)
-        assert str(Fraction(acc, plan.scales[0] << len(indices))) == str(naive.value)
-        assert matching == naive.configs_matching
+    assert_groups_agree([(model, requests)])
 
 
 @st.composite
@@ -126,3 +133,116 @@ class TestEdges:
         assert [r.configs_visited for r in results] == [8, 8]
         # q = 2 is even, so no centred spin is zero.
         assert results[0].configs_matching == 0
+
+
+class TestLastSite:
+    """The last site's digits are summed in one step per prefix: a delta
+    decided there holds at one digit at most, the common digit of its lower
+    sites, and at none where they differ."""
+
+    @staticmethod
+    def model(q):
+        return build_model(4, q, [({1, 2}, 2), ({2, 4}, Fraction(5, 3)),
+                                  ({1, 3, 4}, Fraction(7, 2)), ({3, 4}, 3)])
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_one_delta_decided_at_the_last_site(self, q, bit):
+        lst = IndexList((1, 4, 4))
+        assert_walks_agree(self.model(q), [
+            (lst, delta_event({1, 4}, bit)),
+            (EMPTY, delta_event({1, 4}, bit)),
+            (IndexList((4,)), delta_event({3, 4}, bit)),
+            (lst, conjoin(delta_event({1, 2}, 1 - bit), delta_event({2, 4}, bit))),
+        ])
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_lower_sites_that_differ(self, q, bit):
+        """{1, 2, 4} is decided at site 4; wherever sites 1 and 2 differ no
+        digit there satisfies bit 1, and every digit satisfies bit 0."""
+        assert_walks_agree(self.model(q), [
+            (IndexList((2, 4)), delta_event({1, 2, 4}, bit)),
+            (EMPTY, delta_event({1, 2, 4}, bit)),
+            (IndexList((1, 2)), conjoin(sign_event(IndexList((4,)), POSITIVE),
+                                        delta_event({1, 2, 4}, bit))),
+        ])
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_two_deltas_decided_at_the_last_site(self, q, bits):
+        first, second = bits
+        event = conjoin(delta_event({1, 4}, first), delta_event({2, 3, 4}, second))
+        assert_walks_agree(self.model(q), [
+            (IndexList((1, 2, 4)), event),
+            (EMPTY, event),
+            (IndexList((3,)), conjoin(event, delta_event({1, 2}, 1))),
+            (IndexList((3,)), conjoin(event, delta_event({1, 2, 4}, 0))),
+        ])
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_counts(self, q):
+        """Every sign kind makes count sums, with and without deltas at the
+        last site; the list is empty, so all the sums share one family."""
+        sign_list = IndexList((2, 4))
+        assert_walks_agree(self.model(q), [
+            (EMPTY, conjoin(sign_event(sign_list, kind), *events))
+            for kind in SIGNS
+            for events in ((), (delta_event({1, 4}, 1),), (delta_event({1, 4}, 0),),
+                           (delta_event({1, 4}, 1), delta_event({3, 4}, 0)))
+        ])
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_several_groups(self, q):
+        """A base model whose requests name {2, 3, 4} in deltas of both
+        bits, and two models that weight it, as a quadratic check scans
+        them; the base model leaves {1, 2} at weight 1."""
+        base = build_model(4, q, [({1, 2}, 1), ({2, 4}, Fraction(5, 3)), ({1, 3, 4}, 2)])
+        added = {2, 3, 4}
+        lists = (IndexList((1, 4)), IndexList((2,)), IndexList((1, 2, 4, 4)), EMPTY)
+        assert_groups_agree([
+            (base, [(lst, delta_event(added, bit)) for lst in lists for bit in (1, 0)]),
+            *[(base.with_coupling(added, x), [(lst, EVERYWHERE) for lst in lists])
+              for x in (Fraction(3, 2), 4)],
+        ])
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_one_site(self, q):
+        """n = 1: the only site is the last, and its one digit is summed
+        from the empty prefix."""
+        one = IndexList((1,))
+        assert_walks_agree(build_model(1, q, []), [
+            (one, EVERYWHERE), (IndexList((1, 1)), EVERYWHERE),
+            (EMPTY, sign_event(one, POSITIVE)), (one, sign_event(one, ZERO)),
+        ])
+
+    def test_more_spin_values_than_sites(self):
+        """q > n: no prefix has q blocks, so the last site can always open
+        a new one."""
+        model = build_model(3, 6, [({1, 3}, 2), ({2, 3}, Fraction(9, 4)), ({1, 2, 3}, 3)])
+        assert_walks_agree(model, [
+            (IndexList((1, 3)), delta_event({1, 3}, 1)),
+            (IndexList((1, 3)), delta_event({1, 3}, 0)),
+            (IndexList((2, 3, 3)), conjoin(delta_event({1, 3}, 0), delta_event({2, 3}, 0))),
+            (EMPTY, conjoin(delta_event({1, 2, 3}, 1), sign_event(IndexList((3,)), NEGATIVE))),
+        ])
+
+    def test_dense_plan_matches_elimination(self):
+        """On the dense benchmark shape, n = 8 and q = 4 with all 28 pairs
+        and 20 triples, the walk and elimination give the same integers for
+        sign and delta requests, deltas at the last site included."""
+        subsets = [*combinations(range(1, 9), 2), *islice(combinations(range(1, 9), 3), 20)]
+        model = build_model(8, 4, [(sites, Fraction(4 + i % 5, 1 + i % 3))
+                                   for i, sites in enumerate(subsets)])
+        lst, sign_list = IndexList((1, 5, 8)), IndexList((2, 8))
+        requests = [
+            (lst, EVERYWHERE), (EMPTY, EVERYWHERE),
+            (lst, delta_event({2, 8}, 1)), (lst, delta_event({2, 8}, 0)),
+            (lst, delta_event({1, 3, 8}, 0)), (lst, delta_event({1, 2, 3}, 1)),
+            (lst, conjoin(sign_event(sign_list, POSITIVE), delta_event({4, 8}, 1))),
+            (EMPTY, conjoin(sign_event(sign_list, ZERO), delta_event({4, 8}, 0),
+                            delta_event({6, 7, 8}, 0))),
+            (IndexList((3, 3)), sign_event(sign_list, NEGATIVE)),
+        ]
+        plan = _compile([(model, requests)])
+        assert _scan_classes(plan) == _eliminate(plan)

@@ -28,6 +28,7 @@ from pottsverify.enumeration import (
     _compile,
     _eliminate,
     _scan_classes,
+    _structure,
 )
 
 
@@ -129,6 +130,19 @@ def test_dispatch_compares_the_cluster_estimate_with_cost_and_q_to_the_n():
     dense = [*combinations(range(1, 9), 2), *islice(combinations(range(1, 9), 3), 20)]
     assert kernel(8, 4, dense) == "odometer"
     assert kernel(12, 3, [(i, i % 12 + 1) for i in range(1, 13)]) == "elimination"
+
+
+def test_a_dense_model_with_a_pair_of_weight_one_stays_on_the_odometer():
+    """A weight of 1 leaves its pair out of the plan, so the dense
+    benchmark shape with pair {7, 8} at weight 1 is no longer a complete
+    graph: elimination's cost, 38,228, is below q**n = 65,536 but not
+    below half of it, and the scan stays on the odometer, which is faster
+    there."""
+    dense = [*combinations(range(1, 9), 2), *islice(combinations(range(1, 9), 3), 20)]
+    model = build_model(8, 4, [(sites, 1 if sites == (7, 8) else 2) for sites in dense])
+    plan = _compile([(model, [(IndexList((1, 2)), EVERYWHERE)])])
+    assert _structure(8, 4, plan.subset_sites).cost == 38_228
+    assert _choose_kernel(plan) == "odometer"
 
 
 def test_compile_leaves_out_weights_of_one():

