@@ -38,7 +38,7 @@ __all__ = [
 
 def random_coupling(rng: random.Random, x_max: int = 10) -> Fraction:
     d = rng.randint(1, 16)
-    return 1 + Fraction(rng.randint(0, (x_max - 1) * d), d)
+    return Fraction(d + rng.randint(0, (x_max - 1) * d), d)
 
 
 def random_site_subset(rng: random.Random, n: int, min_size: int = 2, max_size: int | None = None):

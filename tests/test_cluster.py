@@ -26,6 +26,7 @@ from pottsverify.enumeration import (
     _choose_kernel,
     _cluster,
     _compile,
+    _cost_floor,
     _eliminate,
     _scan_classes,
     _structure,
@@ -143,6 +144,61 @@ def test_a_dense_model_with_a_pair_of_weight_one_stays_on_the_odometer():
     plan = _compile([(model, [(IndexList((1, 2)), EVERYWHERE)])])
     assert _structure(8, 4, plan.subset_sites).cost == 38_228
     assert _choose_kernel(plan) == "odometer"
+
+
+def two_estimate_rule(plan):
+    """``_choose_kernel``'s rule with the structure always built."""
+    clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
+        [any(pairs) for pairs in zip(*plan.weight_rows)])
+    cost = _structure(plan.n, plan.q, plan.subset_sites).cost
+    configs = plan.q**plan.n
+    if clusters < min(cost, configs):
+        return "cluster"
+    return "elimination" if 2 * cost < configs else "odometer"
+
+
+@st.composite
+def hypergraph_plans(draw):
+    """A plan on a random hypergraph: n <= 8, q <= 5, weights of 1 and
+    above on up to 8 subsets, and requests with up to two delta events."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 8))
+    subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(n, 5))
+    weights = st.sampled_from((1, 2, Fraction(3, 2), Fraction(7, 3)))
+    model = build_model(n, q, [(sites, draw(weights))
+                               for sites in draw(st.lists(subsets, max_size=8, unique=True))])
+    events = st.lists(st.builds(delta_event, subsets, st.integers(0, 1)), max_size=2)
+    requests = [(IndexList((1,)), conjoin(*draw(events)))
+                for _ in range(draw(st.integers(1, 4)))]
+    return _compile([(model, requests)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraph_plans())
+def test_the_cost_floor_bounds_the_cost_and_keeps_every_pick(plan):
+    """``_cost_floor`` is never above elimination's cost, so clustering a
+    scan below it without the structure picks what the rule would."""
+    assert _cost_floor(plan.n, plan.q, plan.subset_sites) <= _structure(
+        plan.n, plan.q, plan.subset_sites).cost
+    assert _choose_kernel(plan) == two_estimate_rule(plan)
+
+
+def test_a_plan_below_the_cost_floor_builds_no_structure():
+    """Four weights and one delta pattern give 16 clusters, above the plain
+    floor ``n * q = 12`` but below ``3**3 + 3 * 3 = 36`` for a triple on 4
+    sites at q = 3, so the scan is clustered without a structure, as the
+    two-estimate rule clusters it."""
+    model = build_model(4, 3, [({1, 2, 3}, 2), ({1, 2}, Fraction(3, 2)), ({2, 3}, 3),
+                               ({3, 4}, Fraction(5, 4))])
+    requests = [(IndexList((1, 4)), EVERYWHERE), (IndexList(()), EVERYWHERE)]
+    plan = _compile([(model, requests)])
+    _structure.cache_clear()
+    assert _choose_kernel(plan) == "cluster"
+    assert [result.kernel for result in enumeration.correlation_sums(model, requests)] == [
+        "cluster", "cluster"]
+    assert _structure.cache_info().misses == 0
+    assert two_estimate_rule(plan) == "cluster"
+    assert _structure.cache_info().misses == 1
 
 
 def test_compile_leaves_out_weights_of_one():

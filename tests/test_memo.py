@@ -14,6 +14,7 @@ from pottsverify import (
     ZERO,
     build_model,
     conjoin,
+    correlation_sum,
     correlation_sum_naive,
     delta_event,
     sign_event,
@@ -27,11 +28,12 @@ from pottsverify.enumeration import (
     _labelled_sums,
     _request_terms,
     _scan_classes,
+    _site_table,
     _structure,
 )
 from pottsverify.inequalities import check_quadratic
 
-MEMOS = (_structure, _family_cache, _request_terms, _labelled_sums)
+MEMOS = (_structure, _family_cache, _request_terms, _site_table, _labelled_sums)
 
 
 def both_kernels(model, requests):
@@ -133,3 +135,43 @@ def test_quadratic_check_makes_one_kernel_pass(monkeypatch):
         assert passes == [kernel]
         info = _structure.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+
+@st.composite
+def repeated_sign_requests(draw):
+    """A model with n <= 3 at q = 2..7 and one request whose sign list
+    repeats each of its sites 1 to 3 times, so the sign's power at a site is
+    odd or even, next to any multiplicity in the index list, under a sign
+    constraint of any kind or none, and possibly a delta event."""
+    q = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 3))
+    sites = st.integers(1, n)
+    couplings = []
+    if n >= 2:
+        for subset in draw(st.lists(st.frozensets(sites, min_size=2), max_size=3, unique=True)):
+            den = draw(st.integers(1, 4))
+            couplings.append((subset, Fraction(draw(st.integers(den, 4 * den)), den)))
+    signed = draw(st.lists(sites, min_size=1, max_size=n, unique=True))
+    repeats = [draw(st.integers(1, 3)) for _ in signed]
+    sign_list = IndexList(tuple(s for s, k in zip(signed, repeats) for _ in range(k)))
+    events = []
+    kind = draw(st.sampled_from((None, POSITIVE, NEGATIVE, ZERO)))
+    if kind is not None:
+        events.append(sign_event(sign_list, kind))
+    if n >= 2 and draw(st.booleans()):
+        events.append(delta_event(draw(st.frozensets(sites, min_size=2)), draw(st.integers(0, 1))))
+    indices = IndexList(tuple(draw(st.lists(sites, max_size=5))))
+    return build_model(n, q, couplings), indices, conjoin(*events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_sign_requests())
+def test_shared_site_tables_match_the_oracle_for_every_sign_power(drawn):
+    """Each request's tables come from the shared ``_site_table`` memo, which
+    reduces the sign's power at a site to 0, 1 or 2; the sums equal
+    ``correlation_sum_naive``, whose zero spin at odd q tells an even power
+    of the sign from none."""
+    model, indices, event = drawn
+    result = correlation_sum(model, indices, event)
+    naive = correlation_sum_naive(model, indices, event)
+    assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
