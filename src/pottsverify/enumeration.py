@@ -10,7 +10,8 @@ of three integer-exact kernels, chosen per scan from the plan's shape.  All
 three work on the same compiled plan: weights are scaled by the product of
 all coupling denominators, spin products by ``2**|R|``, and the two scales
 are divided out exactly once at the end, so every kernel yields the same
-reduced Fractions.
+reduced Fractions.  A kernel returns one integer per distinct sum of the
+plan, and ``_scan`` alone combines them into requests.
 
 All three read one constraint form, written by ``_compile``: a factor
 ``(agree, differ)`` on a subset is ``agree`` where the subset's spins all
@@ -21,8 +22,7 @@ weight of 1, the factor 1, is left out of the plan.
 No kernel sees a sign: a request is an exact integer combination of
 sign-free sums of per-site table products.  With P the product of the signs
 of a sign list's spins and Q = P**2, the indicator of a positive product is
-(Q + P)/2, of a negative one (Q - P)/2 and of a zero one 1 - Q.  A matching
-count is the same kind of sum with the weight left out.
+(Q + P)/2, of a negative one (Q - P)/2 and of a zero one 1 - Q.
 
 * The odometer walks one configuration per equality class: the weight and
   every delta depend only on which sites agree, not on the values they take
@@ -198,10 +198,10 @@ class EventPredicate:
     """A conjunction of constraints selecting a set of configurations.
 
     ``sign_constraint`` restricts the sign of the spin product of
-    ``sign_indices``; each entry of ``delta_constraints`` pins the equality
-    delta of a site subset to 0 or 1.  The empty predicate selects the whole
-    configuration space.  Unions are expressed by summing correlation sums
-    over disjoint conjunctions.
+    ``sign_indices``, an ``IndexList``; each entry of ``delta_constraints``
+    pins the equality delta of a site subset to the plain int 0 or 1.  The
+    empty predicate selects the whole configuration space.  Unions are
+    expressed by summing correlation sums over disjoint conjunctions.
     """
 
     sign_constraint: str | None = None
@@ -213,10 +213,12 @@ class EventPredicate:
             raise ModelError("sign_constraint and sign_indices must be given together")
         if self.sign_constraint is not None and self.sign_constraint not in _SIGNS:
             raise ModelError(f"unknown sign constraint {self.sign_constraint!r}")
+        if self.sign_indices is not None and not isinstance(self.sign_indices, IndexList):
+            raise ModelError(f"sign indices {self.sign_indices!r} are not an IndexList")
         constraints = []
         for sites, bit in self.delta_constraints:
             key = _site_set(sites, "delta constraint")
-            if bit not in (0, 1):
+            if bit.__class__ is not int or bit not in (0, 1):
                 raise ModelError(f"delta constraint bit must be 0 or 1, got {bit!r}")
             constraints.append((key, bit))
         constraints.sort(key=lambda kb: (len(kb[0]), sorted(kb[0]), kb[1]))
@@ -270,7 +272,7 @@ class SumResult:
 
 def centered_power_sum(q: int, m: int) -> Fraction:
     """Sum of the m-th powers of the centered spin values (0 for odd ``m``)."""
-    if m < 0:
+    if m.__class__ is not int or m < 0:
         raise ModelError(f"power must be >= 0, got {m}")
     if m % 2:
         return Fraction(0)
@@ -327,11 +329,10 @@ class ScanPlan(NamedTuple):
     distinct ``sums`` is ``(terms, delta_reqs, group)``: the sum over all
     configurations of the product of the per-site tables ``terms``, the
     delta factors ``delta_reqs``, each ``(subset, b, 1 - b)`` for bit b,
-    and the group's scaled weight, or no weight when ``group`` is
-    ``None``.  The groups' requests follow one another, each
-    ``(value, count, divisor)``: integer combinations
+    and the group's scaled weight.  The groups' requests follow one
+    another, each ``(combination, divisor)``: an integer combination
     ``((coefficient, sum index), ...)`` of ``sums`` that, divided by
-    ``divisor``, give its scaled sum and its matching count.
+    ``divisor``, gives its scaled sum.
     """
 
     n: int
@@ -356,15 +357,14 @@ def _site_table(q: int, m: int, e: int) -> tuple[int, ...] | None:
 def _request_terms(q: int, indices: IndexList, kind: str | None,
                    sign_indices: IndexList | None) -> tuple[tuple, int]:
     """A request's sign-free sums before its delta constraints are bound:
-    ``((coefficient, value terms, count terms), ...)`` and the divisor.
+    ``((coefficient, terms), ...)`` and the divisor.
 
     Each sign constraint is written as sign-free sums (see the module
     docstring): P, the product of the signs, is raised to the power 0, 1 or
     2 in each sum.  A site with multiplicity m in ``indices`` and k in
-    ``sign_indices`` then carries ``u**m * sign(u)**(k * power)`` in a value
-    sum and ``sign(u)**(k * power)`` in a count sum.  The terms are those
-    tables, sorted by site, read from ``_site_table``, which drops a table of
-    all ones, as Q's is at every even q.
+    ``sign_indices`` then carries ``u**m * sign(u)**(k * power)``.  The terms
+    are those tables, sorted by site, read from ``_site_table``, which drops
+    a table of all ones, as Q's is at every even q.
     """
     spins = indices.multiplicity
     signs = {} if kind is None else sign_indices.multiplicity
@@ -376,16 +376,16 @@ def _request_terms(q: int, indices: IndexList, kind: str | None,
         powers, divisor = ((1, 2), (1 if kind == POSITIVE else -1, 1)), 2
     sites = sorted({*spins, *signs})
 
-    def terms(power: int, value: bool) -> tuple:
+    def terms(power: int) -> tuple:
         tables = []
         for s in sites:
             e = signs.get(s, 0) * power
-            table = _site_table(q, spins.get(s, 0) if value else 0, e and 2 - e % 2)
+            table = _site_table(q, spins.get(s, 0), e and 2 - e % 2)
             if table is not None:
                 tables.append((s - 1, table))
         return tuple(tables)
 
-    return tuple([(c, terms(p, True), terms(p, False)) for c, p in powers]), divisor
+    return tuple([(c, terms(p)) for c, p in powers]), divisor
 
 
 def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]
@@ -418,10 +418,8 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
             combination, divisor = _request_terms(q, indices, event.sign_constraint,
                                                   event.sign_indices)
             compiled_requests.append((
-                tuple([(c, sums.setdefault((value, delta_reqs, group), len(sums)))
-                       for c, value, _count in combination]),
-                tuple([(c, sums.setdefault((count, delta_reqs, None), len(sums)))
-                       for c, _value, count in combination]),
+                tuple([(c, sums.setdefault((terms, delta_reqs, group), len(sums)))
+                       for c, terms in combination]),
                 divisor,
             ))
     subset_sites = tuple([sites_of[key] for key in keys])
@@ -481,13 +479,10 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
                       tuple(order), cost, {})
 
 
-def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[tuple[int, int]]:
-    """Every request's ``(scaled sum, matching count)`` from its sums' values."""
-    return [
-        (sum([c * sums[i] for c, i in value]) // divisor,
-         sum([c * sums[i] for c, i in count]) // divisor)
-        for value, count, divisor in plan.requests
-    ]
+def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[int]:
+    """Every request's scaled sum from the values of the plan's sums."""
+    return [sum([c * sums[i] for c, i in combination]) // divisor
+            for combination, divisor in plan.requests]
 
 
 # --- odometer kernel ---------------------------------------------------------
@@ -542,9 +537,9 @@ def _factor_rows(q: int, weighting: tuple) -> tuple[tuple[int, ...], ...]:
     return (*[dens * c + nums + dens * (q - 1 - c) for c in range(q)], dens * q)
 
 
-def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
-    """Every request's ``(scaled sum, matching count)`` over all ``q**n``
-    configurations, visiting one configuration per equality class.
+def _scan_classes(plan: ScanPlan) -> list[int]:
+    """Each of the plan's sums over all ``q**n`` configurations, visiting
+    one configuration per equality class.
 
     The digits are restricted-growth strings: site 0 is 0 and each later
     digit is at most one above the largest before it (and below ``q``), so
@@ -576,14 +571,13 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     prefix, a family looks up one vector: its product summed over each
     child class's relabellings, one entry per digit of the last site.  A
     sum whose deltas decided at earlier sites all hold adds the C-level dot
-    product of its group's child weights with that vector, or the vector's
-    sum for a count.  A delta decided at the last site holds at one digit
-    at most, the common digit c of its lower sites (none where c is -1):
-    bit 1 keeps that digit's term alone, and bit 0 the dot product less
-    that term.  A sum with two such deltas masks the digits instead.  A
-    vector whose entries are all 0, as they are when the family's tables
-    multiply to an odd function of the centred spins, is stored empty, and
-    its family adds nothing after that prefix.
+    product of its group's child weights with that vector.  A delta decided
+    at the last site holds at one digit at most, the common digit c of its
+    lower sites (none where c is -1): bit 1 keeps that digit's term alone,
+    and bit 0 the dot product less that term.  A sum with two such deltas
+    masks the digits instead.  A vector whose entries are all 0, as they
+    are when the family's tables multiply to an odd function of the centred
+    spins, is stored empty, and its family adds nothing after that prefix.
 
     A family's relabelled sums live in its ``_family_cache``, which later
     scans with the same tables reuse.  A class's sum is keyed by its b and
@@ -596,9 +590,7 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
     memoised once more by the blocks' rows (``_labelled_sums``, see
     ``_block_profile``), which classes with different digits and different
     families share.  So the labelling work follows the few distinct block
-    rows rather than the number of site patterns.  Each request's integers,
-    divided by its group's scales, give the Fraction of
-    ``correlation_sum_naive`` and its matching count.
+    rows rather than the number of site patterns.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     highest = _structure(n, q, subset_sites).highest
@@ -634,7 +626,6 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
         family[4].append((si, group, split))
     families = list(by_terms.values())
     accs = [0] * len(plan_sums)
-    ones = (1,) * q
 
     def vector(key_digits, cache, tabs, b, top):
         """A family's relabelled sums over the children of a prefix with b
@@ -705,13 +696,13 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
                 if not vec:  # every sum of the family adds 0 here
                     continue
                 for si, group in plain:
-                    accs[si] += sum(vec) if group is None else sum(map(mul, columns[group], vec))
+                    accs[si] += sum(map(mul, columns[group], vec))
                 for si, group, (earlier, lasts) in gated:
                     for j, agree in earlier:
                         if deltas[j] != agree:
                             break
                     else:
-                        column = ones if group is None else columns[group]
+                        column = columns[group]
                         if len(lasts) == 1:
                             # A delta decided here holds at one digit at
                             # most, its lower sites' common digit c (none
@@ -732,7 +723,7 @@ def _scan_classes(plan: ScanPlan) -> list[tuple[int, int]]:
             while s >= 0 and (digits[s] == blocks[s] or digits[s] == q - 1):
                 s -= 1
             if s < 0:
-                return _combine(plan, accs)
+                return accs
             commons, children, reads = decided[s]
             b = blocks[s]
             d = digits[s] + 1
@@ -773,8 +764,8 @@ def _index_map(scope: tuple[int, ...], joint: tuple[int, ...], q: int) -> list[i
     return index
 
 
-def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
-    """Every request's ``(scaled sum, matching count)`` by bucket elimination.
+def _eliminate(plan: ScanPlan) -> list[int]:
+    """Each of the plan's sums by bucket elimination.
 
     Sites are summed out in the order of the plan's ``_structure``; each
     ``(scope, table)`` factor waits in the bucket of its first site in that
@@ -788,8 +779,7 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
     object, and so keep sharing downstream, across groups as well.  The getters
     that read a table at a bucket's joint assignments depend only on the
     scopes and ``q``, and live in the plan's ``_structure`` for every later
-    scan.  A sum without weight, such as a matching count, leaves the
-    weight tables out; one with no factor at all is ``q**n``.
+    scan.  A sum with no factor at all is ``q**n``.
 
     The integers equal those of ``_scan_classes(plan)``, and so match
     ``correlation_sum_naive``, sign constraints included: the plan holds
@@ -854,10 +844,8 @@ def _eliminate(plan: ScanPlan) -> list[tuple[int, int]]:
                 total *= table[0]
         return total
 
-    return _combine(plan, [
-        sum_product((*(() if group is None else weight_keys[group]), *terms, *delta_reqs))
-        for terms, delta_reqs, group in plan.sums
-    ])
+    return [sum_product((*weight_keys[group], *terms, *delta_reqs))
+            for terms, delta_reqs, group in plan.sums]
 
 
 # --- random-cluster kernel ---------------------------------------------------
@@ -892,9 +880,8 @@ def _times_factor(dist: dict, mask: int, agree: int, differ: int) -> dict:
     return out
 
 
-def _cluster(plan: ScanPlan) -> list[tuple[int, int]]:
-    """Every request's ``(scaled sum, matching count)`` by the random-cluster
-    expansion.
+def _cluster(plan: ScanPlan) -> list[int]:
+    """Each of the plan's sums by the random-cluster expansion.
 
     Every factor ``(agree, differ)`` on a subset A is ``differ + (agree -
     differ) * delta_A``, so a product of factors is a sum over the subsets
@@ -914,7 +901,7 @@ def _cluster(plan: ScanPlan) -> list[tuple[int, int]]:
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     masks = [sum([1 << s for s in sites]) for sites in subset_sites]
     singletons = tuple([1 << s for s in range(n)])
-    dists: dict = {(None, ()): {singletons: 1}}  # (group, delta factors) -> distribution
+    dists: dict = {}  # (group, delta factors) -> distribution
     for group, row in enumerate(weight_rows):
         dist = {singletons: 1}
         for mask, pair in zip(masks, row):
@@ -946,7 +933,7 @@ def _cluster(plan: ScanPlan) -> list[tuple[int, int]]:
                 c *= v
             total += c
         accs.append(total)
-    return _combine(plan, accs)
+    return accs
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -973,9 +960,8 @@ def _choose_kernel(plan: ScanPlan) -> str:
     The cost needs the hypergraph's ``_structure``.  A scan whose estimate
     is below both ``q**n`` and ``_cost_floor``, a bound on the cost from
     the widest watched subset alone, is clustered without it, as the rule
-    would cluster it anyway.  That settles 1,357 of the 1,403 clustered
-    scans of ``sweep --suite all --trials 100`` at seeds 42, 7 and 3, where
-    the plain floor ``n * q`` settled 1,118."""
+    would cluster it anyway.  That settles 1,657 of the 1,703 clustered
+    scans of ``sweep --suite all --trials 100`` at seeds 42, 7 and 3."""
     n, q = plan.n, plan.q
     clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
         [any(pairs) for pairs in zip(*plan.weight_rows)])
@@ -995,15 +981,15 @@ def _choose_kernel(plan: ScanPlan) -> str:
 
 
 def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate]]]]
-          ) -> tuple[str, list[tuple[int, list[tuple[int, int]]]]]:
+          ) -> tuple[str, list[tuple[int, list[int]]]]:
     """One kernel pass over several weightings of one hypergraph.
 
     ``groups`` are ``(model, requests)`` pairs whose models share ``n`` and
     ``q``.  Returns the kernel that ran and, per group, its scale (the
-    product of its coupling denominators) and each request's ``(scaled
-    sum, matching count)``: the request's correlation sum is the scaled sum
-    over ``scale << len(indices)``.  The kernel is chosen from the plan's
-    shape alone: its hypergraph, weighted subsets and delta patterns (see
+    product of its coupling denominators) and each request's scaled sum:
+    the request's correlation sum is the scaled sum over
+    ``scale << len(indices)``.  The kernel is chosen from the plan's shape
+    alone: its hypergraph, weighted subsets and delta patterns (see
     ``_choose_kernel``).
     """
     for model, _requests in groups:
@@ -1011,8 +997,8 @@ def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate
     plan = _compile(groups)
     kernel = _choose_kernel(plan)
     run = {"cluster": _cluster, "elimination": _eliminate, "odometer": _scan_classes}[kernel]
-    sums = iter(run(plan))
-    return kernel, [(scale, list(islice(sums, len(requests))))
+    values = iter(_combine(plan, run(plan)))
+    return kernel, [(scale, list(islice(values, len(requests))))
                     for scale, (_model, requests) in zip(plan.scales, groups)]
 
 
@@ -1023,13 +1009,21 @@ def correlation_sums(
     """Evaluate several (index list, event) correlation sums in one scan.
 
     The kernel is chosen from the model and the events alone (see the
-    module docstring).
+    module docstring).  A request's matching count is the correlation sum
+    of the empty list over its event on the model without interactions:
+    ``q**n`` when every event is ``EVERYWHERE``, and else the result of one
+    more scan, on ``Model(n, q)``, whose scale is 1.
     """
     kernel, [(scale, sums)] = _scan([(model, requests)])
     total = model.configuration_count
+    if all([event == EVERYWHERE for _indices, event in requests]):
+        counts = [total] * len(requests)
+    else:
+        empty = [(EMPTY_LIST, event) for _indices, event in requests]
+        _kernel, [(_scale, counts)] = _scan([(Model(model.n, model.q), empty)])
     return [
         SumResult(Fraction(acc, scale << len(indices)), total, matching, kernel)
-        for (indices, _event), (acc, matching) in zip(requests, sums)
+        for (indices, _event), acc, matching in zip(requests, sums, counts)
     ]
 
 

@@ -95,13 +95,13 @@ def _covariance_requests(r: IndexList, s: IndexList, event=EVERYWHERE) -> list:
 def _covariance_numerator(sums) -> int:
     """``Z * zeta(RS) - zeta(R) * zeta(S)`` from the kernel integers of
     ``_covariance_requests``, over ``scale**2 * 2**(|R|+|S|)``."""
-    (rs, _), (r, _), (s, _), (z, _) = sums
+    rs, r, s, z = sums
     return z * rs - r * s
 
 
 def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList):
     _kernel, [(scale, sums)] = _scan([(model, _covariance_requests(r, s))])
-    return _covariance_numerator(sums), sums[3][0], scale
+    return _covariance_numerator(sums), sums[3], scale
 
 
 def scaled_covariance(model: Model, r: IndexList, s: IndexList) -> Fraction:
@@ -138,7 +138,7 @@ def check_positive_covariance(model: Model, r: IndexList, s: IndexList) -> Inequ
 
 
 def _require_even_positive(m: int, name: str) -> None:
-    if m <= 0 or m % 2:
+    if m.__class__ is not int or m <= 0 or m % 2:
         raise ModelError(f"exponent {name} must be a positive even integer, got {m}")
 
 
@@ -270,7 +270,7 @@ def _decomposition_requests(key: frozenset, r: IndexList, s: IndexList) -> list:
 def _coefficients(sums) -> tuple[int, int, int]:
     """``U``, ``V`` and ``W`` from the kernel integers of
     ``_decomposition_requests``, over ``scale**2 * 2**(|R|+|S|)``."""
-    (rs1, _), (r1, _), (s1, _), (z1, _), (rs0, _), (r0, _), (s0, _), (z0, _) = sums
+    rs1, r1, s1, z1, rs0, r0, s0, z0 = sums
     return (z1 * rs1 - r1 * s1,
             z1 * rs0 + z0 * rs1 - r0 * s1 - r1 * s0,
             z0 * rs0 - r0 * s0)
@@ -292,8 +292,7 @@ def quadratic_decomposition(
     _kernel, [(scale, sums)] = _scan([(base_model, _decomposition_requests(key, r, s))])
     den = scale * scale << (len(r) + len(s))
     u, v, w = (Fraction(c, den) for c in _coefficients(sums))
-    return QuadraticDecomposition(u, v, w, x, Fraction(sums[3][0], scale),
-                                  Fraction(sums[7][0], scale))
+    return QuadraticDecomposition(u, v, w, x, Fraction(sums[3], scale), Fraction(sums[7], scale))
 
 
 def check_quadratic(

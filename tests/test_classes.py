@@ -19,7 +19,8 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _compile, _eliminate, _scan_classes
+from pottsverify.enumeration import _eliminate, _scan_classes
+from plans import counted, pairs
 
 EMPTY = IndexList(())
 SIGNS = (POSITIVE, NEGATIVE, ZERO)
@@ -27,9 +28,10 @@ SIGNS = (POSITIVE, NEGATIVE, ZERO)
 
 def assert_groups_agree(groups):
     """Each group's requests from one class walk, a value and a matching
-    count each, equal the naive oracle's on the group's own model."""
-    plan = _compile(groups)
-    classes = iter(_scan_classes(plan))
+    count each, equal the naive oracle's on the group's own model; the
+    counts are the scaled sums of a counting group in the same plan."""
+    plan = counted(groups)
+    classes = iter(pairs(plan, _scan_classes(plan)))
     for scale, (model, requests) in zip(plan.scales, groups):
         for indices, event in requests:
             acc, matching = next(classes)
@@ -244,5 +246,5 @@ class TestLastSite:
                             delta_event({6, 7, 8}, 0))),
             (IndexList((3, 3)), sign_event(sign_list, NEGATIVE)),
         ]
-        plan = _compile([(model, requests)])
+        plan = counted([(model, requests)])
         assert _scan_classes(plan) == _eliminate(plan)

@@ -22,10 +22,10 @@ from pottsverify import (
 )
 from pottsverify.cli import main
 from pottsverify.enumeration import (
-    _compile,
     _eliminate,
     _scan_classes,
 )
+from plans import counted, pairs
 
 EMPTY = IndexList(())
 
@@ -62,10 +62,10 @@ def test_elimination_matches_odometer_and_oracle(instance):
     model, indices, event = instance
     # Extra requests share the plan and the order with the first one.
     requests = [(indices, event), (EMPTY, event), (indices, EVERYWHERE)]
-    plan = _compile([(model, requests)])
+    plan = counted([(model, requests)])
     eliminated = _eliminate(plan)
     assert eliminated == _scan_classes(plan)
-    acc, matching = eliminated[0]
+    acc, matching = pairs(plan, eliminated)[0]
     naive = correlation_sum_naive(model, indices, event)
     assert str(Fraction(acc, plan.scales[0] << len(indices))) == str(naive.value)
     assert matching == naive.configs_matching
@@ -160,12 +160,12 @@ def quadratic_scans(draw):
 @given(quadratic_scans())
 def test_shared_buckets_match_odometer_and_lone_requests(scan):
     model, requests = scan
-    plan = _compile([(model, requests)])
+    plan = counted([(model, requests)])
     eliminated = _eliminate(plan)
     assert eliminated == _scan_classes(plan)
-    for request, pair in zip(requests, eliminated):
-        alone = _compile([(model, [request])])
-        assert _eliminate(alone) == [pair]
+    for request, pair in zip(requests, pairs(plan, eliminated)):
+        alone = counted([(model, [request])])
+        assert pairs(alone, _eliminate(alone)) == [pair]
 
 
 class TestSharedScan:
@@ -179,7 +179,8 @@ class TestSharedScan:
     def test_identical_requests_give_identical_pairs(self):
         model = ring_model(8, 4)
         request = (IndexList((1, 3, 3)), conjoin(delta_event({2, 6}, 0), delta_event({4, 5}, 1)))
-        plan = _compile([(model, [request] * 3)])
+        plan = counted([(model, [request] * 3)])
         eliminated = _eliminate(plan)
-        assert eliminated[0] == eliminated[1] == eliminated[2]
+        rows = pairs(plan, eliminated)
+        assert rows[0] == rows[1] == rows[2]
         assert eliminated == _scan_classes(plan)

@@ -14,6 +14,7 @@ from pottsverify import (
     INFINITY,
     InfiniteCouplingError,
     ModelError,
+    POSITIVE,
     build_model,
     centered_power_sum,
     conjoin,
@@ -27,12 +28,15 @@ from pottsverify import (
     spin_product,
     uniform_correlation_sum,
 )
+from pottsverify import enumeration
+from pottsverify.enumeration import _cluster, _eliminate, _scan_classes
 from pottsverify.generators import (
     random_event,
     random_even_index_list,
     random_index_list,
     random_model,
 )
+from pottsverify.inequalities import check_quadratic, scaled_covariance
 
 EMPTY = IndexList(())
 
@@ -304,3 +308,67 @@ class TestPartitionIdentities:
                 odd_len = odd_len.concat(IndexList((rng.randint(1, model.n),)))
             assert correlation_sum(model, odd_len).value == 0
 
+
+
+class TestMatchingCounts:
+    """A kernel returns one integer per distinct sum; ``correlation_sums``
+    takes its matching counts from a second scan on the model without
+    interactions, or as ``q**n`` when every event is the whole space."""
+
+    MODEL = build_model(4, 3, [({1, 2}, 2), ({2, 3}, Fraction(3, 2)), ({1, 3, 4}, 3)])
+
+    @staticmethod
+    def record_scans(monkeypatch):
+        scans = []
+        scan = enumeration._scan
+
+        def scan_and_keep(groups):
+            scans.append(groups)
+            return scan(groups)
+
+        monkeypatch.setattr(enumeration, "_scan", scan_and_keep)
+        return scans
+
+    def test_whole_space_requests_make_one_scan(self, monkeypatch):
+        scans = self.record_scans(monkeypatch)
+        results = correlation_sums(self.MODEL, [(IndexList((1, 2)), EVERYWHERE),
+                                                (EMPTY, EventPredicate())])
+        assert len(scans) == 1
+        assert [r.configs_matching for r in results] == [3**4, 3**4]
+
+    def test_restricted_requests_make_a_second_scan_without_interactions(self, monkeypatch):
+        scans = self.record_scans(monkeypatch)
+        requests = [(IndexList((1, 2)), delta_event({1, 4}, 0)), (EMPTY, EVERYWHERE),
+                    (IndexList((3,)), sign_event(IndexList((2, 4)), POSITIVE))]
+        results = correlation_sums(self.MODEL, requests)
+        assert len(scans) == 2
+        [(model, counted)] = scans[1]
+        assert (model.n, model.q, len(model.interactions)) == (4, 3, 0)
+        assert counted == [(EMPTY, event) for _indices, event in requests]
+        for (indices, event), result in zip(requests, results):
+            naive = correlation_sum_naive(self.MODEL, indices, event)
+            assert (result.value, result.configs_matching) == (naive.value,
+                                                               naive.configs_matching)
+
+    def test_no_compiled_sum_lacks_a_group(self, monkeypatch):
+        """Every plan that ``check_quadratic``, ``scaled_covariance`` and
+        ``correlation_sums`` compile has sums of groups only, requests of
+        a combination and a divisor, and one kernel integer per sum."""
+        plans = []
+        compile_ = enumeration._compile
+
+        def compile_and_keep(groups):
+            plans.append(compile_(groups))
+            return plans[-1]
+
+        monkeypatch.setattr(enumeration, "_compile", compile_and_keep)
+        r, s = IndexList((1, 4)), IndexList((2, 3))
+        assert check_quadratic(self.MODEL, {2, 4}, 2, r, s, extra_x=(3,)).satisfied
+        scaled_covariance(self.MODEL, r, s)
+        correlation_sums(self.MODEL, [(r, delta_event({2, 4}, 1)), (s, EVERYWHERE)])
+        assert len(plans) == 4
+        for plan in plans:
+            assert all(0 <= group < len(plan.scales) for _terms, _deltas, group in plan.sums)
+            assert all(len(request) == 2 for request in plan.requests)
+            for kernel in (_cluster, _eliminate, _scan_classes):
+                assert len(kernel(plan)) == len(plan.sums)

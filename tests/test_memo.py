@@ -22,7 +22,6 @@ from pottsverify import (
 from pottsverify import enumeration
 from pottsverify.enumeration import (
     _cluster,
-    _compile,
     _eliminate,
     _family_cache,
     _labelled_sums,
@@ -32,13 +31,16 @@ from pottsverify.enumeration import (
     _structure,
 )
 from pottsverify.inequalities import check_quadratic
+from plans import counted, pairs
 
 MEMOS = (_structure, _family_cache, _request_terms, _site_table, _labelled_sums)
 
 
 def both_kernels(model, requests):
-    plan = _compile([(model, requests)])
-    return plan, _eliminate(plan), _scan_classes(plan)
+    """The counted plan of one scan and each request's (scaled sum, matching
+    count) on elimination and on the odometer."""
+    plan = counted([(model, requests)])
+    return plan, pairs(plan, _eliminate(plan)), pairs(plan, _scan_classes(plan))
 
 
 @st.composite
@@ -96,9 +98,9 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
 def test_one_pass_over_groups_matches_separate_scans_and_the_oracle(groups):
     """One plan binds every group's weights; on every kernel each group's
     integers equal its own one-group scan and ``correlation_sum_naive``."""
-    plan = _compile(groups)
+    plan = counted(groups)
     for batched in (_eliminate(plan), _scan_classes(plan), _cluster(plan)):
-        rows = iter(batched)
+        rows = iter(pairs(plan, batched))
         for scale, (model, requests) in zip(plan.scales, groups):
             sums = list(itertools.islice(rows, len(requests)))
             alone, eliminated, classes = both_kernels(model, requests)

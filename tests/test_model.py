@@ -16,12 +16,19 @@ from pottsverify import (
     InteractionTable,
     Model,
     ModelError,
+    POSITIVE,
     build_model,
+    centered_power_sum,
+    check_power_sum_gap_recursion,
+    conjoin,
     correlation_sum,
+    correlation_sum_naive,
     delta_event,
     generalized_delta,
     marginal_distribution,
+    power_sum_gap,
     resolve_infinite_couplings,
+    sign_event,
     spin_domain,
     spin_value,
 )
@@ -288,8 +295,10 @@ class TestInputRules:
          "event site True out of range 1..2"),
         (lambda: build_model(True, 2), "site count n must be >= 1 and a plain int, got True"),
         (lambda: build_model(2, True), "spin count q must be >= 2 and a plain int, got True"),
+        (lambda: delta_event({1, 2}, True), "delta constraint bit must be 0 or 1, got True"),
+        (lambda: centered_power_sum(3, True), "power must be >= 0, got True"),
     ], ids=["list-entry", "interaction-site", "weight", "spin-label", "event-site",
-            "site-count", "spin-count"])
+            "site-count", "spin-count", "delta-bit", "power"])
     def test_bool_is_neither_a_site_nor_a_weight(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
@@ -331,11 +340,23 @@ class TestInputRules:
         (lambda: delta_event(None, 1), "delta constraint None is not a set of sites"),
         (lambda: Model(2, [2]), "spin count q must be >= 2 and a plain int, got [2]"),
         (lambda: spin_value([2], 1), "spin count q must be >= 2 and a plain int, got [2]"),
+        (lambda: delta_event({1, 2}, 1.0), "delta constraint bit must be 0 or 1, got 1.0"),
+        (lambda: delta_event({1, 2}, 0.0), "delta constraint bit must be 0 or 1, got 0.0"),
+        (lambda: delta_event({1, 2}, Fraction(1)),
+         "delta constraint bit must be 0 or 1, got Fraction(1, 1)"),
+        (lambda: sign_event([1, 2], POSITIVE), "sign indices [1, 2] are not an IndexList"),
+        (lambda: sign_event((1, 2), POSITIVE), "sign indices (1, 2) are not an IndexList"),
+        (lambda: centered_power_sum(3, 2.0), "power must be >= 0, got 2.0"),
+        (lambda: power_sum_gap(3, 2.0, 2), "exponent a must be a positive even integer, got 2.0"),
+        (lambda: check_power_sum_gap_recursion(3, 2, 2.0),
+         "exponent b must be a positive even integer, got 2.0"),
     ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
             "complex-weight", "decimal-weight", "text-weight", "inf-text-weight",
             "huge-exponent-weight", "tiny-exponent-weight",
             "none-sites", "int-sites", "unhashable-sites", "none-delta-sites", "list-q",
-            "list-q-domain"])
+            "list-q-domain", "float-delta-bit", "float-zero-delta-bit", "fraction-delta-bit",
+            "list-sign-indices", "tuple-sign-indices", "float-power", "float-gap-exponent",
+            "float-recursion-exponent"])
     def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
@@ -352,18 +373,38 @@ SITE_SETS = st.one_of(st.sets(st.integers(1, 4), min_size=2, max_size=3),
                       st.lists(COUNTS, max_size=4), COUNTS)
 WEIGHTS = st.one_of(COUNTS, st.sampled_from(["3/2", "1/2", "inf", "1/0"]),
                     st.fractions(max_value=Fraction(99, 100)), st.just(math.inf))
+BITS = st.one_of(st.integers(-1, 2), WRONG_TYPES)
+SIGN_LISTS = st.one_of(st.lists(st.integers(1, 4), max_size=3).map(tuple).map(IndexList),
+                       WRONG_TYPES)
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=COUNTS, q=COUNTS, sites=SITE_SETS, x=WEIGHTS)
-def test_library_input_raises_model_error_or_builds_a_scannable_model(n, q, sites, x):
+@given(n=COUNTS, q=COUNTS, sites=SITE_SETS, x=WEIGHTS, bit=BITS, sign_list=SIGN_LISTS)
+def test_library_input_raises_model_error_or_builds_a_scannable_model(n, q, sites, x, bit,
+                                                                      sign_list):
     """The library's counterpart of the argv fuzz: whatever the counts, site
     set and weight, ``build_model`` raises ``ModelError`` or returns a model
-    the kernel can scan."""
+    the kernel can scan.  Whatever the delta bit and sign list, an event
+    raises ``ModelError`` or gives the naive oracle's sum, on a fixed model
+    and on the drawn one when it builds."""
+    models = [build_model(3, 3, [({1, 2}, 2)])]
     try:
         model = build_model(n, q, [(sites, x)])
     except ModelError:
+        pass
+    else:
+        if model.interactions.has_infinite:
+            model = resolve_infinite_couplings(model).model
+        assert correlation_sum(model, EMPTY_LIST).value >= model.configuration_count
+        models.append(model)
+    try:
+        event = conjoin(delta_event({1, 2}, bit), sign_event(sign_list, POSITIVE))
+    except ModelError:
         return
-    if model.interactions.has_infinite:
-        model = resolve_infinite_couplings(model).model
-    assert correlation_sum(model, EMPTY_LIST).value >= model.configuration_count
+    for model in models:
+        try:
+            result = correlation_sum(model, EMPTY_LIST, event)
+        except ModelError:
+            continue
+        naive = correlation_sum_naive(model, EMPTY_LIST, event)
+        assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
