@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .enumeration import correlation_sum, delta_event
+from .enumeration import _scan, correlation_sum, delta_event
 from .model import (
     IndexList,
     InteractionTable,
     Model,
+    _check_list,
     _check_range,
     _site_set,
     is_infinite,
@@ -109,7 +110,7 @@ def contract(model: Model, indices: IndexList, merged_sites: Iterable[int]) -> C
     merged = _site_set(merged_sites, "merged site set")
     _check_range(model.n, merged, "merged site")
     model.require_finite()
-    _check_range(model.n, indices, "list entry")
+    _check_list(model.n, indices)
     anchor = min(merged)
     block = {i: anchor if i in merged else i for i in model.sites}
     contracted, front, site_map = _contract_model(model, block)
@@ -124,11 +125,17 @@ def check_contraction_identity(
     The left side restricts the original model to the event that all spins
     of the merged set agree; the right side enumerates the contracted model
     over its whole space.  The two are equal exactly.
+
+    The left side is read from the kernel's scaled sum (``_scan``), since
+    ``correlation_sum`` would make one more scan to count the event's
+    configurations, which the identity does not use.  The right side's
+    count is ``q**n`` and costs no scan, so it stays on ``correlation_sum``.
     """
     merged = frozenset(merged_sites)
     # ``contract`` validates the merged set before the restricted sum does.
     result = contract(model, indices, merged)
-    lhs = correlation_sum(model, indices, delta_event(merged, 1)).value
+    _kernel, [(scale, [acc])] = _scan([(model, [(indices, delta_event(merged, 1))])])
+    lhs = Fraction(acc, scale << len(indices))
     rhs = (
         result.front_factor
         * correlation_sum(result.contracted_model, result.contracted_list).value
@@ -151,7 +158,7 @@ def resolve_infinite_couplings(
     the identity site map.
     """
     for lst in lists:
-        _check_range(model.n, lst, "list entry")
+        _check_list(model.n, lst)
     block = {i: i for i in model.sites}
 
     def find(i: int) -> int:

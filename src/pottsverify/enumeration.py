@@ -17,7 +17,10 @@ All three read one constraint form, written by ``_compile``: a factor
 ``(agree, differ)`` on a subset is ``agree`` where the subset's spins all
 agree and ``differ`` elsewhere.  A scaled weight ``x_A = num/den`` is
 ``(num, den)``, a delta constraint with bit b is ``(b, 1 - b)``, and a
-weight of 1, the factor 1, is left out of the plan.
+weight of 1, the factor 1, is left out of the plan.  Elimination and the
+random-cluster kernel multiply a delta's factor in as they do a weight's;
+the odometer reads only its ``agree``, the bit, and tests per prefix
+whether the subset's spins agreeing equals it.
 
 No kernel sees a sign: a request is an exact integer combination of
 sign-free sums of per-site table products.  With P the product of the signs
@@ -158,6 +161,7 @@ from .model import (
     IndexList,
     Model,
     ModelError,
+    _check_list,
     _check_range,
     _site_set,
     spin_domain,
@@ -291,7 +295,7 @@ def uniform_correlation_sum(model: Model, indices: IndexList) -> Fraction:
         raise ModelError(
             f"closed form requires s=0 (all weights 1), model has s={model.interactions.s}"
         )
-    _check_range(model.n, indices, "list entry")
+    _check_list(model.n, indices)
     if indices.odd_groups:
         return Fraction(0)
     value = Fraction(model.q) ** (model.n - len(indices.support))
@@ -302,7 +306,7 @@ def uniform_correlation_sum(model: Model, indices: IndexList) -> Fraction:
 
 def _check_event(model: Model, event: EventPredicate) -> None:
     if event.sign_indices is not None:
-        _check_range(model.n, event.sign_indices, "list entry")
+        _check_list(model.n, event.sign_indices)
     for sites, _bit in event.delta_constraints:
         _check_range(model.n, sites, "event site")
 
@@ -400,7 +404,7 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
     watched = set().union(*weighted)
     for model, requests in groups:
         for indices, event in requests:
-            _check_range(model.n, indices, "list entry")
+            _check_list(model.n, indices)
             _check_event(model, event)
             watched.update([sites for sites, _bit in event.delta_constraints])
     sites_of = {key: tuple(sorted([i - 1 for i in key])) for key in watched}
@@ -600,8 +604,8 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     # site, and (place at the last site, bit) of each other one.
     splits: dict = {}
     # Sums with the same per-site tables form one family: the getter of its
-    # cache keys, its cache and tables, then (index, group) of its sums
-    # without deltas and (index, group, split) of the others.
+    # cache keys, its cache and tables, then (index, group, split) of its
+    # sums, a sum without deltas split ([], []).
     by_terms: dict = {}
     for si, (terms, delta_reqs, group) in enumerate(plan_sums):
         family = by_terms.get(terms)
@@ -611,10 +615,7 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
             # reads either kind of cache key.
             tabs = tuple(tab for _s, tab in terms)
             family = by_terms[terms] = (
-                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs, [], [])
-        if not delta_reqs:
-            family[3].append((si, group))
-            continue
+                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs, [])
         split = splits.get(delta_reqs)
         if split is None:
             earlier, lasts = split = splits[delta_reqs] = [], []
@@ -623,7 +624,7 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
                     lasts.append((at_last[j], agree))
                 else:
                     earlier.append((j, agree))
-        family[4].append((si, group, split))
+        family[3].append((si, group, split))
     families = list(by_terms.values())
     accs = [0] * len(plan_sums)
 
@@ -688,16 +689,14 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
             products = tuple(products)
             columns = [products[k::g] for k in range(g)]
             digits[n] = ~b
-            for key_digits, cache, tabs, plain, gated in families:
+            for key_digits, cache, tabs, members in families:
                 key = key_digits(digits)
                 vec = cache.get(key)
                 if vec is None:
                     vec = cache[key] = vector(key_digits, cache, tabs, b, top)
                 if not vec:  # every sum of the family adds 0 here
                     continue
-                for si, group in plain:
-                    accs[si] += sum(map(mul, columns[group], vec))
-                for si, group, (earlier, lasts) in gated:
+                for si, group, (earlier, lasts) in members:
                     for j, agree in earlier:
                         if deltas[j] != agree:
                             break
@@ -960,7 +959,7 @@ def _choose_kernel(plan: ScanPlan) -> str:
     The cost needs the hypergraph's ``_structure``.  A scan whose estimate
     is below both ``q**n`` and ``_cost_floor``, a bound on the cost from
     the widest watched subset alone, is clustered without it, as the rule
-    would cluster it anyway.  That settles 1,657 of the 1,703 clustered
+    would cluster it anyway.  That settles 1,357 of the 1,403 clustered
     scans of ``sweep --suite all --trials 100`` at seeds 42, 7 and 3."""
     n, q = plan.n, plan.q
     clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
@@ -1012,7 +1011,10 @@ def correlation_sums(
     module docstring).  A request's matching count is the correlation sum
     of the empty list over its event on the model without interactions:
     ``q**n`` when every event is ``EVERYWHERE``, and else the result of one
-    more scan, on ``Model(n, q)``, whose scale is 1.
+    more scan, on ``Model(n, q)``, whose scale is 1.  Only a library caller
+    that passes events pays for that scan: the package's checks and the
+    CLI call this function on the whole space alone, and read a restricted
+    sum from ``_scan``, which counts nothing.
     """
     kernel, [(scale, sums)] = _scan([(model, requests)])
     total = model.configuration_count

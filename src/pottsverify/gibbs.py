@@ -25,7 +25,8 @@ from .enumeration import (
     ZERO,
     _check_event,
 )
-from .model import Configuration, IndexList, Model, ModelError, _check_range, _site_set
+from .model import (Configuration, IndexList, Model, ModelError, _check_list, _check_range,
+                    _site_set)
 
 __all__ = [
     "all_configurations",
@@ -139,7 +140,7 @@ def correlation_sum_naive(
 ) -> SumResult:
     """Reference evaluation: full per-configuration recomputation in Fractions."""
     model.require_finite()
-    _check_range(model.n, indices, "list entry")
+    _check_list(model.n, indices)
     _check_event(model, event)
     total = Fraction(0)
     visited = 0

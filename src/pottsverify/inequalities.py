@@ -35,7 +35,8 @@ from .enumeration import (
     delta_event,
     expectation,
 )
-from .model import EMPTY_LIST, IndexList, Model, ModelError, _as_coupling, spin_domain
+from .model import (EMPTY_LIST, IndexList, Model, ModelError, _as_coupling, _check_list,
+                    spin_domain)
 from .serialize import witness_json
 
 __all__ = [
@@ -87,8 +88,11 @@ def check_positive_expectation(model: Model, indices: IndexList) -> InequalityRe
     )
 
 
-def _covariance_requests(r: IndexList, s: IndexList, event=EVERYWHERE) -> list:
-    """The four correlation sums of a scaled covariance, restricted to ``event``."""
+def _covariance_requests(n: int, r: IndexList, s: IndexList, event=EVERYWHERE) -> list:
+    """The four correlation sums of a scaled covariance, restricted to ``event``,
+    of two lists on a model with ``n`` sites."""
+    _check_list(n, r)
+    _check_list(n, s)
     return [(r.concat(s), event), (r, event), (s, event), (EMPTY_LIST, event)]
 
 
@@ -100,7 +104,7 @@ def _covariance_numerator(sums) -> int:
 
 
 def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList):
-    _kernel, [(scale, sums)] = _scan([(model, _covariance_requests(r, s))])
+    _kernel, [(scale, sums)] = _scan([(model, _covariance_requests(model.n, r, s))])
     return _covariance_numerator(sums), sums[3], scale
 
 
@@ -205,6 +209,8 @@ def uniform_scaled_covariance(model: Model, r: IndexList, s: IndexList) -> Fract
         raise ModelError(
             f"factorization requires s=0, model has s={model.interactions.s}"
         )
+    _check_list(model.n, r)
+    _check_list(model.n, s)
     if r.odd_groups or s.odd_groups:
         raise ModelError("factorization requires even-only lists")
     q = model.q
@@ -261,10 +267,10 @@ def _added_coupling(base_model: Model, added_sites: Iterable[int],
     return key, x, base_model.with_coupling(key, x)
 
 
-def _decomposition_requests(key: frozenset, r: IndexList, s: IndexList) -> list:
+def _decomposition_requests(n: int, key: frozenset, r: IndexList, s: IndexList) -> list:
     """The covariance sums of the base model on each side of the added set's delta."""
-    return [*_covariance_requests(r, s, delta_event(key, 1)),
-            *_covariance_requests(r, s, delta_event(key, 0))]
+    return [*_covariance_requests(n, r, s, delta_event(key, 1)),
+            *_covariance_requests(n, r, s, delta_event(key, 0))]
 
 
 def _coefficients(sums) -> tuple[int, int, int]:
@@ -289,7 +295,8 @@ def quadratic_decomposition(
     ``x`` must be at least 1.
     """
     key, x, _augmented = _added_coupling(base_model, added_sites, x)
-    _kernel, [(scale, sums)] = _scan([(base_model, _decomposition_requests(key, r, s))])
+    requests = _decomposition_requests(base_model.n, key, r, s)
+    _kernel, [(scale, sums)] = _scan([(base_model, requests)])
     den = scale * scale << (len(r) + len(s))
     u, v, w = (Fraction(c, den) for c in _coefficients(sums))
     return QuadraticDecomposition(u, v, w, x, Fraction(sums[3], scale), Fraction(sums[7], scale))
@@ -322,9 +329,9 @@ def check_quadratic(
     """
     key, x, augmented_model = _added_coupling(base_model, added_sites, x)
     xs = [x, *map(_as_coupling, extra_x)]
-    direct = _covariance_requests(r, s)
+    direct = _covariance_requests(base_model.n, r, s)
     _kernel, [(scale, sums), *augmented] = _scan([
-        (base_model, _decomposition_requests(key, r, s)),
+        (base_model, _decomposition_requests(base_model.n, key, r, s)),
         (augmented_model, direct),
         *[(base_model.with_coupling(key, x_val), direct) for x_val in xs[1:]],
     ])

@@ -20,13 +20,13 @@ Conventions shared by every module:
 * All types are immutable after construction.
 * Only ``model`` states and raises the input rules: a site, list entry
   or spin label is a plain ``int`` (never a ``bool``) in ``1..bound``;
-  an interaction, delta constraint or merged set holds at least two
-  sites; no interaction repeats; the counts ``n >= 1`` and ``q >= 2`` are
-  plain ``int``s; interactions are an ``InteractionTable``; a weight is an
-  exact rational ``>= 1`` (or INFINITY where allowed), and any other weight
-  type is refused; a weight read from text carries a decimal exponent of
-  at most ``_MAX_EXPONENT``.  ``_as_coupling`` alone checks the ``>= 1``
-  hypothesis.
+  an index list is an ``IndexList``; an interaction, delta constraint or
+  merged set holds at least two sites; no interaction repeats; the counts
+  ``n >= 1`` and ``q >= 2`` are plain ``int``s; interactions are an
+  ``InteractionTable``; a weight is an exact rational ``>= 1`` (or
+  INFINITY where allowed), and any other weight type is refused; a weight
+  read from text carries a decimal exponent of at most ``_MAX_EXPONENT``.
+  ``_as_coupling`` alone checks the ``>= 1`` hypothesis.
 """
 
 from __future__ import annotations
@@ -85,6 +85,14 @@ def _check_range(bound: int, values: Iterable, what: str) -> None:
     for i in values:
         if i.__class__ is not int or not 1 <= i <= bound:
             raise ModelError(f"{what} {i} out of range 1..{bound}")
+
+
+def _check_list(bound: int, indices) -> None:
+    """Raise unless ``indices`` is an ``IndexList`` whose entries are in
+    ``1..bound`` (see ``_check_range``)."""
+    if not isinstance(indices, IndexList):
+        raise ModelError(f"list entries {indices!r} are not an IndexList")
+    _check_range(bound, indices, "list entry")
 
 
 def _site_set(sites: Iterable, what: str) -> frozenset:

@@ -9,6 +9,7 @@ from pottsverify import (
     IndexList,
     ModelError,
     build_model,
+    check_contraction_identity,
     check_positive_covariance,
     check_positive_expectation,
     check_power_sum_gap_recursion,
@@ -19,6 +20,7 @@ from pottsverify import (
     scaled_covariance,
     uniform_scaled_covariance,
 )
+from pottsverify import contraction, enumeration, inequalities
 from pottsverify.generators import (
     random_coupling,
     random_even_index_list,
@@ -352,3 +354,27 @@ class TestQuadraticDecomposition:
             high = scaled_covariance(model.with_coupling(merged, x2), r, s)
             assert high >= low
             done += 1
+
+
+@pytest.mark.parametrize("check, args, scans", [
+    (check_positive_expectation, (IndexList((1, 2)),), 1),
+    (check_positive_covariance, (IndexList((1, 2)), IndexList((1, 3))), 1),
+    (check_quadratic, ({2, 3}, 2, IndexList((1, 2)), IndexList((1, 3))), 1),
+    (check_contraction_identity, (IndexList((1, 2)), {2, 3}), 2),
+], ids=["theorem1", "theorem2", "quadratic", "contraction"])
+def test_each_model_check_makes_only_the_scans_it_reads(monkeypatch, check, args, scans):
+    """Each check's kernel passes, counted at ``enumeration._scan`` in every
+    module that calls it: one per check, and two for the contraction
+    identity, one per side.  A check that scanned for a result it drops,
+    such as the matching count of a restricted sum, would count more."""
+    calls = []
+
+    def counted(groups):
+        calls.append(groups)
+        return scan(groups)
+
+    scan = enumeration._scan
+    for module in (enumeration, inequalities, contraction):
+        monkeypatch.setattr(module, "_scan", counted)
+    check(build_model(3, 3, [({1, 2}, 2)]), *args)
+    assert len(calls) == scans

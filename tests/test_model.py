@@ -267,6 +267,28 @@ class TestInteractionTable:
             model.n = 4
 
 
+# The arguments after the model of each public function that takes an
+# ``IndexList``, with the tuple ``t`` in one list's place.
+_ONE = IndexList((1,))
+_TUPLE_ARGS = {
+    "correlation_sum": lambda t: (t,),
+    "correlation_sums": lambda t: ([(t, pottsverify.EVERYWHERE)],),
+    "expectation": lambda t: (t,),
+    "check_positive_expectation": lambda t: (t,),
+    "scaled_covariance": lambda t: (t, _ONE),
+    "covariance": lambda t: (_ONE, t),
+    "check_positive_covariance": lambda t: (t, t),
+    "check_quadratic": lambda t: ({2, 3}, 2, t, _ONE),
+    "quadratic_decomposition": lambda t: ({2, 3}, 2, _ONE, t),
+    "uniform_correlation_sum": lambda t: (t,),
+    "uniform_scaled_covariance": lambda t: (IndexList((1, 1)), t),
+    "contract": lambda t: (t, {1, 2}),
+    "check_contraction_identity": lambda t: (t, {1, 2}),
+    "resolve_infinite_couplings": lambda t: ([t],),
+    "correlation_sum_naive": lambda t: (t,),
+}
+
+
 class TestInputRules:
     """The site, site-set, duplicate, spin-count and weight rules live in
     ``model``; every entry point reports a bad site the same way."""
@@ -361,6 +383,14 @@ class TestInputRules:
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("name", list(_TUPLE_ARGS))
+    def test_a_tuple_for_an_index_list_is_a_model_error(self, name):
+        """Every function that takes an ``IndexList`` refuses a tuple of its
+        entries with one message, the naive oracle included."""
+        model = build_model(3, 3, [({1, 2}, 1)])  # s = 0, for the uniform forms
+        with pytest.raises(ModelError, match=r"^list entries \(1, 2\) are not an IndexList$"):
+            getattr(pottsverify, name)(model, *_TUPLE_ARGS[name]((1, 2)))
+
 
 # Each value is a small int or of a wrong type.  The ints keep n and q at most
 # 4, so every model that builds is cheap to scan; floats equal to such ints are
@@ -368,11 +398,22 @@ class TestInputRules:
 WRONG_TYPES = st.one_of(st.booleans(), st.integers(-1, 4).map(float), st.floats(),
                         st.text(max_size=5), st.none(), st.complex_numbers(max_magnitude=4),
                         st.lists(st.integers(1, 4), max_size=2))
-COUNTS = st.one_of(st.integers(-1, 4), WRONG_TYPES)
-SITE_SETS = st.one_of(st.sets(st.integers(1, 4), min_size=2, max_size=3),
-                      st.lists(COUNTS, max_size=4), COUNTS)
-WEIGHTS = st.one_of(COUNTS, st.sampled_from(["3/2", "1/2", "inf", "1/0"]),
-                    st.fractions(max_value=Fraction(99, 100)), st.just(math.inf))
+
+
+def valid_or(valid, other):
+    """``valid`` about half the time, else ``other``, so that a real share of
+    the drawn models builds: ``st.one_of`` would flatten ``other``'s branches
+    and give ``valid`` one share among a dozen."""
+    return st.booleans().flatmap(lambda ok: valid if ok else other)
+
+
+COUNTS = valid_or(st.integers(2, 4), st.one_of(st.integers(-1, 4), WRONG_TYPES))
+SITE_SETS = valid_or(st.sampled_from([{1, 2}, {2, 3}, {1, 2, 3}]),
+                     st.one_of(st.sets(st.integers(1, 4), min_size=2, max_size=3),
+                               st.lists(COUNTS, max_size=4), COUNTS))
+WEIGHTS = valid_or(st.fractions(min_value=1, max_value=4, max_denominator=4),
+                   st.one_of(COUNTS, st.sampled_from(["3/2", "1/2", "inf", "1/0"]),
+                             st.fractions(max_value=Fraction(99, 100)), st.just(math.inf)))
 BITS = st.one_of(st.integers(-1, 2), WRONG_TYPES)
 SIGN_LISTS = st.one_of(st.lists(st.integers(1, 4), max_size=3).map(tuple).map(IndexList),
                        WRONG_TYPES)
