@@ -41,17 +41,12 @@ of a sign list's spins and Q = P**2, the indicator of a positive product is
   product of one entry of each decided subset's factor row, the row picked
   by the digit its lower sites share.  So the weights are built by products
   alone, the small factors multiplied in C and the parent's weight once per
-  digit.  Each sum's table product over a class's
-  ``q!/(q-b)!`` relabellings comes from a cache keyed by the number of
-  blocks b and the digits at the sum's table sites.  Sums with the same
-  tables share that cache, and a miss labels only the blocks those sites
-  touch, reusing the result of any earlier miss whose blocks had the same
-  rows.  The last site is not stepped: after each prefix of the other
-  n-1 sites (715 at n=8, q=4), the sums with the same tables read one
-  vector of those products, one entry per digit of the last site, and
-  each adds its dot product with its group's child weights.  A delta
-  decided at the last site holds at one digit at most, the one its lower
-  sites share, so it keeps that digit's term (bit 1) or drops it (bit 0).
+  digit.  The last site is not stepped: after each prefix of the other n-1
+  sites (715 at n=8, q=4), the sums with the same tables read one cached
+  vector of their table products summed over each child class's
+  ``q!/(q-b)!`` relabellings, one entry per digit of the last site, and
+  each adds its dot product with its group's child weights over the digits
+  where its deltas hold (see ``_scan_classes``).
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per subset factor (a scaled weight or a delta
@@ -123,10 +118,9 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   interactions and event subsets alike, so a subset takes the same place
   whether it is weighted or not.
 * ``_family_cache``, keyed by ``(q, tables)``, at most ``_FAMILY_MEMO``
-  entries: the odometer's relabelled sums of a family of sums with those
-  per-site tables, of single classes and of a prefix's children, by cache
-  key.  They depend on neither the weights nor ``n`` nor the sites the
-  tables sit on.
+  entries: the odometer's vectors of relabelled sums of a family of sums
+  with those per-site tables, by vector key, which depend on neither the
+  weights nor ``n`` nor the sites the tables sit on.
 * ``_labelled_sums``, keyed by ``(q, block profile)``, at most
   ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
   profile's blocks, which those relabelled sums are made of.
@@ -492,17 +486,18 @@ def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[int]:
 # --- odometer kernel ---------------------------------------------------------
 
 
-def _block_profile(values: tuple[int, ...], tabs) -> tuple:
+def _block_profile(digits: list[int], terms) -> tuple:
     """The blocks that a family's sites fall in, as a sorted tuple of rows.
 
-    ``values`` holds the digits at the family's sites and ``tabs`` their
-    tables; sites with equal digits share a block, whose row is the product
-    of its sites' tables.  The sums over injective labellings depend
-    neither on the labels the blocks carry nor on their order, so classes
-    whose blocks have the same rows share them.
+    ``digits`` holds a class's digits and ``terms`` the family's
+    ``(site, table)`` pairs; sites with equal digits share a block, whose
+    row is the product of its sites' tables.  The sums over injective
+    labellings depend neither on the labels the blocks carry nor on their
+    order, so classes whose blocks have the same rows share them.
     """
     rows: dict[int, tuple[int, ...]] = {}
-    for d, tab in zip(values, tabs):
+    for s, tab in terms:
+        d = digits[s]
         rows[d] = tuple(map(mul, rows[d], tab)) if d in rows else tab
     return tuple(sorted(rows.values()))
 
@@ -517,11 +512,9 @@ def _labelled_sums(q: int, profile: tuple) -> int:
 
 @lru_cache(maxsize=_FAMILY_MEMO)
 def _family_cache(q: int, tabs: tuple) -> dict:
-    """The relabelled sums of a family with tables ``tabs``, of classes and
-    of prefixes' children, by cache key (see ``_scan_classes``), shared by
-    every scan at ``q``.  A family that reads no site is keyed by b alone:
-    a class's sum is the class size q!/(q-b)!."""
-    return {} if tabs else {b: perm(q, b) for b in range(1, q + 1)}
+    """The vectors of relabelled sums of a family with tables ``tabs``, by
+    vector key (see ``_scan_classes``), shared by every scan at ``q``."""
+    return {}
 
 
 def _factor_rows(q: int, weighting: tuple) -> tuple[tuple[int, ...], ...]:
@@ -577,24 +570,25 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     sum whose deltas decided at earlier sites all hold adds the C-level dot
     product of its group's child weights with that vector.  A delta decided
     at the last site holds at one digit at most, the common digit c of its
-    lower sites (none where c is -1): bit 1 keeps that digit's term alone,
-    and bit 0 the dot product less that term.  A sum with two such deltas
-    masks the digits instead.  A vector whose entries are all 0, as they
-    are when the family's tables multiply to an odd function of the centred
-    spins, is stored empty, and its family adds nothing after that prefix.
+    lower sites (none where c is -1), so a sum with such deltas adds only
+    the terms of the digits d where each one's ``c == d`` equals its bit.
+    A vector whose entries are all 0, as they are when the family's tables
+    multiply to an odd function of the centred spins, is stored empty, and
+    its family adds nothing after that prefix.
 
-    A family's relabelled sums live in its ``_family_cache``, which later
-    scans with the same tables reuse.  A class's sum is keyed by its b and
-    the representative's digits at the family's sites.  A vector is keyed
-    by ``~b``, with b the prefix's blocks, and the same digits with -1 for
-    the last site's, so the two kinds of key never meet; on a miss it is
-    built from its classes' entries.  On a class's miss only the t blocks
-    the family's sites touch are labelled, and each labelling extends to
-    the untouched blocks in ``(q-t)!/(q-b)!`` ways; the labelling sums are
-    memoised once more by the blocks' rows (``_labelled_sums``, see
-    ``_block_profile``), which classes with different digits and different
-    families share.  So the labelling work follows the few distinct block
-    rows rather than the number of site patterns.
+    A family's vectors live in its ``_family_cache``, which later scans
+    with the same tables reuse, on models of any n.  A vector's key is the
+    family's digits, -1 at the last site, then the prefix's b: they fix
+    every child class's blocks at the family's sites and its number of
+    blocks, and so the vector.  On a miss, the entry for a child with b'
+    blocks labels only the t blocks the family's sites touch, and each
+    labelling extends to the untouched blocks in ``(q-t)!/(q-b')!`` ways; a
+    family that reads no site has the empty profile, whose labelled sum is
+    1.  The labelling sums are memoised by the blocks' rows
+    (``_labelled_sums``, see ``_block_profile``), which vectors with
+    different digits and different families share, so the labelling work
+    follows the few distinct block rows rather than the number of site
+    patterns.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     highest = _structure(n, q, subset_sites).highest
@@ -604,18 +598,17 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     # site, and (place at the last site, bit) of each other one.
     splits: dict = {}
     # Sums with the same per-site tables form one family: the getter of its
-    # cache keys, its cache and tables, then (index, group, split) of its
+    # vector keys, its cache and terms, then (index, group, split) of its
     # sums, a sum without deltas split ([], []).
     by_terms: dict = {}
     for si, (terms, delta_reqs, group) in enumerate(plan_sums):
         family = by_terms.get(terms)
         if family is None:
-            # digits[n] holds a class's b, or ~b while the last site's
-            # vectors are read (and digits[last] -1), so one itemgetter call
-            # reads either kind of cache key.
+            # digits[last] is -1 and digits[n] the prefix's b while vectors
+            # are read, so one itemgetter call reads a vector key.
             tabs = tuple(tab for _s, tab in terms)
             family = by_terms[terms] = (
-                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), tabs, [])
+                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), terms, [])
         split = splits.get(delta_reqs)
         if split is None:
             earlier, lasts = split = splits[delta_reqs] = [], []
@@ -628,21 +621,16 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     families = list(by_terms.values())
     accs = [0] * len(plan_sums)
 
-    def vector(key_digits, cache, tabs, b, top):
+    def vector(terms, b, top):
         """A family's relabelled sums over the children of a prefix with b
-        blocks, by the last site's digit, from the classes' entries; empty
-        when all of them are 0."""
+        blocks, by the last site's digit; empty when all of them are 0."""
         values = []
         for d in range(top):
-            digits[last], digits[n] = d, b + (d == b)
-            key = key_digits(digits)
-            value = cache.get(key)
-            if value is None:
-                profile = _block_profile(key[:-1], tabs)
-                t = len(profile)
-                value = cache[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
-            values.append(value)
-        digits[last], digits[n] = -1, ~b
+            digits[last] = d
+            profile = _block_profile(digits, terms)
+            t = len(profile)
+            values.append(_labelled_sums(q, profile) * perm(q - t, b + (d == b) - t))
+        digits[last] = -1
         return tuple(values) if any(values) else ()
 
     # Each site's decided subsets: their lower-site getters, (position,
@@ -670,15 +658,12 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
         gets, weighted, reads = levels[s]
         b = blocks[s]
         top = b + 1 if b < q else q  # the digits site s can take: 0..top-1
-        if gets:
-            commons = [v if k == 1 else v[0] if v.count(v[0]) == k else -1
-                       for get, k in gets for v in (get(digits),)]
-            # Entry d * g + k of the products is group k's weight after digit
-            # d: the factors of the subsets' rows, each picked by the subset's
-            # common digit, multiplied in C, and then the parent's weight.
-            products = map(prod, zip(*[rows[commons[i]] for i, rows in weighted], weights * top))
-        else:
-            commons, products = (), weights * top
+        commons = [v if k == 1 else v[0] if v.count(v[0]) == k else -1
+                   for get, k in gets for v in (get(digits),)]
+        # Entry d * g + k of the products is group k's weight after digit d:
+        # the factors of the subsets' rows, each picked by the subset's
+        # common digit, multiplied in C, and then the parent's weight.
+        products = map(prod, zip(*[rows[commons[i]] for i, rows in weighted], weights * top))
         if s < last:
             children = list(zip(*[iter(products)] * g))  # children[d]: the groups' weights
             decided[s] = commons, children, reads
@@ -688,12 +673,12 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
             # k's weight after digit d, and vec[d] the family's sum there.
             products = tuple(products)
             columns = [products[k::g] for k in range(g)]
-            digits[n] = ~b
-            for key_digits, cache, tabs, members in families:
+            digits[n] = b
+            for key_digits, cache, terms, members in families:
                 key = key_digits(digits)
                 vec = cache.get(key)
                 if vec is None:
-                    vec = cache[key] = vector(key_digits, cache, tabs, b, top)
+                    vec = cache[key] = vector(terms, b, top)
                 if not vec:  # every sum of the family adds 0 here
                     continue
                 for si, group, (earlier, lasts) in members:
@@ -702,15 +687,7 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
                             break
                     else:
                         column = columns[group]
-                        if len(lasts) == 1:
-                            # A delta decided here holds at one digit at
-                            # most, its lower sites' common digit c (none
-                            # where c is -1).
-                            [(i, agree)] = lasts
-                            c = commons[i]
-                            term = column[c] * vec[c] if c >= 0 else 0
-                            accs[si] += term if agree else sum(map(mul, column, vec)) - term
-                        elif lasts:  # the digits where every one holds
+                        if lasts:  # the digits where every one holds
                             accs[si] += sum([w * v for d, (w, v) in enumerate(zip(column, vec))
                                              if all([(commons[i] == d) == agree
                                                      for i, agree in lasts])])

@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from pottsverify import (
+    EVERYWHERE,
     IndexList,
     NEGATIVE,
     POSITIVE,
@@ -91,6 +92,43 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
             memo.cache_clear()
         _plan, cold_eliminated, cold_classes = both_kernels(model, requests)
         assert (cold_eliminated, cold_classes) == (eliminated, classes)
+
+
+def test_family_vectors_are_shared_across_n_and_site_placements():
+    """A family's vector key is its digits, -1 at the last site, then the
+    prefix's b; it names neither n nor the sites the tables sit on.  Sums
+    with the same per-site tables on models of different n, with the
+    tables at the last site or away from it, read one set of family caches
+    in either order, and each equals ``correlation_sum_naive``, warm and
+    after ``_family_cache.cache_clear()``."""
+    scans = []
+    for n, (a, b) in ((3, (1, 3)), (5, (1, 5)), (5, (2, 3)), (4, (3, 4)), (4, (1, 2))):
+        model = build_model(n, 3, [({i, j}, Fraction(i + j, j))
+                                   for i, j in itertools.combinations(range(1, n + 1), 2)])
+        # The lower site carries multiplicity 2, so the tables are the same
+        # in the same order at every placement.
+        requests = [(IndexList((a, a, b)), EVERYWHERE),
+                    (IndexList((a, a, b)), delta_event({a, b}, 1)),
+                    (IndexList((a, b)), sign_event(IndexList((a, a, b)), POSITIVE))]
+        scans.append((model, requests))
+
+    def assert_walk_matches_the_oracle(model, requests):
+        plan = counted([(model, requests)])
+        for (indices, event), (acc, matching) in zip(requests, pairs(plan, _scan_classes(plan))):
+            naive = correlation_sum_naive(model, indices, event)
+            assert Fraction(acc, plan.scales[0] << len(indices)) == naive.value
+            assert matching == naive.configs_matching
+
+    for order in (scans, scans[::-1]):
+        _family_cache.cache_clear()
+        for k, (model, requests) in enumerate(order):
+            assert_walk_matches_the_oracle(model, requests)
+            if k == 0:
+                families = _family_cache.cache_info().currsize
+        assert _family_cache.cache_info().currsize == families
+        for model, requests in order:
+            _family_cache.cache_clear()
+            assert_walk_matches_the_oracle(model, requests)
 
 
 @settings(max_examples=100, deadline=None)
