@@ -270,6 +270,14 @@ class TestInteractionTable:
 # The arguments after the model of each public function that takes an
 # ``IndexList``, with the tuple ``t`` in one list's place.
 _ONE = IndexList((1,))
+
+# Models for inputs on which a check's deciding sum is zero by symmetry (an
+# odd list), so the check skips to one scan of that sum.  The scan must
+# still report each bad input as the whole check would, in the same order.
+_PAIR = build_model(3, 3, [({1, 2}, 2)])
+_INFINITE = build_model(3, 3, [({1, 2}, 2), ({2, 3}, INFINITY)])
+_INFINITE_MESSAGE = ("model contains an infinite coupling; resolve it with "
+                     "contraction.resolve_infinite_couplings before enumerating")
 _TUPLE_ARGS = {
     "correlation_sum": lambda t: (t,),
     "correlation_sums": lambda t: ([(t, pottsverify.EVERYWHERE)],),
@@ -372,13 +380,54 @@ class TestInputRules:
         (lambda: power_sum_gap(3, 2.0, 2), "exponent a must be a positive even integer, got 2.0"),
         (lambda: check_power_sum_gap_recursion(3, 2, 2.0),
          "exponent b must be a positive even integer, got 2.0"),
+        (lambda: pottsverify.expectation(_PAIR, (1,)), "list entries (1,) are not an IndexList"),
+        (lambda: pottsverify.check_positive_covariance(_PAIR, _ONE, (3,)),
+         "list entries (3,) are not an IndexList"),
+        (lambda: pottsverify.check_quadratic(_PAIR, {2, 3}, 2, (1,), IndexList((1, 2))),
+         "list entries (1,) are not an IndexList"),
+        (lambda: pottsverify.expectation(_PAIR, IndexList((9,))), "list entry 9 out of range 1..3"),
+        (lambda: pottsverify.scaled_covariance(_PAIR, _ONE, IndexList((9,))),
+         "list entry 9 out of range 1..3"),
+        (lambda: pottsverify.check_quadratic(_PAIR, {2, 3}, 2, _ONE, IndexList((9,))),
+         "list entry 9 out of range 1..3"),
+        (lambda: correlation_sum(_PAIR, _ONE, delta_event({1, 9}, 1)),
+         "event site 9 out of range 1..3"),
+        (lambda: pottsverify.check_quadratic(_PAIR, {3, 9}, 2, _ONE, IndexList((1, 2))),
+         "interaction site 9 out of range 1..3"),
+        (lambda: pottsverify.check_positive_expectation(_INFINITE, _ONE), _INFINITE_MESSAGE),
+        (lambda: pottsverify.covariance(_INFINITE, _ONE, IndexList((1, 2))), _INFINITE_MESSAGE),
+        (lambda: pottsverify.check_quadratic(_INFINITE, {1, 3}, 2, _ONE, IndexList((2, 3))),
+         _INFINITE_MESSAGE),
+        (lambda: pottsverify.check_quadratic(_PAIR, {1, 2}, 2, _ONE, IndexList((1, 2))),
+         "duplicate interaction [1, 2]"),
+        (lambda: pottsverify.check_quadratic(_PAIR, {2, 3}, 2, _ONE, IndexList((1, 2)),
+                                             extra_x=(Fraction(1, 2),)),
+         "added coupling must be finite and >= 1, got 1/2"),
+        (lambda: pottsverify.expectation(_INFINITE, (1,)), _INFINITE_MESSAGE),
+        (lambda: pottsverify.covariance(_INFINITE, (1,), IndexList((1, 2))),
+         "list entries (1,) are not an IndexList"),
+        (lambda: pottsverify.check_quadratic(_INFINITE, {1, 3}, 2, _ONE, IndexList((9,))),
+         "list entry 9 out of range 1..3"),
+        (lambda: pottsverify.check_quadratic(_PAIR, {1, 2}, 2, _ONE, IndexList((1, 2)),
+                                             extra_x=(Fraction(1, 2),)),
+         "duplicate interaction [1, 2]"),
+        (lambda: pottsverify.check_quadratic(_PAIR, {2, 3}, 2, (1,), IndexList((1, 2)),
+                                             extra_x=(Fraction(1, 2),)),
+         "added coupling must be finite and >= 1, got 1/2"),
     ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
             "complex-weight", "decimal-weight", "text-weight", "inf-text-weight",
             "huge-exponent-weight", "tiny-exponent-weight",
             "none-sites", "int-sites", "unhashable-sites", "none-delta-sites", "list-q",
             "list-q-domain", "float-delta-bit", "float-zero-delta-bit", "fraction-delta-bit",
             "list-sign-indices", "tuple-sign-indices", "float-power", "float-gap-exponent",
-            "float-recursion-exponent"])
+            "float-recursion-exponent",
+            "odd-tuple-expectation", "odd-tuple-covariance", "odd-tuple-quadratic",
+            "odd-range-expectation", "odd-range-covariance", "odd-range-quadratic",
+            "odd-delta-site", "odd-added-site", "odd-infinite-expectation",
+            "odd-infinite-covariance", "odd-infinite-quadratic", "odd-coupled-added-set",
+            "odd-extra-below-one", "odd-infinite-before-tuple", "odd-tuple-before-infinite",
+            "odd-range-before-infinite", "odd-coupled-before-extra",
+            "odd-extra-before-tuple"])
     def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
