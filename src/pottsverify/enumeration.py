@@ -131,7 +131,9 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
   ``_STRUCTURE_MEMO`` entries: the watched subsets by their highest site,
   with getters of their lower sites, the elimination order and its cost,
-  and ``_eliminate``'s index-map getters by ``(scope, joint)``.
+  ``_eliminate``'s index-map getters by ``(scope, joint)``, and, once an
+  odometer scan has completed it, the walk: the common digits of every
+  decided subset's lower sites at every prefix, one byte each.
   ``_compile`` lists the watched subsets by size and then by sites,
   interactions and event subsets alike, so a subset takes the same place
   whether it is weighted or not.
@@ -153,7 +155,10 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   table of every request comes from it, so a miss of ``_request_terms`` is
   a multiplicity count and one lookup per site and sum.
 
-The bounds keep the memos to a few hundred kilobytes.  The reuse pays where
+The bounds keep the memos small.  With a walk in each of the 16 structures,
+those structures and their scans' family vectors retain 0.2 MB on dense
+n=8, q=4 hypergraphs and 7.7 MB on dense n=12, q=3 ones, 7.5 MB of it walks
+(all pairs and one triple each, by ``tracemalloc``).  The reuse pays where
 one model is checked repeatedly, on 80-90% of the scans of a model file run
 through the CLI's commands in turn; a sweep's hypergraphs are mostly new
 (276 distinct in 500 scans at seed 42), and a fifth of its scans hit.
@@ -519,17 +524,23 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
                     tuple(compiled_requests), scales)
 
 
-class _Structure(NamedTuple):
+@dataclass(eq=False)
+class _Structure:
     """What a scan reads of its hypergraph alone.  ``highest`` holds, per
     site, the watched subsets whose highest site it is and, for each, an
     itemgetter of its lower sites and their number, which the odometer
     reads.  Then the elimination order, its estimated cost, and
-    ``_eliminate``'s index-map getters by ``(scope, joint)``."""
+    ``_eliminate``'s index-map getters by ``(scope, joint)``.  ``walk`` is
+    ``None`` until an odometer scan completes: then it holds the common
+    digit of every decided subset's lower sites, ``q`` where they differ,
+    at every prefix in walk order, one byte each (a tuple where ``q`` does
+    not fit a byte), and every later odometer scan reads them back."""
 
     highest: tuple[tuple[tuple[int, ...], tuple[tuple[itemgetter, int], ...]], ...]
     order: tuple[int, ...]
     cost: int
     getters: dict
+    walk: bytes | tuple[int, ...] | None = None
 
 
 @lru_cache(maxsize=_STRUCTURE_MEMO)
@@ -616,7 +627,7 @@ def _factor_rows(q: int, weighting: tuple) -> tuple[tuple[int, ...], ...]:
     ``d * g + k`` of row c is group k's factor when the subset's lower sites
     share digit c and its highest site takes digit d: the numerator if
     ``d == c``, else the denominator, and 1 where group k does not weight
-    the subset.  The last row, read at c = -1 where the lower sites differ,
+    the subset.  The last row, row q, read where the lower sites differ,
     holds the denominators throughout.
 
     The rows are built per scan, not memoised: a build takes about 2 us on
@@ -641,12 +652,16 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     The walk is depth first over the strings' prefixes, without recursion.
     A watched subset is decided at its highest site, whose digit comes
     last: once per prefix before that site the common digit of its lower
-    sites is read (-1 if they differ), and each digit the site can take
-    then costs one comparison.  A prefix's weight, per group, is its
-    parent's times a factor: the numerator of every weighted subset
-    decided at the new site whose lower sites share the new digit, and the
-    denominator of every other one.  So the scaled weight, the product over
-    the subsets of one or the other, is built by products alone.  Each
+    sites is read (q if they differ), and each digit the site can take
+    then costs one comparison.  Those digits depend on the hypergraph
+    alone: the first scan records them all and stores them as the
+    ``_structure``'s walk only when the walk ends, and a later scan of the
+    hypergraph reads them back in walk order, calling no getter.  A
+    prefix's weight, per group, is its parent's times a factor: the
+    numerator of every weighted subset decided at the new site whose lower
+    sites share the new digit, and the denominator of every other one.  So
+    the scaled weight, the product over the subsets of one or the other,
+    is built by products alone.  Each
     weighted subset carries its factor rows (``_factor_rows``), one per
     common digit, each holding every group's factor at every digit; the
     prefix's children come from one C-level product per digit and group
@@ -663,7 +678,7 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     sum whose deltas decided at earlier sites all hold adds the C-level dot
     product of its group's child weights with that vector.  A delta decided
     at the last site holds at one digit at most, the common digit c of its
-    lower sites (none where c is -1), so a sum with such deltas adds only
+    lower sites (none where c is q), so a sum with such deltas adds only
     the terms of the digits d where each one's ``c == d`` equals its bit.
 
     A family's vectors live in its ``_family_cache``, which later scans
@@ -681,7 +696,8 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     patterns.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    highest = _structure(n, q, subset_sites).highest
+    structure = _structure(n, q, subset_sites)
+    highest, walk = structure.highest, structure.walk
     last = n - 1
     at_last = {j: i for i, j in enumerate(highest[last][0])}  # subset -> its place there
     # Per delta pattern: (subset, bit) of each delta decided before the last
@@ -723,12 +739,12 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
         digits[last] = -1
         return tuple(values)
 
-    # Each site's decided subsets: their lower-site getters, (position,
-    # factor rows) of those some group weights, and (position, subset) of
-    # those whose delta a sum reads.
+    # Each site's decided subsets: their lower-site getters and number,
+    # (position, factor rows) of those some group weights, and (position,
+    # subset) of those whose delta a sum reads.
     read = {j for _terms, delta_reqs, _group in plan_sums for j, _agree, _differ in delta_reqs}
     weightings = list(zip(*weight_rows))  # per subset, each group's pair or None
-    levels = [(gets,
+    levels = [(gets, len(gets),
                [(i, _factor_rows(q, weightings[j]))
                 for i, j in enumerate(js) if any(weightings[j])],
                [(i, j) for i, j in enumerate(js) if j in read])
@@ -739,17 +755,26 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     deltas = [1] * len(subset_sites)
     weights = [1] * len(weight_rows)  # the groups' weights of the prefix digits[:s]
     decided: list = [None] * n  # per site: (commons, children, reads) after digits[:s]
+    if walk is None:  # this scan records the walk, and publishes it whole
+        entries = bytearray() if q < 256 else []
+        record = entries.extend
+    at = 0  # where the next prefix's common digits start in the walk
 
     s = 0
     while True:
         # Enter site s after the prefix digits[:s]: each subset decided here
-        # gets the common digit of its lower sites, or -1 where they differ
+        # gets the common digit of its lower sites, or q where they differ
         # (a getter of one site returns its digit, of several a tuple).
-        gets, weighted, reads = levels[s]
+        gets, width, weighted, reads = levels[s]
         b = blocks[s]
         top = b + 1 if b < q else q  # the digits site s can take: 0..top-1
-        commons = [v if k == 1 else v[0] if v.count(v[0]) == k else -1
-                   for get, k in gets for v in (get(digits),)]
+        if walk is None:
+            commons = [v if k == 1 else v[0] if v.count(v[0]) == k else q
+                       for get, k in gets for v in (get(digits),)]
+            record(commons)
+        else:
+            commons = walk[at:at + width]
+            at += width
         # Entry d * g + k of the products is group k's weight after digit d:
         # the factors of the subsets' rows, each picked by the subset's
         # common digit, multiplied in C, and then the parent's weight.
@@ -787,6 +812,8 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
             while s >= 0 and (digits[s] == blocks[s] or digits[s] == q - 1):
                 s -= 1
             if s < 0:
+                if walk is None:
+                    structure.walk = bytes(entries) if q < 256 else tuple(entries)
                 return accs
             commons, children, reads = decided[s]
             b = blocks[s]
@@ -853,7 +880,8 @@ def _eliminate(plan: ScanPlan) -> list[int]:
     """
     q = plan.q
     subset_sites = plan.subset_sites
-    _highest, order, _cost, getters = _structure(plan.n, q, subset_sites)
+    structure = _structure(plan.n, q, subset_sites)
+    order, getters = structure.order, structure.getters
     rank = {s: i for i, s in enumerate(order)}.__getitem__
 
     # Every factor of the scan, with the bucket it waits in, built once and

@@ -5,6 +5,7 @@ neither on what earlier scans left in the memos nor on the other groups."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pottsverify import (
@@ -45,23 +46,26 @@ def both_kernels(model, requests):
 
 
 @st.composite
-def scans_on_one_hypergraph(draw, min_scans=2, max_scans=5):
-    """``min_scans`` to ``max_scans`` scans at one n <= 5 and q <= 4, in a
-    drawn order.  They share a few interactions and a subset D, which some
-    scans weight as an interaction and the others name only in delta
-    events; each scan draws its own weights, lists and sign events."""
+def scans_on_one_hypergraph(draw, min_scans=2, max_scans=5, max_n=(5, 5, 4), one_walk=False):
+    """``min_scans`` to ``max_scans`` scans at one n and q <= 4, with n at
+    most ``max_n[q - 2]``, in a drawn order.  They share a few interactions
+    and a subset D, which some scans weight as an interaction and the
+    others name only in delta events; each scan draws its own weights,
+    lists and sign events.  With ``one_walk`` no weight is 1, and D is
+    weighted in the first scan drawn and only named in the second, so that
+    every scan watches the same subsets and walks the same classes."""
     q = draw(st.integers(2, 4))
-    n = draw(st.integers(2, {2: 5, 3: 5, 4: 4}[q]))
+    n = draw(st.integers(2, max_n[q - 2]))
     subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(3, n))
     d = draw(subsets)
     shared = [sites for sites in draw(st.lists(subsets, max_size=4, unique=True)) if sites != d]
     weights = st.integers(1, 6).flatmap(
-        lambda den: st.integers(den, 4 * den).map(lambda num: Fraction(num, den)))
+        lambda den: st.integers(den + one_walk, 4 * den).map(lambda num: Fraction(num, den)))
     lists = st.lists(st.integers(1, n), max_size=4).map(lambda s: IndexList(tuple(s)))
     scans = []
-    for _ in range(draw(st.integers(min_scans, max_scans))):
+    for k in range(draw(st.integers(min_scans, max_scans))):
         couplings = [(sites, draw(weights)) for sites in shared]
-        d_weighted = draw(st.booleans())
+        d_weighted = k == 0 if one_walk and k < 2 else draw(st.booleans())
         if d_weighted:
             couplings.append((d, draw(weights)))
         requests = []
@@ -92,6 +96,119 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
             memo.cache_clear()
         _plan, cold_eliminated, cold_classes = both_kernels(model, requests)
         assert (cold_eliminated, cold_classes) == (eliminated, classes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scans_on_one_hypergraph(2, 4, max_n=(6, 6, 6), one_walk=True))
+def test_odometer_scans_replay_the_walk_that_an_earlier_scan_recorded(scans):
+    """The first odometer scan of a hypergraph records its walk in the
+    hypergraph's ``_structure``: here a scan of every drawn model as one
+    group each.  Each model's own scan, with its own weights, weighted
+    subsets, sign events and delta patterns, then reads that walk back, and
+    so does the several-group scan again.  Every replayed integer equals a
+    cold run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
+    plans = [counted(scans), *[counted([scan]) for scan in scans]]
+    cold = []
+    for plan in plans:
+        _structure.cache_clear()
+        cold.append(_scan_classes(plan))
+    _structure.cache_clear()
+    first = plans[0]
+    structure = _structure(first.n, first.q, first.subset_sites)
+    assert structure.walk is None
+    assert _scan_classes(first) == cold[0]
+    walk = structure.walk
+    assert walk  # every drawn hypergraph watches D
+    for plan, expected in zip([*plans[1:], first], [*cold[1:], cold[0]]):
+        assert plan.subset_sites == first.subset_sites
+        classes = _scan_classes(plan)
+        assert _structure(plan.n, plan.q, plan.subset_sites).walk is walk
+        assert classes == expected == _eliminate(plan)
+    for (model, requests), plan, sums in zip(scans, plans[1:], cold[1:]):
+        for (indices, event), (acc, matching) in zip(requests, pairs(plan, sums)):
+            naive = correlation_sum_naive(model, indices, event)
+            assert Fraction(acc, plan.scales[0] << len(indices)) == naive.value
+            assert matching == naive.configs_matching
+
+
+def dense_plan():
+    """The counted plan of a few requests on a complete 5-site model at q =
+    3 with a triple, sign and delta events."""
+    model = build_model(5, 3, [*[(set(pair), Fraction(sum(pair) + 1, 2))
+                                 for pair in itertools.combinations(range(1, 6), 2)],
+                               ({1, 2, 5}, Fraction(7, 3))])
+    requests = [(IndexList((1, 5)), EVERYWHERE),
+                (IndexList((2, 3, 4, 5)), delta_event({3, 4, 5}, 1)),
+                (IndexList((1, 2)), conjoin(delta_event({2, 4}, 0),
+                                            sign_event(IndexList((3, 5)), NEGATIVE)))]
+    return model, requests, counted([(model, requests)])
+
+
+def test_a_replayed_scan_calls_no_lower_site_getter(monkeypatch):
+    """Once a walk is stored, an odometer scan reads every common digit
+    from it: the structure's lower-site getters are not called, and they
+    are again once the walk is gone."""
+    _model, _requests, plan = dense_plan()
+    _structure.cache_clear()
+    recorded = _scan_classes(plan)
+    structure = _structure(plan.n, plan.q, plan.subset_sites)
+    calls = []
+
+    def spy(get):
+        return lambda digits: calls.append(get) or get(digits)
+
+    monkeypatch.setattr(structure, "highest", tuple(
+        (js, tuple([(spy(get), k) for get, k in gets])) for js, gets in structure.highest))
+    assert _scan_classes(plan) == recorded
+    assert calls == []
+    monkeypatch.setattr(structure, "walk", None)
+    assert _scan_classes(plan) == recorded
+    assert len(calls) > 0
+
+
+def test_an_interrupted_walk_stores_nothing(monkeypatch):
+    """A scan cut short by an exception in the middle of its walk leaves no
+    walk behind, and the next scan walks in full and matches the oracle."""
+
+    class Interrupted(Exception):
+        pass
+
+    model, requests, plan = dense_plan()
+    for memo in MEMOS:
+        memo.cache_clear()
+    profiles = iter(range(3))  # the fourth vector entry computed raises
+    block_profile = enumeration._block_profile
+
+    def interrupting(digits, terms):
+        if next(profiles, None) is None:
+            raise Interrupted
+        return block_profile(digits, terms)
+
+    monkeypatch.setattr(enumeration, "_block_profile", interrupting)
+    with pytest.raises(Interrupted):
+        _scan_classes(plan)
+    structure = _structure(plan.n, plan.q, plan.subset_sites)
+    assert structure.walk is None
+    monkeypatch.undo()
+    for (indices, event), (acc, matching) in zip(requests, pairs(plan, _scan_classes(plan))):
+        naive = correlation_sum_naive(model, indices, event)
+        assert Fraction(acc, plan.scales[0] << len(indices)) == naive.value
+        assert matching == naive.configs_matching
+    assert structure.walk is not None
+
+
+def test_a_walk_whose_q_fits_no_byte_gives_the_same_sums():
+    """At q = 300 a common digit, or q where the lower sites differ, fits
+    no byte: the walk is stored as a tuple, and the cold and the replayed
+    scans equal the random-cluster kernel's integers."""
+    model = build_model(3, 300, [({1, 2}, Fraction(3, 2)), ({1, 2, 3}, 2), ({2, 3}, 5)])
+    requests = [(IndexList((1, 1)), EVERYWHERE), (IndexList((2, 3)), delta_event({1, 3}, 0))]
+    plan = counted([(model, requests)])
+    _structure.cache_clear()
+    cold = _scan_classes(plan)
+    walk = _structure(plan.n, plan.q, plan.subset_sites).walk
+    assert isinstance(walk, tuple) and 300 in walk
+    assert _scan_classes(plan) == cold == _cluster(plan)
 
 
 def test_family_vectors_are_shared_across_n_and_site_placements():
