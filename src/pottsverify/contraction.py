@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .enumeration import _scan, correlation_sum, delta_event
+from .enumeration import EVERYWHERE, _components, _scan, correlation_sum, delta_event
 from .model import (
     IndexList,
     InteractionTable,
@@ -148,31 +148,22 @@ def resolve_infinite_couplings(
 ) -> ResolvedModel:
     """Contract every cluster of sites joined by infinite couplings.
 
-    Union-find joins the sites of each infinite coupling, each root the
-    smallest site of its cluster, and one contraction merges every cluster
-    at once, relabelling the supplied index lists consistently.  Every
-    infinite coupling lies inside one cluster, so the discarded front factor
-    is the infinite weights together with any finite couplings interior to a
-    cluster; it is constant on the conditioned event, so expectations are
-    unchanged.  A model without infinite couplings comes back equal, with
-    the identity site map.
+    The clusters are ``_components`` of the infinite couplings, whose blocks
+    ``_merge`` joins, each represented by its smallest site, and one
+    contraction merges every cluster at once, relabelling the supplied index
+    lists consistently.  Every infinite coupling lies inside one cluster, so
+    the discarded front factor is the infinite weights together with any
+    finite couplings interior to a cluster; it is constant on the
+    conditioned event, so expectations are unchanged.  A model without
+    infinite couplings comes back equal, with the identity site map.
     """
     for lst in lists:
         _check_list(model.n, lst)
     block = {i: i for i in model.sites}
-
-    def find(i: int) -> int:
-        while block[i] != i:
-            block[i] = block[block[i]]
-            i = block[i]
-        return i
-
-    for sites, x in model.interactions.items():
-        if is_infinite(x):
-            roots = {find(i) for i in sites}
-            root = min(roots)
-            for r in roots:
-                block[r] = root
-    contracted, _front, site_map = _contract_model(model, {i: find(i) for i in model.sites})
+    for mask in _components([sites for sites, x in model.interactions.items() if is_infinite(x)],
+                            EVERYWHERE):
+        smallest = (mask & -mask).bit_length() - 1
+        block.update({i: smallest for i in model.sites if mask >> i & 1})
+    contracted, _front, site_map = _contract_model(model, block)
     relabeled = tuple(lst.relabel(site_map) for lst in lists)
     return ResolvedModel(contracted, relabeled, model.interactions.has_infinite, site_map)

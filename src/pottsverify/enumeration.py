@@ -422,24 +422,15 @@ def _request_terms(q: int, indices: IndexList, kind: str | None,
 def _components(weighted: Iterable[frozenset], event: EventPredicate) -> list[int]:
     """The connected components of the ``weighted`` subsets and of the
     subsets that ``event``'s delta constraints name, as one bitmask (bit s
-    for site s) per component that some subset touches.  A site in none of
-    them is a component of its own.  Unlike ``_merge``, which keeps a
-    partition sorted as the cluster kernel's key, the blocks stay unsorted,
-    which takes about half its time on a ring of 11 sites and 14 weights
-    (2-core Xeon VM)."""
+    for site s) per component that some subset touches, each subset's mask
+    folded in by ``_merge``.  A site in none of them is a component of its
+    own."""
     blocks: list[int] = []
     for sites in chain(weighted, [sites for sites, _bit in event.delta_constraints]):
         mask = 0
         for s in sites:
             mask |= 1 << s
-        rest = []
-        for block in blocks:
-            if block & mask:
-                mask |= block
-            else:
-                rest.append(block)
-        rest.append(mask)
-        blocks = rest
+        blocks = _merge(blocks, mask)
     return blocks
 
 
@@ -943,19 +934,21 @@ def _eliminate(plan: ScanPlan) -> list[int]:
 # --- random-cluster kernel ---------------------------------------------------
 
 
-def _merge(partition: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """``partition``, a sorted tuple of site bitmasks, with every block that
-    meets ``mask`` joined into one."""
+def _merge(blocks: Iterable[int], mask: int) -> list[int]:
+    """``blocks``, disjoint site bitmasks, with every block that meets
+    ``mask`` joined with it into one, as a sorted list: the one loop that
+    joins blocks.  The cluster DP keys a partition by this list as a
+    tuple, and ``_components`` folds subsets through it."""
     joined = mask
     rest = []
-    for block in partition:
+    for block in blocks:
         if block & mask:
             joined |= block
         else:
             rest.append(block)
     rest.append(joined)
     rest.sort()
-    return tuple(rest)
+    return rest
 
 
 def _times_factor(dist: dict, mask: int, agree: int, differ: int) -> dict:
@@ -967,7 +960,7 @@ def _times_factor(dist: dict, mask: int, agree: int, differ: int) -> dict:
     for partition, c in dist.items():
         if differ:  # a bit-1 delta keeps nothing unmerged
             out[partition] = out.get(partition, 0) + c * differ
-        merged = _merge(partition, mask)
+        merged = tuple(_merge(partition, mask))
         out[merged] = out.get(merged, 0) + c * (agree - differ)
     return out
 

@@ -5,7 +5,8 @@ documents are the README worked example and that model with a fourth site
 tied to site 1 by an infinite coupling and to site 2 by a finite one, so
 that contracting the infinite coupling changes every value.  Two ring
 models, with one and with two infinite clusters, pin stderr as well, whose
-note names the site map of the contraction.
+note names the site map of the contraction.  The sweep is pinned at seeds
+42, 7 and 3 in every format, the json and human ones with an empty stderr.
 """
 
 import hashlib
@@ -33,6 +34,15 @@ SWEEP_DIGEST = "10807d21760b16ecfbafc02942734e26781bae85f1ea77b6f2d12870e7619707
 MORE_SWEEP_DIGESTS = {
     7: "c422095db87f5a17b7c06e86a96d2bed6d99ec102a3b85c7eb8bf63e016f6f99",
     3: "900150b5a52055b63bb3f9c27409bdaea280f8c2e6adb19548fa159a71ce513b",
+}
+# The same three sweeps in the other two formats, by (format, seed).
+FORMAT_SWEEP_DIGESTS = {
+    ("json", 42): "7d7ab3ebdd7f335d7355d52b16b48a21bc94d1ee8ec033799f468368c6ee5cb8",
+    ("json", 7): "62de27a02a1a39600d5afe84d6e67d97a7b5675c1680e8f38f6dee88c0cf2486",
+    ("json", 3): "0cae72aab877be91a13113e9ea10e589d8ff12eca1a2c362776053501b68065b",
+    ("human", 42): "4f25ff95018cb68ae215389bf8f561ed7baa8b6a116abb2cf567f4c954e201ba",
+    ("human", 7): "49078fd5969fe67d152e6ebba8edc8feb6d3e95f54fd17c1f9defd92f266571c",
+    ("human", 3): "515d8d81b590a230b92915925f46c284101bea4a1611c1fa2e6503ca0134a882",
 }
 MODEL_DIGESTS = {
     ("expect", "csv", "readme"): "b6026a0ae878b47d8fbac6b4b6d5ebf7ae740601801b36c71cc5c6d9754138d9",
@@ -149,6 +159,15 @@ def test_sweep_all_seed_42_csv(capsys):
 def test_sweep_all_more_seeds_csv(seed, capsys):
     argv = ["sweep", "--suite", "all", "--seed", str(seed), "--trials", "100", "--format", "csv"]
     assert _stdout_digest(argv, capsys) == MORE_SWEEP_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("fmt,seed", sorted(FORMAT_SWEEP_DIGESTS))
+def test_sweep_all_json_and_human(fmt, seed, capsys):
+    argv = ["sweep", "--suite", "all", "--seed", str(seed), "--trials", "100", "--format", fmt]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == FORMAT_SWEEP_DIGESTS[fmt, seed]
 
 
 @pytest.mark.parametrize("doc", ["readme", "infinite"])

@@ -31,7 +31,7 @@ from pottsverify import (
     sign_event,
 )
 from pottsverify import contraction, enumeration, inequalities
-from pottsverify.enumeration import _zero_by_symmetry
+from pottsverify.enumeration import _components, _zero_by_symmetry
 
 
 @st.composite
@@ -80,6 +80,49 @@ def test_the_rule_calls_zero_only_what_the_oracle_finds_zero(drawn):
         if _zero_by_symmetry(model, indices, event):
             assert naive.value == 0
         assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
+
+
+@st.composite
+def hypergraphs(draw):
+    """Up to 8 weighted subsets of 2 to 4 sites among n <= 10, and an event
+    with up to 2 delta constraints of either bit on subsets of 2 to 4
+    sites."""
+    sites = st.integers(1, draw(st.integers(2, 10)))
+    weighted = draw(st.lists(st.frozensets(sites, min_size=2, max_size=4), max_size=8))
+    deltas = [delta_event(subset, draw(st.integers(0, 1)))
+              for subset in draw(st.lists(st.frozensets(sites, min_size=2, max_size=4),
+                                          max_size=2))]
+    return weighted, conjoin(*deltas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+def test_components_are_the_breadth_first_search_components(drawn):
+    """``_components`` gives, as site bitmasks, the connected components
+    that a breadth-first search over the weighted and delta subsets finds,
+    one block per component, and its blocks cover exactly the sites some
+    subset touches."""
+    weighted, event = drawn
+    subsets = [*weighted, *[sites for sites, _bit in event.delta_constraints]]
+    touched = set().union(*subsets)
+    expected = set()
+    unseen = set(touched)
+    while unseen:
+        frontier = [unseen.pop()]
+        component = set(frontier)
+        while frontier:
+            site = frontier.pop(0)
+            for subset in subsets:
+                if site in subset:
+                    frontier.extend(subset - component)
+                    component |= subset
+        unseen -= component
+        expected.add(frozenset(component))
+    blocks = [frozenset(s for s in range(11) if block >> s & 1)
+              for block in _components(weighted, event)]
+    assert len(blocks) == len(set(blocks))
+    assert set(blocks) == expected
+    assert set().union(*blocks) == touched
 
 
 @pytest.fixture
