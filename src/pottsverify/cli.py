@@ -54,13 +54,14 @@ from .enumeration import expectation
 from .generators import random_coupling, random_index_list, random_model
 from .inequalities import (
     InequalityReport,
+    _report,
     check_positive_covariance,
     check_positive_expectation,
     check_power_sum_gap_recursion,
     check_quadratic,
 )
 from .model import EMPTY_LIST, IndexList, Model, ModelError, _check_range
-from .serialize import ModelDocumentError, model_from_dict, witness_json
+from .serialize import ModelDocumentError, model_from_dict
 
 __all__ = ["main", "parse_model_file"]
 
@@ -122,9 +123,9 @@ def _check_row(trial: int, model: Model, r: IndexList, s: IndexList,
 def _contraction_report(model: Model, r: IndexList, b: IndexList,
                         check: IdentityCheck) -> InequalityReport:
     """An identity check as a report: the value is lhs - rhs, and a mismatch's
-    witness holds ``R`` and ``B`` for ``contract-check --model`` to replay."""
-    witness = None if check.equal else witness_json(model, {"R": r, "B": b})
-    return InequalityReport("contraction", (check.lhs - check.rhs,), check.equal, witness)
+    witness, built by ``inequalities._report``, holds ``R`` and ``B`` for
+    ``contract-check --model`` to replay."""
+    return _report("contraction", (check.lhs - check.rhs,), check.equal, model, {"R": r, "B": b})
 
 
 def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:

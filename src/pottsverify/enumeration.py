@@ -294,29 +294,25 @@ class SumResult:
 
 
 def centered_power_sum(q: int, m: int) -> Fraction:
-    """Sum of the m-th powers of the centered spin values (0 for odd ``m``)."""
+    """Sum of the m-th powers of the centered spin values.  The values are
+    symmetric about 0, so the sum is 0 for odd ``m``."""
     if m.__class__ is not int or m < 0:
         raise ModelError(f"power must be >= 0, got {m}")
-    if m % 2:
-        return Fraction(0)
-    dom = spin_domain(q)
-    return Fraction(sum(u**m for u in dom.doubled_values), 1 << m)
+    return Fraction(sum(u**m for u in spin_domain(q).doubled_values), 1 << m)
 
 
 def uniform_correlation_sum(model: Model, indices: IndexList) -> Fraction:
     """Closed-form correlation sum for a model with no active interaction.
 
-    Under the uniform measure the sum factorizes over sites: zero whenever
-    an odd group is present, otherwise ``q**(free sites)`` times the product
-    of the per-site power sums at each even multiplicity.
+    Under the uniform measure the sum factorizes over sites:
+    ``q**(free sites)`` times the product of the per-site power sums at each
+    multiplicity, which is zero whenever an odd group is present.
     """
     if model.interactions.s != 0:
         raise ModelError(
             f"closed form requires s=0 (all weights 1), model has s={model.interactions.s}"
         )
     _check_list(model.n, indices)
-    if indices.odd_groups:
-        return Fraction(0)
     value = Fraction(model.q) ** (model.n - len(indices.support))
     for site, mult in indices.multiplicity.items():
         value *= centered_power_sum(model.q, mult)

@@ -25,8 +25,7 @@ from .enumeration import (
     ZERO,
     _check_event,
 )
-from .model import (Configuration, IndexList, Model, ModelError, _check_list, _check_range,
-                    _site_set)
+from .model import Configuration, IndexList, Model, _check_list, _check_range, _site_set
 
 __all__ = [
     "all_configurations",
@@ -64,8 +63,7 @@ def all_configurations(model: Model) -> Iterator[Configuration]:
 def config_weight(config: Configuration, model: Model) -> Fraction:
     """Product of the weights of all interactions satisfied by ``config``."""
     model.require_finite()
-    if len(config) != model.n:
-        raise ModelError(f"configuration has {len(config)} sites, model has {model.n}")
+    model.validate_configuration(config)
     w = Fraction(1)
     spins = config.doubled_spins
     for sites, x in model.interactions.couplings.items():
@@ -90,8 +88,6 @@ def partition_function(model: Model) -> Fraction:
 
 
 def gibbs_probability(config: Configuration, model: Model) -> Fraction:
-    model.require_finite()
-    model.validate_configuration(config)
     return config_weight(config, model) / partition_function(model)
 
 
@@ -109,6 +105,7 @@ def thermal_average(
 
 def spin_product(config: Configuration, indices: IndexList) -> Fraction:
     """Product of centered spins over ``indices`` with multiplicity (1 if empty)."""
+    _check_list(len(config), indices)
     num = 1
     for i in indices:
         num *= config.doubled_spins[i - 1]

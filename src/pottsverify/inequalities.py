@@ -77,7 +77,9 @@ class InequalityReport:
 
     ``kind`` is one of ``theorem1``, ``theorem2``, ``xi``, ``quadratic``,
     ``contraction``; ``satisfied`` means every required comparison held
-    exactly; ``witness`` serializes the failing instance otherwise.
+    exactly; ``witness`` serializes the failing instance otherwise.  Every
+    model check builds its report, and so its witness, with ``_report``; an
+    ``xi`` report has no model and no witness.
     """
 
     kind: str
@@ -90,6 +92,15 @@ class InequalityReport:
         return self.values[0]
 
 
+def _report(kind: str, values: tuple[Fraction, ...], satisfied: bool, model: Model,
+            lists: dict[str, IndexList]) -> InequalityReport:
+    """A model check's report.  Its witness is None when the check is
+    satisfied, and otherwise ``model`` serialized with ``lists``, the check's
+    inputs, for ``--model`` to replay."""
+    return InequalityReport(kind, values, satisfied,
+                            None if satisfied else witness_json(model, lists))
+
+
 def check_positive_expectation(model: Model, indices: IndexList) -> InequalityReport:
     """First inequality: the thermal average of a spin product is >= 0.
 
@@ -97,12 +108,7 @@ def check_positive_expectation(model: Model, indices: IndexList) -> InequalityRe
     """
     value = expectation(model, indices)
     satisfied = value >= 0 and (len(indices) % 2 == 0 or value == 0)
-    return InequalityReport(
-        kind="theorem1",
-        values=(value,),
-        satisfied=satisfied,
-        witness=None if satisfied else witness_json(model, {"R": indices}),
-    )
+    return _report("theorem1", (value,), satisfied, model, {"R": indices})
 
 
 def _covariance_requests(n: int, r: IndexList, s: IndexList, event=EVERYWHERE) -> list:
@@ -162,15 +168,8 @@ def check_positive_covariance(model: Model, r: IndexList, s: IndexList) -> Inequ
     covariance must be exactly zero.
     """
     value = covariance(model, r, s)
-    satisfied = value >= 0
-    if (len(r) % 2) != (len(s) % 2):
-        satisfied = value == 0
-    return InequalityReport(
-        kind="theorem2",
-        values=(value,),
-        satisfied=satisfied,
-        witness=None if satisfied else witness_json(model, {"R": r, "S": s}),
-    )
+    satisfied = value == 0 if len(r) % 2 != len(s) % 2 else value >= 0
+    return _report("theorem2", (value,), satisfied, model, {"R": r, "S": s})
 
 
 # --- power-sum gap family ----------------------------------------------------
@@ -228,7 +227,6 @@ def check_power_sum_gap_recursion(q: int, a: int, b: int) -> InequalityReport:
         kind="xi",
         values=(Fraction(gap, scale), Fraction(gap_next, scale), Fraction(increment, scale)),
         satisfied=satisfied,
-        witness=None,
     )
 
 
@@ -385,11 +383,5 @@ def check_quadratic(
         )
     satisfied = identity_ok and u >= 0 and 2 * u + v >= 0 and u + v + w >= 0
     den = scale * scale << (len(r) + len(s))
-    return InequalityReport(
-        kind="quadratic",
-        values=(Fraction(u, den), Fraction(v, den), Fraction(w, den)),
-        satisfied=satisfied,
-        witness=None if satisfied else witness_json(
-            augmented_model, {"R": r, "S": s, "B": IndexList(tuple(key))}
-        ),
-    )
+    return _report("quadratic", (Fraction(u, den), Fraction(v, den), Fraction(w, den)),
+                   satisfied, augmented_model, {"R": r, "S": s, "B": IndexList(tuple(key))})

@@ -31,6 +31,7 @@ class SpinPermutation:
 
     def __post_init__(self) -> None:
         q = len(self.mapping)
+        _check_range(q, self.mapping, "spin label")
         if q < 2 or sorted(self.mapping) != list(range(1, q + 1)):
             raise ModelError(f"not a permutation of 1..{q}: {self.mapping}")
 

@@ -15,6 +15,7 @@ from pottsverify.serialize import (
     model_from_dict,
     model_to_dict,
     parse_rational,
+    witness_json,
 )
 
 WORKED_EXAMPLE_DOC = {
@@ -346,6 +347,41 @@ class TestFailingCheckExitsOne:
         assert all("witness" not in row for row in json.loads(capsys.readouterr().out)["rows"])
         for witness in witnesses:
             replay = write_doc(tmp_path, witness, name="witness.json")
+            assert main(["verify", "--model", replay]) == 0
+
+
+class TestRealCheckFailuresLeaveWitnesses:
+    """A theorem1 or theorem2 failure inside the real checks, not a stub in
+    place of the whole check, exits 1 and leaves the witness the check
+    builds from its own inputs; ``verify`` on it passes once the fault is
+    gone."""
+
+    def test_theorem_witnesses_replay(self, tmp_path, monkeypatch, capsys):
+        from pottsverify import enumeration, inequalities
+
+        path = write_doc(tmp_path, {"n": 3, "q": 3,
+                                    "interactions": [{"sites": [1, 2], "x": "3"},
+                                                     {"sites": [2, 3], "x": "2"}],
+                                    "lists": {"R": [1, 2], "S": [2, 3]}})
+        model, lists = parse_model_file(path)
+        r, s = lists["R"], lists["S"]
+        # Neither deciding sum is zero by symmetry, so both checks reach
+        # the patched values instead of the symmetry shortcut.
+        assert not enumeration._zero_by_symmetry(model, r)
+        assert not enumeration._zero_by_symmetry(model, r.concat(s))
+        monkeypatch.setattr(inequalities, "expectation", lambda model, indices: Fraction(-1))
+        monkeypatch.setattr(inequalities, "_covariance_numerator", lambda sums: -1)
+        assert main(["verify", "--model", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL ") == 2
+        witnesses = [line.removeprefix("witness: ") for line in captured.err.splitlines()
+                     if line.startswith("witness: ")]
+        assert witnesses == [witness_json(model, {"R": r}),
+                             witness_json(model, {"R": r, "S": s})]
+
+        monkeypatch.undo()
+        for witness in witnesses:
+            replay = write_doc(tmp_path, json.loads(witness), name="witness.json")
             assert main(["verify", "--model", replay]) == 0
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -378,3 +379,15 @@ def test_each_model_check_makes_only_the_scans_it_reads(monkeypatch, check, args
         monkeypatch.setattr(module, "_scan", counted)
     check(build_model(3, 3, [({1, 2}, 2)]), *args)
     assert len(calls) == scans
+
+
+def test_only_report_builds_a_witness():
+    """Every model check's witness comes from ``inequalities._report``:
+    ``witness_json`` is called there once, and elsewhere only in
+    ``serialize``, which defines it."""
+    package = Path(inequalities.__file__).parent
+    calls = {path.name: path.read_text().count("witness_json(")
+             for path in sorted(package.glob("*.py"))}
+    assert [name for name, count in calls.items() if count] == ["inequalities.py",
+                                                                "serialize.py"]
+    assert calls["inequalities.py"] == 1

@@ -17,9 +17,11 @@ from pottsverify import (
     Model,
     ModelError,
     POSITIVE,
+    SpinPermutation,
     build_model,
     centered_power_sum,
     check_power_sum_gap_recursion,
+    config_weight,
     conjoin,
     correlation_sum,
     correlation_sum_naive,
@@ -28,8 +30,10 @@ from pottsverify import (
     marginal_distribution,
     power_sum_gap,
     resolve_infinite_couplings,
+    sign_class,
     sign_event,
     spin_domain,
+    spin_product,
     spin_value,
 )
 from pottsverify.model import EMPTY_LIST, is_infinite
@@ -307,8 +311,10 @@ class TestInputRules:
         (lambda m: generalized_delta(Configuration((0, 0, 0)), {1, 4}), "site 4"),
         (lambda m: marginal_distribution(m, 0), "site 0"),
         (lambda m: Configuration.from_labels((1, 4), m.q), "spin label 4"),
+        (lambda m: spin_product(Configuration((0, 0, 0)), IndexList((2, 4))), "list entry 4"),
+        (lambda m: sign_class(Configuration((0, 0, 0)), IndexList((4,))), "list entry 4"),
     ], ids=["kernel-list", "interaction-site", "generalized-delta", "marginal",
-            "spin-label"])
+            "spin-label", "spin-product", "sign-class"])
     def test_bad_site_is_named_in_the_range_form(self, call, bad):
         model = build_model(3, 3, [({1, 2}, 2)])
         with pytest.raises(ModelError, match=f"^{re.escape(bad)} out of range 1\\.\\.3$"):
@@ -327,8 +333,9 @@ class TestInputRules:
         (lambda: build_model(2, True), "spin count q must be >= 2 and a plain int, got True"),
         (lambda: delta_event({1, 2}, True), "delta constraint bit must be 0 or 1, got True"),
         (lambda: centered_power_sum(3, True), "power must be >= 0, got True"),
+        (lambda: SpinPermutation((True, 2)), "spin label True out of range 1..2"),
     ], ids=["list-entry", "interaction-site", "weight", "spin-label", "event-site",
-            "site-count", "spin-count", "delta-bit", "power"])
+            "site-count", "spin-count", "delta-bit", "power", "permutation-label"])
     def test_bool_is_neither_a_site_nor_a_weight(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
@@ -414,6 +421,17 @@ class TestInputRules:
         (lambda: pottsverify.check_quadratic(_PAIR, {2, 3}, 2, (1,), IndexList((1, 2)),
                                              extra_x=(Fraction(1, 2),)),
          "added coupling must be finite and >= 1, got 1/2"),
+        (lambda: centered_power_sum(1, 1), "spin count q must be >= 2 and a plain int, got 1"),
+        (lambda: centered_power_sum(True, 3),
+         "spin count q must be >= 2 and a plain int, got True"),
+        (lambda: spin_product(Configuration((1, 1)), (1,)),
+         "list entries (1,) are not an IndexList"),
+        (lambda: sign_class(Configuration((1, 1)), (1,)), "list entries (1,) are not an IndexList"),
+        (lambda: config_weight(Configuration((7, 7)), build_model(2, 2, [({1, 2}, 3)])),
+         "7 is not a doubled spin value for q=2"),
+        (lambda: config_weight(Configuration((1, 1, 1)), build_model(2, 2, [({1, 2}, 3)])),
+         "configuration has 3 sites, model has 2"),
+        (lambda: SpinPermutation((2.0, 1.0)), "spin label 2.0 out of range 1..2"),
     ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
             "complex-weight", "decimal-weight", "text-weight", "inf-text-weight",
             "huge-exponent-weight", "tiny-exponent-weight",
@@ -427,7 +445,9 @@ class TestInputRules:
             "odd-infinite-covariance", "odd-infinite-quadratic", "odd-coupled-added-set",
             "odd-extra-below-one", "odd-infinite-before-tuple", "odd-tuple-before-infinite",
             "odd-range-before-infinite", "odd-coupled-before-extra",
-            "odd-extra-before-tuple"])
+            "odd-extra-before-tuple", "odd-power-low-q", "odd-power-bool-q",
+            "tuple-spin-product", "tuple-sign-class", "weight-spin-outside-domain",
+            "weight-site-count", "float-permutation-label"])
     def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()
