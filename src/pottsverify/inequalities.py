@@ -21,9 +21,9 @@ power-sum gaps are integers over ``2**(a+b)``, on the doubled spin values.
 Comparisons and identities are decided on those integers, and a
 ``Fraction`` is built only for a value a report or a caller receives.
 
-Three checks ask only for their deciding sum when the symmetry rule
-(``enumeration._zero_by_symmetry``) makes it zero, and then scan for it
-alone, with no kernel:
+Three checks first ask the symmetry rule (``enumeration._zero_by_symmetry``,
+which checks their inputs as a scan would) whether their deciding sum is
+zero, and if so stop there and make no scan:
 
 * ``check_positive_expectation``: ``zeta(R) = 0``, so the value is 0 and Z
   is not needed (``enumeration.expectation``);
@@ -126,26 +126,14 @@ def _covariance_numerator(sums) -> int:
     return z * rs - r * s
 
 
-def _scan_unless_zero(groups):
-    """``_scan(groups)``, or None when the symmetry rule makes the first
-    request of the first group, the check's deciding sum, zero.  Then
-    ``_scan`` gets that request alone: it validates the inputs as the whole
-    scan would, and runs no kernel."""
-    model, requests = groups[0]
-    if _zero_by_symmetry(model, *requests[0]):
-        _scan([(model, requests[:1])])
-        return None
-    return _scan(groups)
-
-
 def _scaled_covariance_and_z(model: Model, r: IndexList, s: IndexList):
     """The numerator's kernel integer, Z's and the scale.  A zero
     ``zeta(RS)`` by symmetry forces ``zeta(R) * zeta(S)`` to 0, so the
-    numerator is 0, and Z and the scale are left at 1."""
-    scanned = _scan_unless_zero([(model, _covariance_requests(model.n, r, s))])
-    if scanned is None:
+    numerator is 0 with no scan, and Z and the scale are left at 1."""
+    requests = _covariance_requests(model.n, r, s)
+    if _zero_by_symmetry(model, *requests[0]):
         return 0, 1, 1
-    _kernel, [(scale, sums)] = scanned
+    _kernel, [(scale, sums)] = _scan([(model, requests)])
     return _covariance_numerator(sums), sums[3], scale
 
 
@@ -362,26 +350,25 @@ def check_quadratic(
     """
     key, x, augmented_model = _added_coupling(base_model, added_sites, x)
     xs = [x, *map(_as_coupling, extra_x)]
-    direct = _covariance_requests(base_model.n, r, s)
-    scanned = _scan_unless_zero([
-        (base_model, _decomposition_requests(base_model.n, key, r, s)),
-        (augmented_model, direct),
-        *[(base_model.with_coupling(key, x_val), direct) for x_val in xs[1:]],
-    ])
-    if scanned is None:
+    lists = {"R": r, "S": s, "B": IndexList(tuple(key))}
+    decomposition = _decomposition_requests(base_model.n, key, r, s)
+    if _zero_by_symmetry(base_model, *decomposition[0]):
         # zeta(RS | delta_B = 1) is zero by symmetry on base and B, so R or
         # S is odd on that component: U, V, W and every augmented numerator
         # are 0.
-        scale, u, v, w, identity_ok = 1, 0, 0, 0, True
-    else:
-        _kernel, [(scale, sums), *augmented] = scanned
-        u, v, w = _coefficients(sums)
-        identity_ok = all(
-            u * p * p + v * p * d + w * d * d == _covariance_numerator(direct_sums)
-            for (p, d), (_scale, direct_sums) in zip(map(Fraction.as_integer_ratio, xs),
-                                                     augmented)
-        )
+        return _report("quadratic", (Fraction(0),) * 3, True, augmented_model, lists)
+    direct = _covariance_requests(base_model.n, r, s)
+    _kernel, [(scale, sums), *augmented] = _scan([
+        (base_model, decomposition),
+        (augmented_model, direct),
+        *[(base_model.with_coupling(key, x_val), direct) for x_val in xs[1:]],
+    ])
+    u, v, w = _coefficients(sums)
+    identity_ok = all(
+        u * p * p + v * p * d + w * d * d == _covariance_numerator(direct_sums)
+        for (p, d), (_scale, direct_sums) in zip(map(Fraction.as_integer_ratio, xs), augmented)
+    )
     satisfied = identity_ok and u >= 0 and 2 * u + v >= 0 and u + v + w >= 0
     den = scale * scale << (len(r) + len(s))
     return _report("quadratic", (Fraction(u, den), Fraction(v, den), Fraction(w, den)),
-                   satisfied, augmented_model, {"R": r, "S": s, "B": IndexList(tuple(key))})
+                   satisfied, augmented_model, lists)

@@ -157,11 +157,14 @@ class SpinDomain:
         return Fraction(2 * k - (self.q + 1), 2)
 
     def label_of_doubled(self, u: int) -> int:
-        """Inverse of ``doubled_values``: the 1-indexed label carrying ``u``."""
-        k, rem = divmod(u + self.q + 1, 2)
-        if rem or not 1 <= k <= self.q:
-            raise ModelError(f"{u} is not a doubled spin value for q={self.q}")
-        return k
+        """Inverse of ``doubled_values``: the 1-indexed label carrying ``u``.
+        This is the one rule for a doubled spin value: a plain int, never a
+        bool or a float."""
+        if u.__class__ is int:
+            k, rem = divmod(u + self.q + 1, 2)
+            if not rem and 1 <= k <= self.q:
+                return k
+        raise ModelError(f"{u} is not a doubled spin value for q={self.q}")
 
 
 @lru_cache(maxsize=None)
@@ -371,10 +374,9 @@ class Model:
             raise ModelError(
                 f"configuration has {len(config)} sites, model has {self.n}"
             )
-        legal = set(self.domain.doubled_values)
+        label = self.domain.label_of_doubled  # refuses what is not a doubled spin
         for u in config.doubled_spins:
-            if u not in legal:
-                raise ModelError(f"{u} is not a doubled spin value for q={self.q}")
+            label(u)
 
     def require_finite(self) -> None:
         if self.interactions.has_infinite:

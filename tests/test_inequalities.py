@@ -359,15 +359,18 @@ class TestQuadraticDecomposition:
 
 @pytest.mark.parametrize("check, args, scans", [
     (check_positive_expectation, (IndexList((1, 2)),), 1),
-    (check_positive_covariance, (IndexList((1, 2)), IndexList((1, 3))), 1),
+    (check_positive_covariance, (IndexList((1, 2)), IndexList((1, 3))), 0),
+    (check_positive_covariance, (IndexList((1, 2)), IndexList((1, 2))), 1),
     (check_quadratic, ({2, 3}, 2, IndexList((1, 2)), IndexList((1, 3))), 1),
     (check_contraction_identity, (IndexList((1, 2)), {2, 3}), 2),
-], ids=["theorem1", "theorem2", "quadratic", "contraction"])
+], ids=["theorem1", "theorem2", "theorem2-nonzero", "quadratic", "contraction"])
 def test_each_model_check_makes_only_the_scans_it_reads(monkeypatch, check, args, scans):
     """Each check's kernel passes, counted at ``enumeration._scan`` in every
-    module that calls it: one per check, and two for the contraction
-    identity, one per side.  A check that scanned for a result it drops,
-    such as the matching count of a restricted sum, would count more."""
+    module that calls it: one per check, none where the symmetry rule
+    decides it (theorem2's ``zeta(RS)`` is odd at site 3, a component of its
+    own), and two for the contraction identity, one per side.  A check that
+    scanned for a result it drops, such as the matching count of a
+    restricted sum, would count more."""
     calls = []
 
     def counted(groups):

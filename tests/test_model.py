@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pottsverify
+from pottsverify import enumeration
 from pottsverify import (
     Configuration,
     INFINITY,
@@ -276,8 +277,8 @@ class TestInteractionTable:
 _ONE = IndexList((1,))
 
 # Models for inputs on which a check's deciding sum is zero by symmetry (an
-# odd list), so the check skips to one scan of that sum.  The scan must
-# still report each bad input as the whole check would, in the same order.
+# odd list), so the check stops at the rule.  The rule must still report
+# each bad input as the whole check would, in the same order.
 _PAIR = build_model(3, 3, [({1, 2}, 2)])
 _INFINITE = build_model(3, 3, [({1, 2}, 2), ({2, 3}, INFINITY)])
 _INFINITE_MESSAGE = ("model contains an infinite coupling; resolve it with "
@@ -432,6 +433,19 @@ class TestInputRules:
         (lambda: config_weight(Configuration((1, 1, 1)), build_model(2, 2, [({1, 2}, 3)])),
          "configuration has 3 sites, model has 2"),
         (lambda: SpinPermutation((2.0, 1.0)), "spin label 2.0 out of range 1..2"),
+        (lambda: enumeration._zero_by_symmetry(_PAIR, (1,)),
+         "list entries (1,) are not an IndexList"),
+        (lambda: enumeration._zero_by_symmetry(_PAIR, IndexList((9,))),
+         "list entry 9 out of range 1..3"),
+        (lambda: enumeration._zero_by_symmetry(_PAIR, _ONE, delta_event({1, 9}, 1)),
+         "event site 9 out of range 1..3"),
+        (lambda: enumeration._zero_by_symmetry(_INFINITE, _ONE), _INFINITE_MESSAGE),
+        (lambda: config_weight(Configuration((True, 1)), build_model(2, 2, [({1, 2}, 3)])),
+         "True is not a doubled spin value for q=2"),
+        (lambda: config_weight(Configuration((1, 1.0)), build_model(2, 2, [({1, 2}, 3)])),
+         "1.0 is not a doubled spin value for q=2"),
+        (lambda: Configuration((True, 1)).labels(2), "True is not a doubled spin value for q=2"),
+        (lambda: Configuration((1, 1.0)).labels(2), "1.0 is not a doubled spin value for q=2"),
     ], ids=["float-n", "zero-n", "float-q", "float-q-domain", "dict-table", "none-weight",
             "complex-weight", "decimal-weight", "text-weight", "inf-text-weight",
             "huge-exponent-weight", "tiny-exponent-weight",
@@ -447,7 +461,9 @@ class TestInputRules:
             "odd-range-before-infinite", "odd-coupled-before-extra",
             "odd-extra-before-tuple", "odd-power-low-q", "odd-power-bool-q",
             "tuple-spin-product", "tuple-sign-class", "weight-spin-outside-domain",
-            "weight-site-count", "float-permutation-label"])
+            "weight-site-count", "float-permutation-label", "rule-tuple-list",
+            "rule-list-range", "rule-event-site", "rule-infinite", "weight-bool-spin",
+            "weight-float-spin", "labels-bool-spin", "labels-float-spin"])
     def test_bad_counts_tables_and_weights_are_model_errors(self, call, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             call()

@@ -4,7 +4,7 @@ Flipping every spin of one connected component of a sum's watched
 hypergraph, u -> -u, keeps the weight and every delta constraint and
 multiplies the sum by -1 when its tables are odd at an odd number of that
 component's sites.  ``_compile`` drops such sums, and a check whose deciding
-sum is such a sum scans for it alone, with no kernel.
+sum is such a sum stops at the rule, with no scan.
 """
 
 from fractions import Fraction
@@ -31,7 +31,7 @@ from pottsverify import (
     sign_event,
 )
 from pottsverify import contraction, enumeration, inequalities
-from pottsverify.enumeration import _components, _zero_by_symmetry
+from pottsverify.enumeration import _compile, _components, _zero_by_symmetry
 
 
 @st.composite
@@ -72,12 +72,15 @@ def test_the_rule_calls_zero_only_what_the_oracle_finds_zero(drawn):
     """Every request the rule calls zero is 0 under ``correlation_sum_naive``,
     and every sum of ``correlation_sums``, whose plan drops the sign-free
     sums the rule calls zero, equals the oracle's, matching counts
-    included."""
+    included.  The rule calls a request zero exactly when ``_compile``
+    leaves it no sum: both forms apply the same two steps."""
     model, requests = drawn
     results = correlation_sums(model, requests)
     for (indices, event), result in zip(requests, results):
         naive = correlation_sum_naive(model, indices, event)
-        if _zero_by_symmetry(model, indices, event):
+        zero = _zero_by_symmetry(model, indices, event)
+        assert zero == (not _compile([(model, [(indices, event)])]).requests[0][0])
+        if zero:
             assert naive.value == 0
         assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
 
@@ -151,18 +154,18 @@ PAIR4 = build_model(4, 3, [({1, 2}, 2)])
 
 
 @pytest.mark.parametrize("check, args, scans_made, value", [
-    (check_positive_expectation, (PAIR, IndexList((1, 3))), 1, (0,)),
-    (check_positive_covariance, (PAIR, IndexList((1, 2)), IndexList((1, 3))), 1, (0,)),
-    (check_quadratic, (PAIR4, {3, 4}, 2, IndexList((1, 3)), IndexList((3, 3)), (3,)), 1,
+    (check_positive_expectation, (PAIR, IndexList((1, 3))), 0, (0,)),
+    (check_positive_covariance, (PAIR, IndexList((1, 2)), IndexList((1, 3))), 0, (0,)),
+    (check_quadratic, (PAIR4, {3, 4}, 2, IndexList((1, 3)), IndexList((3, 3)), (3,)), 0,
      (0, 0, 0)),
-    (check_quadratic, (PAIR, {2, 3}, 2, IndexList((1,)), IndexList((1, 2))), 1, (0, 0, 0)),
+    (check_quadratic, (PAIR, {2, 3}, 2, IndexList((1,)), IndexList((1, 2))), 0, (0, 0, 0)),
     (check_contraction_identity, (PAIR, IndexList((1, 3)), {1, 2}), 2, None),
 ], ids=["theorem1", "theorem2", "quadratic", "quadratic-global-flip", "contraction"])
 def test_checks_decided_by_symmetry_enter_no_kernel(scans, check, args, scans_made, value):
-    """A check whose deciding sum is zero by the rule scans for it alone and
-    runs no kernel: one scan per check, two for the contraction identity,
-    whose sides are both odd on a component.  Its values are 0 and it is
-    satisfied."""
+    """A check whose deciding sum is zero by the rule stops at the rule and
+    runs no kernel: no scan at all, and two for the contraction identity,
+    whose sides are both odd on a component and so scan with no kernel.
+    Its values are 0 and it is satisfied."""
     report = check(*args)
     assert scans["scans"] == scans_made
     assert scans["kernels"] == []
