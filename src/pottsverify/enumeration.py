@@ -52,20 +52,23 @@ run no kernel.
   (site 0 is 0, each later digit at most one above the largest before it),
   so it visits ``sum(S(n, b) for b <= q)`` classes instead of ``q**n``
   configurations, with S the Stirling numbers of the second kind: 2,795
-  instead of 65,536 at n=8, q=4.  The walk is depth first over the
-  strings' prefixes.  Each subset is decided once per prefix that ends
-  just before its highest site: its lower sites share a digit or not, and
-  each digit at the highest site then agrees with it or not.  A prefix's
-  weight is its parent's times one small factor per group and digit: the
-  product of one entry of each decided subset's factor row, the row picked
-  by the digit its lower sites share.  So the weights are built by products
-  alone, the small factors multiplied in C and the parent's weight once per
-  digit.  The last site is not stepped: after each prefix of the other n-1
-  sites (715 at n=8, q=4), the sums with the same tables read one cached
-  vector of their table products summed over each child class's
-  ``q!/(q-b)!`` relabellings, one entry per digit of the last site, and
-  each adds its dot product with its group's child weights over the digits
-  where its deltas hold (see ``_scan_classes``).
+  instead of 65,536 at n=8, q=4.  The walk is breadth first: level s holds
+  the strings' prefixes of sites 0..s in order, each prefix's children
+  contiguous, and every loop over a level runs in C (``map`` over
+  ``bytes``).  A subset is decided at the level of its highest site s,
+  where it agrees exactly when its other sites are among the prefix's
+  *mates*, the earlier sites whose digit equals site s's.  A level has at
+  most ``2**s`` distinct mates, and at q > 2 far fewer than prefixes (128
+  among the 2,795 classes at n=8, q=4), so per group a level's factor, the
+  product of the numerator of every weighted subset decided there that
+  agrees and the denominator of every other one, is tabled once per
+  distinct mates, from packs of the subsets' agreement bits; a prefix's
+  weight is its parent's times one entry of that table.  So the weights
+  are built by products alone.  At the last level, where each prefix is a
+  class, each sum adds the dot product of its group's class weights with
+  its family's cached table products summed over each class's
+  ``q!/(q-b)!`` relabellings, over the classes where its deltas hold (see
+  ``_scan_classes``).
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per subset factor (a scaled weight or a delta
@@ -112,9 +115,9 @@ the added set is a delta subset, and every augmented model, where it is an
 interaction, in one pass.  The weightings share what does not depend on
 the weights:
 
-* The odometer walks the classes once.  Each group has its own prefix
-  weights along that walk, and each family's vector of relabelled sums is
-  looked up once per prefix for every sum of every group in that family.
+* The odometer's levels and codes do not depend on the weights.  Each
+  group builds its own class weights along them, and each family's values
+  are looked up once per scan for every sum of every group in that family.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -125,23 +128,26 @@ the weights:
 ``correlation_sums`` is the one-group case.
 
 A scan binds only its weights and its delta constraints.  What depends on
-the hypergraph, ``q`` and the lists alone is kept in five memos
+the hypergraph, ``q`` and the lists alone is kept in six memos
 (``functools.lru_cache``, each bounded by a module constant, least recently
 used entry evicted first), so later scans of the same hypergraph reuse it.
 
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
-  ``_STRUCTURE_MEMO`` entries: the watched subsets by their highest site,
-  with getters of their lower sites, the elimination order and its cost,
+  ``_STRUCTURE_MEMO`` entries: the elimination order and its cost,
   ``_eliminate``'s index-map getters by ``(scope, joint)``, and, once an
-  odometer scan has completed it, the walk: the common digits of every
-  decided subset's lower sites at every prefix, one byte each.
-  ``_compile`` lists the watched subsets by size and then by sites,
-  interactions and event subsets alike, so a subset takes the same place
-  whether it is weighted or not.
+  odometer scan has built them, the agreement codes: per level, the
+  subsets decided there in packs of at most ``_PACK``, each pack one byte
+  per distinct mates of the level.  ``_compile`` lists the watched
+  subsets by size and then by sites, interactions and event subsets
+  alike, so a subset takes the same place whether it is weighted or not.
+* ``_classes``, keyed by ``(n, q)``, at most ``_CLASSES_MEMO`` entries:
+  the odometer's levels, each prefix's child count and the place of its
+  mates among the level's distinct mates, and at the last level every
+  site's digit and every class's number of blocks.
 * ``_family_cache``, keyed by ``(q, tables)``, at most ``_FAMILY_MEMO``
-  entries: the odometer's vectors of relabelled sums of a family of sums
-  with those per-site tables, by vector key, which depend on neither the
-  weights nor ``n`` nor the sites the tables sit on.
+  entries: the odometer's relabelled sums of a family of sums with those
+  per-site tables, by class key, which depends on neither the weights nor
+  ``n`` nor the sites the tables sit on.
 * ``_labelled_sums``, keyed by ``(q, block profile)``, at most
   ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
   profile's blocks, which those relabelled sums are made of.
@@ -156,10 +162,11 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   table of every request comes from it, so a miss of ``_request_terms`` is
   a multiplicity count and one lookup per site and sum.
 
-The bounds keep the memos small.  With a walk in each of the 16 structures,
-those structures and their scans' family vectors retain 0.2 MB on dense
-n=8, q=4 hypergraphs and 7.7 MB on dense n=12, q=3 ones, 7.5 MB of it walks
-(all pairs and one triple each, by ``tracemalloc``).  The reuse pays where
+The bounds keep the memos small.  With codes in each of the 16 structures,
+the memos retain 0.12 MB on dense n=8, q=4 hypergraphs and 2.2 MB on dense
+n=12, q=3 ones (all pairs and one triple each, by ``tracemalloc``); 1.8 MB
+of that is the one ``_classes`` entry, and the codes of one structure take
+about 16 KB.  The reuse pays where
 one model is checked repeatedly, on 80-90% of the scans of a model file run
 through the CLI's commands in turn; a sweep's hypergraphs are mostly new
 (183 distinct in 335 scans at seed 42), and 17 of its 36 ``_structure``
@@ -168,12 +175,13 @@ lookups hit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, permutations
+from itertools import chain, compress, islice, permutations, repeat
 from math import perm, prod
-from operator import itemgetter, mul
+from operator import add, and_, eq, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
@@ -206,10 +214,15 @@ __all__ = [
 
 # Entry bounds of the weight-free memos (see the module docstring).
 _STRUCTURE_MEMO = 16
+_CLASSES_MEMO = 8
 _FAMILY_MEMO = 32
 _REQUEST_MEMO = 64
 _TABLE_MEMO = 128
 _PROFILE_MEMO = 256
+# The most subsets whose agreement one byte of ``_Structure.codes`` holds.
+_PACK = 4
+# A ``bytes.translate`` table that swaps 0 and 1.
+_NOT = b"\1" + bytes(255)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -516,21 +529,17 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
 
 @dataclass(eq=False)
 class _Structure:
-    """What a scan reads of its hypergraph alone.  ``highest`` holds, per
-    site, the watched subsets whose highest site it is and, for each, an
-    itemgetter of its lower sites and their number, which the odometer
-    reads.  Then the elimination order, its estimated cost, and
-    ``_eliminate``'s index-map getters by ``(scope, joint)``.  ``walk`` is
-    ``None`` until an odometer scan completes: then it holds the common
-    digit of every decided subset's lower sites, ``q`` where they differ,
-    at every prefix in walk order, one byte each (a tuple where ``q`` does
-    not fit a byte), and every later odometer scan reads them back."""
+    """What a scan reads of its hypergraph alone: the elimination order,
+    its estimated cost, and ``_eliminate``'s index-map getters by ``(scope,
+    joint)``.  ``codes`` is ``None`` until an odometer scan builds it
+    (``_agreement_codes``): then it holds, for every level of the class
+    walk, the packs of the subsets decided there, each with one byte per
+    distinct mates of the level, and every later odometer scan reads it."""
 
-    highest: tuple[tuple[tuple[int, ...], tuple[tuple[itemgetter, int], ...]], ...]
     order: tuple[int, ...]
     cost: int
     getters: dict
-    walk: bytes | tuple[int, ...] | None = None
+    codes: tuple[tuple[tuple[tuple[int, ...], bytes], ...], ...] | None = None
 
 
 @lru_cache(maxsize=_STRUCTURE_MEMO)
@@ -541,13 +550,10 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
     when a watched subset (an interaction or an event's delta subset) holds
     both, and ties go to the lower site index, so the order is
     deterministic.  The cost is the sum over buckets of
-    ``q**(bucket scope size)``.
+    ``q**(bucket scope size)``.  The odometer's agreement codes are left
+    to the first odometer scan of the hypergraph, since most scans run on
+    another kernel.
     """
-    highest: list[tuple[list, list]] = [([], []) for _ in range(n)]
-    for j, sites in enumerate(subset_sites):
-        js, gets = highest[sites[-1]]
-        js.append(j)
-        gets.append((itemgetter(*sites[:-1]), len(sites) - 1))
     neighbours: list[set[int]] = [set() for _ in range(n)]
     for sites in subset_sites:
         for s in sites:
@@ -567,8 +573,7 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
             neighbours[s].discard(v)
         remaining.remove(v)
         order.append(v)
-    return _Structure(tuple((tuple(js), tuple(gets)) for js, gets in highest),
-                      tuple(order), cost, {})
+    return _Structure(tuple(order), cost, {})
 
 
 def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[int]:
@@ -580,18 +585,101 @@ def _combine(plan: ScanPlan, sums: Sequence[int]) -> list[int]:
 # --- odometer kernel ---------------------------------------------------------
 
 
-def _block_profile(digits: list[int], terms) -> tuple:
+def _expand(values: Iterable[int], tops: bytes):
+    """Each entry of ``values``, one per prefix of a level, repeated once
+    per child of that prefix, as an iterator over the next level."""
+    return chain.from_iterable(map(repeat, values, tops))
+
+
+@lru_cache(maxsize=_CLASSES_MEMO)
+def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
+    """The equality classes of ``n`` sites at ``q``, level by level.
+
+    Level s holds the prefixes of sites 0..s in order; the children of a
+    prefix with b blocks are contiguous, one per digit 0..min(b, q-1).  A
+    prefix's *mates* are the sites before s whose digit equals site s's, as
+    a bitmask (bit t for site t).  For each level s >= 1 this holds the
+    child count of every prefix of level s-1, the place of every prefix's
+    mates among the level's distinct mates, and those distinct mates,
+    sorted; then, at the last level, where each prefix is a class, each
+    site's digit and each class's number of blocks.  Digits and block
+    counts are at most n, so they are ``bytes``; the places are ``bytes``
+    while at most 256 mates occur, and an ``array`` of ``"I"`` after."""
+    digits, blocks, levels = [b"\0"], b"\1", []
+    for _s in range(1, n):
+        tops = bytes(map(min, map((1).__add__, blocks), repeat(q)))
+        new = bytes(chain.from_iterable(map(range, tops)))
+        parents = bytes(_expand(blocks, tops))
+        digits = [*[bytes(_expand(d, tops)) for d in digits], new]
+        blocks = bytes(map(add, parents, map(eq, new, parents)))
+        masks = list(map(sum, zip(*[map(mul, map(eq, d, new), repeat(1 << t))
+                                    for t, d in enumerate(digits[:-1])])))
+        mates = tuple(sorted(set(masks)))
+        places = list(map({m: i for i, m in enumerate(mates)}.__getitem__, masks))
+        levels.append((tops, bytes(places) if len(mates) <= 256 else array("I", places), mates))
+    return tuple(levels), tuple(digits), blocks
+
+
+def _agreement(digits: Sequence[bytes], sites: tuple[int, ...]):
+    """Whether the subset ``sites`` has all its digits equal, per prefix,
+    as an iterator of bools."""
+    first = digits[sites[0]]
+    agree = map(eq, first, digits[sites[1]])
+    for s in sites[2:]:
+        agree = map(and_, agree, map(eq, first, digits[s]))
+    return agree
+
+
+def _agreement_codes(n: int, subset_sites: tuple[tuple[int, ...], ...],
+                     levels: tuple) -> tuple:
+    """The ``_Structure.codes`` of a hypergraph: for each level s >= 1 of
+    ``_classes``, the subsets whose highest site is s, by index in
+    ``subset_sites``, in packs of at most ``_PACK``, each with one byte per
+    distinct mates of the level whose bit k is set where the pack's subset
+    k has every site but s among those mates, so all its sites agree."""
+    decided: list[list[int]] = [[] for _ in range(n)]
+    for j, sites in enumerate(subset_sites):
+        decided[sites[-1]].append(j)
+    codes = []
+    for (_tops, _places, mates), js in zip(levels, decided[1:]):
+        level = []
+        for i in range(0, len(js), _PACK):
+            pack = tuple(js[i:i + _PACK])
+            # Bit k and the mask of the sites of subset k but s.
+            lows = [(1 << k, sum([1 << t for t in subset_sites[j][:-1]]))
+                    for k, j in enumerate(pack)]
+            level.append((pack, bytes([sum([bit for bit, low in lows if m & low == low])
+                                       for m in mates])))
+        codes.append(tuple(level))
+    return tuple(codes)
+
+
+def _pack_table(pairs: Iterable) -> list[int]:
+    """A pack's factors by code: entry c is the product over the pack's
+    subsets k of the numerator where bit k of c is set, else the
+    denominator, for each ``(numerator, denominator)`` of ``pairs``; a
+    subset with ``None``, which the group does not weight, gives 1."""
+    table = [1]
+    for pair in pairs:
+        if pair is None:
+            table *= 2
+        else:
+            num, den = pair
+            table = [*[t * den for t in table], *[t * num for t in table]]
+    return table
+
+
+def _block_profile(digits: tuple[int, ...], tabs: tuple) -> tuple:
     """The blocks that a family's sites fall in, as a sorted tuple of rows.
 
-    ``digits`` holds a class's digits and ``terms`` the family's
-    ``(site, table)`` pairs; sites with equal digits share a block, whose
-    row is the product of its sites' tables.  The sums over injective
-    labellings depend neither on the labels the blocks carry nor on their
-    order, so classes whose blocks have the same rows share them.
+    ``digits`` holds a class's digits at the family's sites and ``tabs``
+    their tables; sites with equal digits share a block, whose row is the
+    product of its sites' tables.  The sums over injective labellings
+    depend neither on the labels the blocks carry nor on their order, so
+    classes whose blocks have the same rows share them.
     """
     rows: dict[int, tuple[int, ...]] = {}
-    for s, tab in terms:
-        d = digits[s]
+    for d, tab in zip(digits, tabs):
         rows[d] = tuple(map(mul, rows[d], tab)) if d in rows else tab
     return tuple(sorted(rows.values()))
 
@@ -606,26 +694,9 @@ def _labelled_sums(q: int, profile: tuple) -> int:
 
 @lru_cache(maxsize=_FAMILY_MEMO)
 def _family_cache(q: int, tabs: tuple) -> dict:
-    """The vectors of relabelled sums of a family with tables ``tabs``, by
-    vector key (see ``_scan_classes``), shared by every scan at ``q``."""
+    """The relabelled sums of a family with tables ``tabs``, by class key
+    (see ``_scan_classes``), shared by every scan at ``q``."""
     return {}
-
-
-def _factor_rows(q: int, weighting: tuple) -> tuple[tuple[int, ...], ...]:
-    """The factor rows of a subset that the g groups weight ``weighting``,
-    one ``(numerator, denominator)`` or ``None`` per group.  Entry
-    ``d * g + k`` of row c is group k's factor when the subset's lower sites
-    share digit c and its highest site takes digit d: the numerator if
-    ``d == c``, else the denominator, and 1 where group k does not weight
-    the subset.  The last row, row q, read where the lower sites differ,
-    holds the denominators throughout.
-
-    The rows are built per scan, not memoised: a build takes about 2 us on
-    a 2-core Xeon VM, and a sweep's drawn weights repeat in only a fifth of
-    its subsets."""
-    nums = tuple([1 if pair is None else pair[0] for pair in weighting])
-    dens = tuple([1 if pair is None else pair[1] for pair in weighting])
-    return (*[dens * c + nums + dens * (q - 1 - c) for c in range(q)], dens * q)
 
 
 def _scan_classes(plan: ScanPlan) -> list[int]:
@@ -639,181 +710,112 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     labels 0..b-1 in order of first appearance.  The weight and the delta
     constraints are the same throughout a class.
 
-    The walk is depth first over the strings' prefixes, without recursion.
-    A watched subset is decided at its highest site, whose digit comes
-    last: once per prefix before that site the common digit of its lower
-    sites is read (q if they differ), and each digit the site can take
-    then costs one comparison.  Those digits depend on the hypergraph
-    alone: the first scan records them all and stores them as the
-    ``_structure``'s walk only when the walk ends, and a later scan of the
-    hypergraph reads them back in walk order, calling no getter.  A
-    prefix's weight, per group, is its parent's times a factor: the
-    numerator of every weighted subset decided at the new site whose lower
-    sites share the new digit, and the denominator of every other one.  So
-    the scaled weight, the product over the subsets of one or the other,
-    is built by products alone.  Each
-    weighted subset carries its factor rows (``_factor_rows``), one per
-    common digit, each holding every group's factor at every digit; the
-    prefix's children come from one C-level product per digit and group
-    over the rows its subsets' common digits pick, the parent's weight
-    multiplied last.  Only the subsets that some sum's delta factors read
-    keep a delta, and a sum counts a class where each of those deltas
-    equals its factor's ``agree``, the constraint's bit.
+    The walk is breadth first, one level of prefixes at a time, and every
+    loop over a level's prefixes runs in C.  The levels depend on ``n``
+    and ``q`` alone and live in ``_classes``: each prefix's child count,
+    and the place of its mates, the sites before the level's site s whose
+    digit equals site s's, among the level's distinct mates.  A watched
+    subset is decided at the level of its highest site s, and its sites
+    all agree exactly when its other sites are among the mates.  The
+    subsets decided at a level form packs of at most ``_PACK``, and each
+    pack holds one byte per distinct mates, whose bit k says whether the
+    pack's subset k agrees: the hypergraph's ``_structure`` holds these
+    codes, which the first odometer scan builds (``_agreement_codes``) and
+    every later one reads.  A prefix's weight, per group, is its parent's
+    times the numerator of every weighted subset decided at its level that
+    agrees and the denominator of every other one.  So per level and
+    group, each pack gives a table of those products by code
+    (``_pack_table``), the codes read it once per distinct mates, and the
+    product over the packs is the level's factor by mates; a prefix's
+    weight is then one entry of it, read through the prefix's place, times
+    its parent's weight, repeated once per child.  The scaled weights are
+    built by products alone.
 
-    The last site is not stepped: after each prefix of length n-1, all its
-    digits are summed at once.  Sums with the same per-site tables form one
-    family, whatever their delta constraints, group and weighting.  Per
-    prefix, a family looks up one vector: its product summed over each
-    child class's relabellings, one entry per digit of the last site.  A
-    sum whose deltas decided at earlier sites all hold adds the C-level dot
-    product of its group's child weights with that vector.  A delta decided
-    at the last site holds at one digit at most, the common digit c of its
-    lower sites (none where c is q), so a sum with such deltas adds only
-    the terms of the digits d where each one's ``c == d`` equals its bit.
+    At the last level each prefix is a class.  Sums with the same per-site
+    tables form one family, whatever their delta constraints, group and
+    weighting, and a family reads one value per class: its tables' product
+    summed over the class's relabellings.  A sum adds the dot product of
+    its group's class weights with its family's values, both first
+    compressed to the classes where each of its deltas equals its factor's
+    ``agree``, the constraint's bit, by one mask per delta pattern.
 
-    A family's vectors live in its ``_family_cache``, which later scans
-    with the same tables reuse, on models of any n.  A vector's key is the
-    family's digits, -1 at the last site, then the prefix's b: they fix
-    every child class's blocks at the family's sites and its number of
-    blocks, and so the vector.  On a miss, the entry for a child with b'
-    blocks labels only the t blocks the family's sites touch, and each
-    labelling extends to the untouched blocks in ``(q-t)!/(q-b')!`` ways; a
-    family that reads no site has the empty profile, whose labelled sum is
-    1.  The labelling sums are memoised by the blocks' rows
-    (``_labelled_sums``, see ``_block_profile``), which vectors with
-    different digits and different families share, so the labelling work
-    follows the few distinct block rows rather than the number of site
-    patterns.
+    A family's values live in its ``_family_cache``, which later scans with
+    the same tables reuse, on models of any n.  A value's key is the
+    class's digits at the family's sites, then its number of blocks b: they
+    fix the blocks at the family's sites and their number, and so the
+    value.  On a miss, the value labels only the t blocks the family's
+    sites touch, and each labelling extends to the untouched blocks in
+    ``(q-t)!/(q-b)!`` ways; a family that reads no site has the empty
+    profile, whose labelled sum is 1.  The labelling sums are memoised by
+    the blocks' rows (``_labelled_sums``, see ``_block_profile``), which
+    keys with different digits and different families share, so the
+    labelling work follows the few distinct block rows rather than the
+    number of site patterns.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
     structure = _structure(n, q, subset_sites)
-    highest, walk = structure.highest, structure.walk
-    last = n - 1
-    at_last = {j: i for i, j in enumerate(highest[last][0])}  # subset -> its place there
-    # Per delta pattern: (subset, bit) of each delta decided before the last
-    # site, and (place at the last site, bit) of each other one.
-    splits: dict = {}
-    # Sums with the same per-site tables form one family: the getter of its
-    # vector keys, its cache and terms, then (index, group, split) of its
-    # sums, a sum without deltas split ([], []).
-    by_terms: dict = {}
-    for si, (terms, delta_reqs, group) in enumerate(plan_sums):
-        family = by_terms.get(terms)
-        if family is None:
-            # digits[last] is -1 and digits[n] the prefix's b while vectors
-            # are read, so one itemgetter call reads a vector key.
-            tabs = tuple(tab for _s, tab in terms)
-            family = by_terms[terms] = (
-                itemgetter(*[s for s, _tab in terms], n), _family_cache(q, tabs), terms, [])
-        split = splits.get(delta_reqs)
-        if split is None:
-            earlier, lasts = split = splits[delta_reqs] = [], []
-            for j, agree, _differ in delta_reqs:
-                if j in at_last:
-                    lasts.append((at_last[j], agree))
-                else:
-                    earlier.append((j, agree))
-        family[3].append((si, group, split))
-    families = list(by_terms.values())
-    accs = [0] * len(plan_sums)
+    levels, digits, blocks = _classes(n, q)
+    codes = structure.codes
+    if codes is None:
+        codes = structure.codes = _agreement_codes(n, subset_sites, levels)
 
-    def vector(terms, b, top):
-        """A family's relabelled sums over the children of a prefix with b
-        blocks, by the last site's digit."""
-        values = []
-        for d in range(top):
-            digits[last] = d
-            profile = _block_profile(digits, terms)
-            t = len(profile)
-            values.append(_labelled_sums(q, profile) * perm(q - t, b + (d == b) - t))
-        digits[last] = -1
-        return tuple(values)
+    def class_weights(row) -> list[int]:
+        """A group's scaled weight of every class, level by level."""
+        weights = [1]
+        for (tops, places, _mates), packs in zip(levels, codes):
+            parents = _expand(weights, tops)
+            factors = [map(_pack_table([row[j] for j in pack]).__getitem__, code)
+                       for pack, code in packs if any([row[j] for j in pack])]
+            if factors:  # the product of the level's factors, by the prefix's mates
+                table = list(map(prod, zip(*factors)))
+                weights = list(map(mul, map(table.__getitem__, places), parents))
+            else:
+                weights = list(parents)
+        return weights
 
-    # Each site's decided subsets: their lower-site getters and number,
-    # (position, factor rows) of those some group weights, and (position,
-    # subset) of those whose delta a sum reads.
-    read = {j for _terms, delta_reqs, _group in plan_sums for j, _agree, _differ in delta_reqs}
-    weightings = list(zip(*weight_rows))  # per subset, each group's pair or None
-    levels = [(gets, len(gets),
-               [(i, _factor_rows(q, weightings[j]))
-                for i, j in enumerate(js) if any(weightings[j])],
-               [(i, j) for i, j in enumerate(js) if j in read])
-              for js, gets in highest]
-    g = len(weight_rows)
-    digits = [0] * last + [-1, 0]
-    blocks = [0] * n  # blocks[s]: the number of blocks among digits[:s]
-    deltas = [1] * len(subset_sites)
-    weights = [1] * len(weight_rows)  # the groups' weights of the prefix digits[:s]
-    decided: list = [None] * n  # per site: (commons, children, reads) after digits[:s]
-    if walk is None:  # this scan records the walk, and publishes it whole
-        entries = bytearray() if q < 256 else []
-        record = entries.extend
-    at = 0  # where the next prefix's common digits start in the walk
+    def class_values(terms) -> list[int]:
+        """A family's relabelled sums, one per class."""
+        tabs = tuple([tab for _s, tab in terms])
+        cache = _family_cache(q, tabs)
+        columns = [digits[s] for s, _tab in terms]
+        try:
+            return list(map(cache.__getitem__, zip(*columns, blocks)))
+        except KeyError:  # some class's value is new: work out every missing one
+            for key in set(zip(*columns, blocks)).difference(cache):
+                profile = _block_profile(key[:-1], tabs)
+                t = len(profile)
+                cache[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
+            return list(map(cache.__getitem__, zip(*columns, blocks)))
 
-    s = 0
-    while True:
-        # Enter site s after the prefix digits[:s]: each subset decided here
-        # gets the common digit of its lower sites, or q where they differ
-        # (a getter of one site returns its digit, of several a tuple).
-        gets, width, weighted, reads = levels[s]
-        b = blocks[s]
-        top = b + 1 if b < q else q  # the digits site s can take: 0..top-1
-        if walk is None:
-            commons = [v if k == 1 else v[0] if v.count(v[0]) == k else q
-                       for get, k in gets for v in (get(digits),)]
-            record(commons)
-        else:
-            commons = walk[at:at + width]
-            at += width
-        # Entry d * g + k of the products is group k's weight after digit d:
-        # the factors of the subsets' rows, each picked by the subset's
-        # common digit, multiplied in C, and then the parent's weight.
-        products = map(prod, zip(*[rows[commons[i]] for i, rows in weighted], weights * top))
-        if s < last:
-            children = list(zip(*[iter(products)] * g))  # children[d]: the groups' weights
-            decided[s] = commons, children, reads
-            d = 0
-        else:
-            # Every digit of the last site at once: columns[k][d] is group
-            # k's weight after digit d, and vec[d] the family's sum there.
-            products = tuple(products)
-            columns = [products[k::g] for k in range(g)]
-            digits[n] = b
-            for key_digits, cache, terms, members in families:
-                key = key_digits(digits)
-                vec = cache.get(key)
-                if vec is None:
-                    vec = cache[key] = vector(terms, b, top)
-                for si, group, (earlier, lasts) in members:
-                    for j, agree in earlier:
-                        if deltas[j] != agree:
-                            break
-                    else:
-                        column = columns[group]
-                        if lasts:  # the digits where every one holds
-                            accs[si] += sum([w * v for d, (w, v) in enumerate(zip(column, vec))
-                                             if all([(commons[i] == d) == agree
-                                                     for i, agree in lasts])])
-                        else:
-                            accs[si] += sum(map(mul, column, vec))
-            # Back to the deepest earlier site with a digit left: a digit is
-            # its site's last when it opened a block or is q - 1.
-            s -= 1
-            while s >= 0 and (digits[s] == blocks[s] or digits[s] == q - 1):
-                s -= 1
-            if s < 0:
-                if walk is None:
-                    structure.walk = bytes(entries) if q < 256 else tuple(entries)
-                return accs
-            commons, children, reads = decided[s]
-            b = blocks[s]
-            d = digits[s] + 1
-        digits[s] = d
-        for i, j in reads:
-            deltas[j] = commons[i] == d
-        weights = children[d]
-        blocks[s + 1] = b + (d == b)
-        s += 1
+    weights: dict = {}  # group -> its class weights
+    values: dict = {}  # terms -> its family's values
+    agreements: dict = {}  # subset -> per class, 1 where its sites agree, else 0
+    masks: dict = {}  # delta pattern -> per class, 1 where every delta holds, else 0
+
+    def mask(delta_reqs) -> bytes:
+        holds = []
+        for j, agree, _differ in delta_reqs:
+            agreed = agreements.get(j)
+            if agreed is None:
+                agreed = agreements[j] = bytes(_agreement(digits, subset_sites[j]))
+            holds.append(agreed if agree else agreed.translate(_NOT))
+        return bytes(map(min, *holds)) if len(holds) > 1 else holds[0]
+
+    accs = []
+    for terms, delta_reqs, group in plan_sums:
+        w = weights.get(group)
+        if w is None:
+            w = weights[group] = class_weights(weight_rows[group])
+        v = values.get(terms)
+        if v is None:
+            v = values[terms] = class_values(terms)
+        if delta_reqs:
+            held = masks.get(delta_reqs)
+            if held is None:
+                held = masks[delta_reqs] = mask(delta_reqs)
+            w, v = compress(w, held), compress(v, held)
+        accs.append(sum(map(mul, w, v)))
+    return accs
 
 
 # --- bucket-elimination kernel ----------------------------------------------

@@ -19,7 +19,7 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _eliminate, _scan_classes
+from pottsverify.enumeration import _PACK, _cluster, _eliminate, _scan_classes, _structure
 from plans import counted, pairs
 
 EMPTY = IndexList(())
@@ -248,3 +248,82 @@ class TestLastSite:
         ]
         plan = counted([(model, requests)])
         assert _scan_classes(plan) == _eliminate(plan)
+
+
+def assert_every_kernel_agrees(groups):
+    """The odometer's integers for ``groups``, with the hypergraph's codes
+    built by this scan and read back by the next, equal ``_eliminate``'s
+    and ``_cluster``'s, and every request equals the naive oracle."""
+    plan = counted(groups)
+    _structure.cache_clear()
+    cold = _scan_classes(plan)
+    assert _scan_classes(plan) == cold == _eliminate(plan) == _cluster(plan)
+    assert_groups_agree(groups)
+
+
+class TestLevels:
+    """The walk goes one level of prefixes at a time, and the subsets
+    decided at a level are read in packs of at most ``_PACK``."""
+
+    @pytest.mark.parametrize("count", [_PACK - 1, _PACK, _PACK + 1, 2 * _PACK + 1])
+    def test_one_site_deciding_packs_of_subsets(self, count):
+        """Site 5 is the highest site of ``count`` weighted subsets, pairs
+        first and then triples, so the last pack is full, short or holds
+        one subset."""
+        below = [*combinations(range(1, 5), 1), *combinations(range(1, 5), 2)]
+        subsets = [{*lower, 5} for lower in below[:count]]
+        model = build_model(5, 3, [({1, 2}, Fraction(5, 4)), *[
+            (sites, Fraction(3 + i, 1 + i % 3)) for i, sites in enumerate(subsets)]])
+        assert_every_kernel_agrees([(model, [
+            (IndexList((1, 5)), EVERYWHERE), (EMPTY, EVERYWHERE),
+            (IndexList((2, 3)), delta_event(subsets[-1], 1)),
+            (IndexList((4, 5, 5)), delta_event(subsets[0], 0)),
+        ])])
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_a_single_site(self, q):
+        one = IndexList((1,))
+        assert_every_kernel_agrees([(build_model(1, q, []), [
+            (one, EVERYWHERE), (IndexList((1, 1)), sign_event(one, NEGATIVE)),
+            (EMPTY, EVERYWHERE)])])
+
+    def test_more_spin_values_than_sites(self):
+        model = build_model(4, 6, [({1, 2}, 2), ({2, 3, 4}, Fraction(9, 4)), ({1, 4}, 3)])
+        assert_every_kernel_agrees([(model, [
+            (IndexList((1, 4)), EVERYWHERE), (IndexList((2, 2, 3)), delta_event({1, 4}, 0)),
+            (EMPTY, conjoin(delta_event({1, 2, 3, 4}, 1), sign_event(IndexList((3,)), ZERO)))])])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_groups_weighting_different_subsets(self, q):
+        """Each group weights its own subsets, one of them none, so a
+        group's packs at a level may all be left out."""
+        subsets = [{1, 2}, {2, 3}, {1, 3, 4}, {2, 4}, {3, 4}, {1, 4}]
+        requests = [(IndexList((1, 4)), EVERYWHERE), (IndexList((2, 3)), delta_event({2, 4}, 1))]
+        assert_every_kernel_agrees([
+            (build_model(4, q, [(sites, Fraction(2 + i, 1 + i % 2))
+                                for i, sites in enumerate(subsets) if i % k == r]), requests)
+            for k, r in ((2, 0), (2, 1), (3, 2), (7, 6))
+        ])
+
+    @pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_deltas_decided_at_the_first_and_the_last_level(self, bits):
+        """{1, 2} is decided at level 1, the first that decides anything,
+        and {2, 5} and {1, 3, 5} at level 4, the last."""
+        first, last = bits
+        model = build_model(5, 3, [({1, 2}, 3), ({2, 5}, Fraction(7, 2)), ({3, 4}, 2),
+                                   ({1, 3, 5}, Fraction(4, 3))])
+        assert_every_kernel_agrees([(model, [
+            (IndexList((1, 3)), delta_event({1, 2}, first)),
+            (IndexList((2, 5)), delta_event({2, 5}, last)),
+            (EMPTY, conjoin(delta_event({1, 2}, first), delta_event({1, 3, 5}, last))),
+            (IndexList((4,)), conjoin(delta_event({1, 2}, first), delta_event({2, 5}, last),
+                                      sign_event(IndexList((4,)), POSITIVE))),
+        ])])
+
+    def test_a_family_with_empty_terms(self):
+        """The empty list reads no site, so its family's value of a class
+        with b blocks is ``q!/(q-b)!``, with and without deltas."""
+        model = build_model(4, 3, [({1, 2}, 2), ({2, 3, 4}, Fraction(5, 3))])
+        assert_every_kernel_agrees([(model, [
+            (EMPTY, EVERYWHERE), (EMPTY, delta_event({1, 4}, 1)),
+            (EMPTY, delta_event({2, 3, 4}, 0)), (IndexList((1, 1)), EVERYWHERE)])])

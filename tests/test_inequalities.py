@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from pottsverify import (
     scaled_covariance,
     uniform_scaled_covariance,
 )
+from pottsverify.serialize import witness_json
 from pottsverify import contraction, enumeration, inequalities
+from pottsverify.cli import main
 from pottsverify.generators import (
     random_coupling,
     random_even_index_list,
@@ -394,3 +397,89 @@ def test_only_report_builds_a_witness():
     assert [name for name, count in calls.items() if count] == ["inequalities.py",
                                                                 "serialize.py"]
     assert calls["inequalities.py"] == 1
+
+
+class TestDecisionClauses:
+    """Each check's clauses decide on their own: the deciding value is
+    patched into the one region where a single clause fails, and the
+    report is unsatisfied, with the witness that ``_report`` builds."""
+
+    @staticmethod
+    def reports(monkeypatch):
+        """Every report ``inequalities._report`` returns from now on."""
+        built = []
+        report = inequalities._report
+        monkeypatch.setattr(inequalities, "_report",
+                            lambda *args: built.append(report(*args)) or built[-1])
+        return built
+
+    @staticmethod
+    def assert_verify_fails_and_the_witness_replays(tmp_path, monkeypatch, capsys, doc,
+                                                    witness):
+        """``verify --model`` on ``doc`` exits 1 with ``witness`` as its one
+        witness line, and, with the patches undone, the witness replays with
+        exit 0."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--model", str(path)]) == 1
+        lines = [line.removeprefix("witness: ") for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("witness: ")]
+        assert lines == [witness]
+        monkeypatch.undo()
+        replay = tmp_path / "witness.json"
+        replay.write_text(witness)
+        assert main(["verify", "--model", str(replay)]) == 0
+
+    def test_theorem1_odd_list_must_be_exactly_zero(self, tmp_path, monkeypatch, capsys):
+        """+1/7 is nonnegative, so only the odd-length clause fails."""
+        doc = {"n": 3, "q": 3, "interactions": [{"sites": [1, 2], "x": "3"},
+                                                {"sites": [2, 3], "x": "2"}],
+               "lists": {"R": [1, 2, 3]}}
+        model = build_model(3, 3, [({1, 2}, 3), ({2, 3}, 2)])
+        r = IndexList((1, 2, 3))
+        monkeypatch.setattr(inequalities, "expectation", lambda model, indices: Fraction(1, 7))
+        built = self.reports(monkeypatch)
+        report = check_positive_expectation(model, r)
+        assert report is built[-1]
+        assert (report.kind, report.values, report.satisfied) == ("theorem1", (Fraction(1, 7),),
+                                                                  False)
+        assert report.witness == witness_json(model, {"R": r})
+        self.assert_verify_fails_and_the_witness_replays(tmp_path, monkeypatch, capsys, doc,
+                                                         report.witness)
+
+    def test_theorem2_mixed_parity_must_be_exactly_zero(self, tmp_path, monkeypatch, capsys):
+        """+1/7 is nonnegative, so only the mixed-parity clause fails; the
+        odd R alone passes Theorem 1 by the symmetry rule."""
+        doc = {"n": 3, "q": 3, "interactions": [{"sites": [1, 2], "x": "3"},
+                                                {"sites": [2, 3], "x": "2"}],
+               "lists": {"R": [1, 2, 3], "S": [2, 3]}}
+        model = build_model(3, 3, [({1, 2}, 3), ({2, 3}, 2)])
+        r, s = IndexList((1, 2, 3)), IndexList((2, 3))
+        monkeypatch.setattr(inequalities, "covariance", lambda model, r, s: Fraction(1, 7))
+        built = self.reports(monkeypatch)
+        report = check_positive_covariance(model, r, s)
+        assert report is built[-1]
+        assert (report.kind, report.values, report.satisfied) == ("theorem2", (Fraction(1, 7),),
+                                                                  False)
+        assert report.witness == witness_json(model, {"R": r, "S": s})
+        self.assert_verify_fails_and_the_witness_replays(tmp_path, monkeypatch, capsys, doc,
+                                                         report.witness)
+
+    def test_quadratic_sum_of_coefficients_must_be_nonnegative(self, monkeypatch):
+        """U = 1, V = -1 and W = -1 keep U >= 0 and 2U + V >= 0, and at x =
+        2 the augmented numerator is patched to U*4 + V*2 + W = 1, so the
+        identity holds and only U + V + W >= 0 fails."""
+        base = build_model(3, 3, [({1, 2}, 2)])
+        r, s = IndexList((1, 2)), IndexList((1, 3))
+        assert not enumeration._zero_by_symmetry(base, r.concat(s),
+                                                 enumeration.delta_event({2, 3}, 1))
+        monkeypatch.setattr(inequalities, "_coefficients", lambda sums: (1, -1, -1))
+        monkeypatch.setattr(inequalities, "_covariance_numerator", lambda sums: 1)
+        built = self.reports(monkeypatch)
+        report = check_quadratic(base, {2, 3}, 2, r, s)
+        assert report is built[-1]
+        assert report.kind == "quadratic" and not report.satisfied
+        u, v, w = report.values
+        assert u > 0 and (v, w) == (-u, -u)
+        assert report.witness == witness_json(base.with_coupling({2, 3}, 2),
+                                              {"R": r, "S": s, "B": IndexList((2, 3))})

@@ -1,0 +1,33 @@
+"""Smoke tests of ``tools/kernel_replay.py``: it replays a small sweep's and
+a small ``dense_events`` pass's plans on every kernel, and its exit status
+says whether they all agree."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_replay.py"
+ARGS = ["--trials", "2", "--seeds", "42", "7", "--dense-seeds", "1", "--size", "small",
+        "--repeat", "1"]
+
+
+def test_every_kernel_agrees_on_every_replayed_plan():
+    done = subprocess.run([sys.executable, str(TOOL), *ARGS], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1].endswith("plans with sums; 0 differ between kernels")
+    assert int(lines[-1].split()[0]) > 0
+    assert any(line.startswith("dense_events:1 ") and " odometer " in line for line in lines)
+
+
+def test_a_kernel_that_disagrees_fails_the_replay(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("kernel_replay", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    odometer = tool.KERNELS["odometer"]
+    monkeypatch.setitem(tool.KERNELS, "odometer",
+                        lambda plan: [value + 1 for value in odometer(plan)])
+    assert tool.main(ARGS) == 1
+    assert "differs between kernels" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from pottsverify import (
 )
 from pottsverify import enumeration
 from pottsverify.enumeration import (
+    _classes,
     _cluster,
     _eliminate,
     _family_cache,
@@ -35,7 +36,7 @@ from pottsverify.enumeration import (
 from pottsverify.inequalities import check_quadratic
 from plans import counted, pairs
 
-MEMOS = (_structure, _family_cache, _request_terms, _site_table, _labelled_sums)
+MEMOS = (_structure, _classes, _family_cache, _request_terms, _site_table, _labelled_sums)
 
 
 def both_kernels(model, requests):
@@ -100,29 +101,30 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
 
 @settings(max_examples=50, deadline=None)
 @given(scans_on_one_hypergraph(2, 4, max_n=(6, 6, 6), one_walk=True))
-def test_odometer_scans_replay_the_walk_that_an_earlier_scan_recorded(scans):
-    """The first odometer scan of a hypergraph records its walk in the
-    hypergraph's ``_structure``: here a scan of every drawn model as one
-    group each.  Each model's own scan, with its own weights, weighted
-    subsets, sign events and delta patterns, then reads that walk back, and
-    so does the several-group scan again.  Every replayed integer equals a
-    cold run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
+def test_odometer_scans_share_the_codes_that_the_first_scan_built(scans):
+    """The first odometer scan of a hypergraph builds its agreement codes
+    in the hypergraph's ``_structure``: here a scan of every drawn model as
+    one group each.  Each model's own scan, with its own weights, weighted
+    subsets, sign events and delta patterns, then reads that same object,
+    and so does the several-group scan again.  Every integer equals a cold
+    run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
     plans = [counted(scans), *[counted([scan]) for scan in scans]]
     cold = []
     for plan in plans:
-        _structure.cache_clear()
+        for memo in MEMOS:
+            memo.cache_clear()
         cold.append(_scan_classes(plan))
     _structure.cache_clear()
     first = plans[0]
     structure = _structure(first.n, first.q, first.subset_sites)
-    assert structure.walk is None
+    assert structure.codes is None
     assert _scan_classes(first) == cold[0]
-    walk = structure.walk
-    assert walk  # every drawn hypergraph watches D
+    codes = structure.codes
+    assert codes is not None and any(codes)  # every drawn hypergraph watches D
     for plan, expected in zip([*plans[1:], first], [*cold[1:], cold[0]]):
         assert plan.subset_sites == first.subset_sites
         classes = _scan_classes(plan)
-        assert _structure(plan.n, plan.q, plan.subset_sites).walk is walk
+        assert _structure(plan.n, plan.q, plan.subset_sites).codes is codes
         assert classes == expected == _eliminate(plan)
     for (model, requests), plan, sums in zip(scans, plans[1:], cold[1:]):
         for (indices, event), (acc, matching) in zip(requests, pairs(plan, sums)):
@@ -144,70 +146,94 @@ def dense_plan():
     return model, requests, counted([(model, requests)])
 
 
-def test_a_replayed_scan_calls_no_lower_site_getter(monkeypatch):
-    """Once a walk is stored, an odometer scan reads every common digit
-    from it: the structure's lower-site getters are not called, and they
-    are again once the walk is gone."""
-    _model, _requests, plan = dense_plan()
+def assert_matches_the_oracle(model, requests, plan, sums):
+    for (indices, event), (acc, matching) in zip(requests, pairs(plan, sums)):
+        naive = correlation_sum_naive(model, indices, event)
+        assert Fraction(acc, plan.scales[0] << len(indices)) == naive.value
+        assert matching == naive.configs_matching
+
+
+def test_a_warm_scan_builds_no_codes(monkeypatch):
+    """Once a hypergraph's codes are built, an odometer scan reads them:
+    the builder is not called again, with the same or other weights, and
+    it is again once the codes are gone."""
+    model, requests, plan = dense_plan()
     _structure.cache_clear()
-    recorded = _scan_classes(plan)
+    built = _scan_classes(plan)
     structure = _structure(plan.n, plan.q, plan.subset_sites)
     calls = []
-
-    def spy(get):
-        return lambda digits: calls.append(get) or get(digits)
-
-    monkeypatch.setattr(structure, "highest", tuple(
-        (js, tuple([(spy(get), k) for get, k in gets])) for js, gets in structure.highest))
-    assert _scan_classes(plan) == recorded
+    builder = enumeration._agreement_codes
+    monkeypatch.setattr(enumeration, "_agreement_codes",
+                        lambda *args: calls.append(args) or builder(*args))
+    assert _scan_classes(plan) == built
+    reweighted = build_model(5, 3, [(sites, x + 1) for sites, x in
+                                    model.interactions.couplings.items()])
+    other = counted([(reweighted, requests)])
+    assert other.subset_sites == plan.subset_sites
+    assert_matches_the_oracle(reweighted, requests, other, _scan_classes(other))
     assert calls == []
-    monkeypatch.setattr(structure, "walk", None)
-    assert _scan_classes(plan) == recorded
-    assert len(calls) > 0
+    monkeypatch.setattr(structure, "codes", None)
+    assert _scan_classes(plan) == built
+    assert len(calls) == 1
 
 
-def test_an_interrupted_walk_stores_nothing(monkeypatch):
-    """A scan cut short by an exception in the middle of its walk leaves no
-    walk behind, and the next scan walks in full and matches the oracle."""
+def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
+    """A scan cut short by an exception, first while it builds the codes
+    and then while it works out the family values, leaves no codes and no
+    wrong value behind; the next scan matches the oracle."""
 
     class Interrupted(Exception):
         pass
 
+    class Unreadable(tuple):
+        def __iter__(self):
+            raise Interrupted
+
     model, requests, plan = dense_plan()
     for memo in MEMOS:
         memo.cache_clear()
-    profiles = iter(range(3))  # the fourth vector entry computed raises
+    levels, digits, blocks = _classes(plan.n, plan.q)
+    *early, (tops, places, mates) = levels
+    cut = (*early, (tops, places, Unreadable(mates)))  # the last level cannot be read
+    monkeypatch.setattr(enumeration, "_classes", lambda n, q: (cut, digits, blocks))
+    with pytest.raises(Interrupted):
+        _scan_classes(plan)
+    structure = _structure(plan.n, plan.q, plan.subset_sites)
+    assert structure.codes is None
+    monkeypatch.undo()
+
+    profiles = iter(range(3))  # the fourth value worked out raises
     block_profile = enumeration._block_profile
 
-    def interrupting(digits, terms):
+    def interrupting(digits, tabs):
         if next(profiles, None) is None:
             raise Interrupted
-        return block_profile(digits, terms)
+        return block_profile(digits, tabs)
 
     monkeypatch.setattr(enumeration, "_block_profile", interrupting)
     with pytest.raises(Interrupted):
         _scan_classes(plan)
-    structure = _structure(plan.n, plan.q, plan.subset_sites)
-    assert structure.walk is None
     monkeypatch.undo()
-    for (indices, event), (acc, matching) in zip(requests, pairs(plan, _scan_classes(plan))):
-        naive = correlation_sum_naive(model, indices, event)
-        assert Fraction(acc, plan.scales[0] << len(indices)) == naive.value
-        assert matching == naive.configs_matching
-    assert structure.walk is not None
+    assert_matches_the_oracle(model, requests, plan, _scan_classes(plan))
+    assert structure.codes is not None
+    kept = {tabs: dict(_family_cache(plan.q, tabs)) for tabs in
+            {tuple([tab for _s, tab in terms]) for terms, _deltas, _group in plan.sums}}
+    _family_cache.cache_clear()
+    _scan_classes(plan)
+    assert kept == {tabs: _family_cache(plan.q, tabs) for tabs in kept}
 
 
-def test_a_walk_whose_q_fits_no_byte_gives_the_same_sums():
-    """At q = 300 a common digit, or q where the lower sites differ, fits
-    no byte: the walk is stored as a tuple, and the cold and the replayed
-    scans equal the random-cluster kernel's integers."""
+def test_a_scan_at_a_q_above_any_byte_gives_the_cluster_sums():
+    """At q = 300 a digit or a block count still fits a byte, as both are
+    at most n: the cold and the warm scans equal the random-cluster
+    kernel's integers."""
     model = build_model(3, 300, [({1, 2}, Fraction(3, 2)), ({1, 2, 3}, 2), ({2, 3}, 5)])
     requests = [(IndexList((1, 1)), EVERYWHERE), (IndexList((2, 3)), delta_event({1, 3}, 0))]
     plan = counted([(model, requests)])
-    _structure.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
     cold = _scan_classes(plan)
-    walk = _structure(plan.n, plan.q, plan.subset_sites).walk
-    assert isinstance(walk, tuple) and 300 in walk
+    assert _structure(plan.n, plan.q, plan.subset_sites).codes is not None
     assert _scan_classes(plan) == cold == _cluster(plan)
 
 

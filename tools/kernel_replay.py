@@ -1,0 +1,143 @@
+"""Replay captured scan plans on every kernel: exactness and kernel time.
+
+Captures the plans that ``enumeration._compile`` builds during
+``pottsverify sweep --suite all --trials T --seed S`` (one sweep per seed,
+run through ``cli.main`` in this process) and during pass 0 of the
+benchmark's ``dense_events`` workload (``perfbench/workloads.py``, imported
+and never written).  Then, on every plan with at least one sum:
+
+* it runs all three kernels, ``_cluster``, ``_eliminate`` and
+  ``_scan_classes``, and checks that they return identical integers;
+* it times each kernel over the plans of each dispatch pick (the kernel
+  that ``_choose_kernel`` chose), as the best of ``--repeat`` rounds of
+  process time with warm memos, and prints one row per source and pick.
+
+Exit status 0 when every plan agrees, 1 when some plan does not (the
+mismatching plans are listed on stderr).
+
+Usage: python3 tools/kernel_replay.py [--trials T] [--seeds S ...]
+           [--dense-seeds D ...] [--size full|small] [--repeat K]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import pottsverify  # noqa: E402
+from pottsverify import cli, enumeration  # noqa: E402
+
+KERNELS = {"cluster": enumeration._cluster, "elimination": enumeration._eliminate,
+           "odometer": enumeration._scan_classes}
+
+
+@contextlib.contextmanager
+def captured_plans():
+    """Every plan ``_compile`` returns inside the block, appended in order
+    to the yielded list."""
+    plans = []
+    compile_plan = enumeration._compile
+
+    def capture(groups):
+        plans.append(compile_plan(groups))
+        return plans[-1]
+
+    enumeration._compile = capture
+    try:
+        yield plans
+    finally:
+        enumeration._compile = compile_plan
+
+
+def sweep_plans(trials: int, seed: int) -> list:
+    """The plans of one ``sweep --suite all`` run."""
+    argv = ["sweep", "--suite", "all", "--trials", str(trials), "--seed", str(seed)]
+    with captured_plans() as plans, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"sweep at seed {seed} exited {code}")
+    return plans
+
+
+def dense_plans(seed: int, size: str) -> list:
+    """The plans of pass 0 of ``dense_events`` at ``seed``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.DenseEvents(seed, size)
+    workload.prepare(pottsverify, cli, None)
+    with captured_plans() as plans:
+        for call in workload.calls(0):
+            call.thunk()
+    return plans
+
+
+def best_time(kernel, plans: list, repeat: int) -> float:
+    """The least process time, in seconds, of ``repeat`` runs of ``kernel``
+    over every plan of ``plans``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.process_time()
+        for plan in plans:
+            kernel(plan)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def replay(source: str, plans: list, repeat: int) -> tuple[int, int]:
+    """Check and time one source's plans with sums; print its picks and
+    rows, and return (plans checked, plans whose kernels disagree)."""
+    picks: dict[str, list] = {}
+    mismatches = 0
+    for i, plan in enumerate(plans):
+        if not plan.sums:
+            continue
+        picks.setdefault(enumeration._choose_kernel(plan), []).append(plan)
+        if len({tuple(kernel(plan)) for kernel in KERNELS.values()}) != 1:
+            mismatches += 1
+            print(f"{source}: plan {i} (n={plan.n}, q={plan.q}) differs between kernels",
+                  file=sys.stderr)
+    checked = sum(map(len, picks.values()))
+    print(f"{source}: {len(plans)} plans, {checked} with sums, picks "
+          + ", ".join(f"{pick} {len(group)}" for pick, group in sorted(picks.items())))
+    for pick, group in sorted(picks.items()):
+        times = "  ".join(f"{name} {best_time(kernel, group, repeat) * 1e3:9.2f} ms"
+                          for name, kernel in KERNELS.items())
+        print(f"{source:<16} {pick:<12} {len(group):>4} plans  {times}")
+    return checked, mismatches
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--seeds", type=int, nargs="*", default=[42, 7, 3])
+    parser.add_argument("--dense-seeds", type=int, nargs="*", default=[1, 5])
+    parser.add_argument("--size", choices=("full", "small"), default="full",
+                        help="the dense_events model: n=8, q=4 (full) or n=6, q=2")
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args(argv)
+    sources = [(f"sweep:{seed}", lambda seed=seed: sweep_plans(args.trials, seed))
+               for seed in args.seeds]
+    sources += [(f"dense_events:{seed}", lambda seed=seed: dense_plans(seed, args.size))
+                for seed in args.dense_seeds]
+    print(f"{'source':<16} {'dispatched':<12} {'':>4} plans  best of {args.repeat}, process time")
+    checked = mismatched = 0
+    for source, plans in sources:
+        n, bad = replay(source, plans(), args.repeat)
+        checked += n
+        mismatched += bad
+    print(f"{checked} plans with sums; {mismatched} differ between kernels")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
