@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .enumeration import EVERYWHERE, _components, _scan, correlation_sum, delta_event
+from .enumeration import (EVERYWHERE, _components, _scan, _zero_by_symmetry, correlation_sum,
+                          delta_event)
 from .model import (
     IndexList,
     InteractionTable,
@@ -126,21 +127,26 @@ def check_contraction_identity(
     of the merged set agree; the right side enumerates the contracted model
     over its whole space.  The two are equal exactly.
 
+    Like every model check, it first asks the symmetry rule
+    (``_zero_by_symmetry``): of the left side, and when that is zero, of
+    the contracted model and list.  When both are zero the identity holds
+    at 0 and no scan runs.  Otherwise both sides are scanned, so a
+    contraction that broke the rule's agreement still shows as a mismatch.
     The left side is read from the kernel's scaled sum (``_scan``), since
     ``correlation_sum`` would make one more scan to count the event's
     configurations, which the identity does not use.  The right side's
     count is ``q**n`` and costs no scan, so it stays on ``correlation_sum``.
     """
     merged = frozenset(merged_sites)
-    # ``contract`` validates the merged set before the restricted sum does.
+    # ``contract`` validates the merged set before the rule and the scans do.
     result = contract(model, indices, merged)
-    _kernel, [(scale, [acc])] = _scan([(model, [(indices, delta_event(merged, 1))])])
-    lhs = Fraction(acc, scale << len(indices))
-    rhs = (
-        result.front_factor
-        * correlation_sum(result.contracted_model, result.contracted_list).value
-    )
-    return IdentityCheck(lhs, rhs)
+    event = delta_event(merged, 1)
+    contracted = result.contracted_model, result.contracted_list
+    if _zero_by_symmetry(model, indices, event) and _zero_by_symmetry(*contracted):
+        return IdentityCheck(Fraction(0), Fraction(0))
+    _kernel, [(scale, [acc])] = _scan([(model, [(indices, event)])])
+    rhs = result.front_factor * correlation_sum(*contracted).value
+    return IdentityCheck(Fraction(acc, scale << len(indices)), rhs)
 
 
 def resolve_infinite_couplings(

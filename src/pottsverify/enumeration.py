@@ -33,18 +33,19 @@ every spin of one connected component of a sum's watched hypergraph, u ->
 ``u**m * sign(u)**e`` by ``(-1)**(m + e)``.  So a sign-free sum whose odd
 tables, those with ``m + e`` odd, sit at an odd number of one component's
 sites is exactly 0.  The components are those of the group's weighted
-subsets (a weight of 1 joins nothing) and the sum's delta subsets.
-``_request_terms`` leaves out a sum with an odd number of odd tables, the
-global flip, once per distinct request; ``_compile`` drops a sum odd on a
-component, and builds the components only for a sum that the global flip
-leaves undecided, once per group and delta pattern.  A request with no sum
-left is 0, and a scan with no sum left runs no kernel.
+subsets (a weight of 1 joins nothing) and the sum's delta subsets.  The
+rule is one step: ``_compile`` drops a sum odd on a component, and builds
+the components once per group and delta pattern, for the first sum with
+an odd table.  The global flip needs no step of its own, since a sum with
+an odd number of odd tables is odd on some component.  A request with no
+sum left is 0, and a scan with no sum left runs no kernel.
 ``_zero_by_symmetry`` asks the same of one request, and checks its inputs
-as a scan does: a check whose deciding sum it calls zero stops there and
-makes no scan (see ``inequalities``).  The rule drops 1,020 of the 1,039
-distinct sign-free sums that are zero in the plans of ``sweep --suite all
---trials 100`` at seeds 42, 7 and 3, and 300 of those sweeps' 1,025 scans
-run no kernel.
+as a scan does: every model check asks it first, and a check whose
+deciding sums it calls zero stops there and makes no scan (see
+``inequalities`` and ``contraction``).  In the plans of ``sweep --suite
+all --trials 100`` at seeds 42, 7 and 3 the rule drops 720 of the 739
+distinct sign-free sums that are zero, and all 725 scans run a kernel;
+the 775 requests that it calls zero in those sweeps' checks make no scan.
 
 * The odometer walks one configuration per equality class: the weight and
   every delta depend only on which sites agree, not on the values they take
@@ -153,8 +154,7 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   profile's blocks, which those relabelled sums are made of.
 * ``_request_terms``, keyed by ``(q, indices, sign kind, sign indices)``,
   at most ``_REQUEST_MEMO`` entries: a request's sign-free sums, as
-  per-site tables, before its delta constraints are bound, less those that
-  the global flip makes zero.
+  per-site tables, before its delta constraints are bound, zero or not.
 * ``_site_table``, keyed by ``(q, m, e)``, at most ``_TABLE_MEMO`` entries:
   the per-site table ``u**m * sign(u)**e`` that a site with multiplicity m
   in a list carries, with e, its sign's power, reduced to 0, to 1 if odd
@@ -169,7 +169,7 @@ of that is the one ``_classes`` entry, and the codes of one structure take
 about 16 KB.  The reuse pays where
 one model is checked repeatedly, on 80-90% of the scans of a model file run
 through the CLI's commands in turn; a sweep's hypergraphs are mostly new
-(183 distinct in 335 scans at seed 42), and 17 of its 36 ``_structure``
+(134 distinct in 225 scans at seed 42), and 17 of its 36 ``_structure``
 lookups hit.
 """
 
@@ -400,8 +400,8 @@ def _request_terms(q: int, indices: IndexList, kind: str | None,
     The terms are those tables, sorted by site, read from ``_site_table``,
     which drops a table of all ones, as Q's is at every even q.  ``odd`` is
     the bitmask, bit s for site s, of the sites whose table is odd, where
-    ``m + e`` is odd.  A sum with an odd number of them is zero by the
-    global flip (see ``_zero_by_symmetry``) and is left out here.
+    ``m + e`` is odd, which the symmetry rule reads (see
+    ``_zero_by_symmetry``); every sum is returned, zero or not.
     """
     spins = indices.multiplicity
     signs = {} if kind is None else sign_indices.multiplicity
@@ -426,8 +426,7 @@ def _request_terms(q: int, indices: IndexList, kind: str | None,
                 tables.append((s - 1, table))
         return c, tuple(tables), odd
 
-    terms = [term(c, p) for c, p in powers]
-    return tuple([t for t in terms if not t[2].bit_count() % 2]), divisor
+    return tuple([term(c, p) for c, p in powers]), divisor
 
 
 def _components(weighted: Iterable[frozenset], event: EventPredicate) -> list[int]:
@@ -462,7 +461,7 @@ def _zero_by_symmetry(model: Model, indices: IndexList,
     over ``event`` on ``model`` zero: every sign-free sum of the request is
     odd on some component of its watched hypergraph (see the module
     docstring).  ``_compile`` drops the sums the rule calls zero by the
-    same two steps; this is the form a check asks instead of scanning.  It
+    same step; this is the form a check asks instead of scanning.  It
     checks its inputs as ``_scan`` does, in the same order and with the
     same messages."""
     model.require_finite()
@@ -470,10 +469,6 @@ def _zero_by_symmetry(model: Model, indices: IndexList,
     _check_event(model, event)
     combination, _divisor = _request_terms(model.q, indices, event.sign_constraint,
                                            event.sign_indices)
-    if not combination:
-        return True  # every sum is zero by the global flip
-    if not all([odd for _c, _terms, odd in combination]):
-        return False  # a sum odd at no site is decided by no flip
     # A weight of 1 joins nothing, as ``_compile`` leaves it out.
     blocks = _components([key for key, x in model.interactions.couplings.items() if x != 1],
                          event)

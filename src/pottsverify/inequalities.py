@@ -21,9 +21,11 @@ power-sum gaps are integers over ``2**(a+b)``, on the doubled spin values.
 Comparisons and identities are decided on those integers, and a
 ``Fraction`` is built only for a value a report or a caller receives.
 
-Three checks first ask the symmetry rule (``enumeration._zero_by_symmetry``,
-which checks their inputs as a scan would) whether their deciding sum is
-zero, and if so stop there and make no scan:
+Every model check first asks the symmetry rule
+(``enumeration._zero_by_symmetry``, which checks its inputs as a scan
+would) whether its deciding sums are zero, and if so stops there and makes
+no scan.  ``contraction.check_contraction_identity`` asks it of both sides;
+the three here ask it of one sum:
 
 * ``check_positive_expectation``: ``zeta(R) = 0``, so the value is 0 and Z
   is not needed (``enumeration.expectation``);

@@ -138,9 +138,15 @@ class TestEdges:
 
 
 class TestLastSite:
-    """The last site's digits are summed in one step per prefix: a delta
-    decided there holds at one digit at most, the common digit of its lower
-    sites, and at none where they differ."""
+    """Subsets decided at the last level of the breadth-first walk, where
+    each prefix is a class: a subset whose highest site is the last one
+    agrees exactly where its other sites are all among the last site's
+    mates.  The cases weight such subsets and put deltas of both bits on
+    them, alone, in pairs, with sign constraints, as count sums and across
+    groups, so the weights' last factor and the delta masks both read that
+    agreement; where the lower sites differ, bit 1 holds at no class and
+    bit 0 at every one.  The edges are n = 1, where the walk has no level,
+    q > n, and the dense benchmark shape."""
 
     @staticmethod
     def model(q):

@@ -238,7 +238,7 @@ def test_the_kernels_agree_on_every_plan_that_a_sweep_compiles(monkeypatch, caps
     assert main(["sweep", "--suite", "all", "--seed", "42", "--trials", "20",
                  "--format", "csv"]) == 0
     capsys.readouterr()
-    assert len(plans) == 69
+    assert len(plans) == 47
     for plan in plans:
         sums = _cluster(plan)
         assert sums == _eliminate(plan) == _scan_classes(plan)

@@ -1,5 +1,6 @@
 """Smoke tests of ``tools/kernel_replay.py``: it replays a small sweep's and
-a small ``dense_events`` pass's plans on every kernel, and its exit status
+a small ``dense_events`` pass's plans on every kernel, prints per source the
+dispatched kernels' time next to the per-plan best, and its exit status
 says whether they all agree."""
 
 import importlib.util
@@ -20,6 +21,12 @@ def test_every_kernel_agrees_on_every_replayed_plan():
     assert lines[-1].endswith("plans with sums; 0 differ between kernels")
     assert int(lines[-1].split()[0]) > 0
     assert any(line.startswith("dense_events:1 ") and " odometer " in line for line in lines)
+    for source in ("sweep:42", "sweep:7", "dense_events:1"):
+        [row] = [line.split() for line in lines
+                 if line.startswith(f"{source} ") and " all " in line]
+        assert row[1:] == ["all", row[2], "plans", "dispatched", row[5], "ms", "per-plan",
+                           "best", row[9], "ms"]
+        assert float(row[9]) <= float(row[5])
 
 
 def test_a_kernel_that_disagrees_fails_the_replay(monkeypatch, capsys):

@@ -7,6 +7,7 @@ component's sites.  ``_compile`` drops such sums, and a check whose deciding
 sum is such a sum stops at the rule, with no scan.
 """
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from pottsverify import (
     check_positive_expectation,
     check_quadratic,
     conjoin,
+    contract,
     correlation_sum,
     correlation_sum_naive,
     correlation_sums,
@@ -73,7 +75,7 @@ def test_the_rule_calls_zero_only_what_the_oracle_finds_zero(drawn):
     and every sum of ``correlation_sums``, whose plan drops the sign-free
     sums the rule calls zero, equals the oracle's, matching counts
     included.  The rule calls a request zero exactly when ``_compile``
-    leaves it no sum: both forms apply the same two steps."""
+    leaves it no sum: both forms apply the same step."""
     model, requests = drawn
     results = correlation_sums(model, requests)
     for (indices, event), result in zip(requests, results):
@@ -128,10 +130,10 @@ def test_components_are_the_breadth_first_search_components(drawn):
     assert set().union(*blocks) == touched
 
 
-@pytest.fixture
-def scans(monkeypatch):
+@contextlib.contextmanager
+def counted_scans():
     """Counts every ``_scan`` call, in every module that calls it, and
-    every kernel entered."""
+    every kernel entered, inside the block."""
     calls = {"scans": 0, "kernels": []}
     scan = enumeration._scan
 
@@ -139,13 +141,20 @@ def scans(monkeypatch):
         calls["scans"] += 1
         return scan(groups)
 
-    for module in (enumeration, inequalities, contraction):
-        monkeypatch.setattr(module, "_scan", counted)
-    for name in ("_cluster", "_eliminate", "_scan_classes"):
-        kernel = getattr(enumeration, name)
-        monkeypatch.setattr(enumeration, name, lambda *args, name=name, kernel=kernel:
-                            calls["kernels"].append(name) or kernel(*args))
-    return calls
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module in (enumeration, inequalities, contraction):
+            monkeypatch.setattr(module, "_scan", counted)
+        for name in ("_cluster", "_eliminate", "_scan_classes"):
+            kernel = getattr(enumeration, name)
+            monkeypatch.setattr(enumeration, name, lambda *args, name=name, kernel=kernel:
+                                calls["kernels"].append(name) or kernel(*args))
+        yield calls
+
+
+@pytest.fixture
+def scans():
+    with counted_scans() as calls:
+        yield calls
 
 
 # A pair coupling on {1, 2} leaves site 3 (and 4) a component of its own.
@@ -159,13 +168,13 @@ PAIR4 = build_model(4, 3, [({1, 2}, 2)])
     (check_quadratic, (PAIR4, {3, 4}, 2, IndexList((1, 3)), IndexList((3, 3)), (3,)), 0,
      (0, 0, 0)),
     (check_quadratic, (PAIR, {2, 3}, 2, IndexList((1,)), IndexList((1, 2))), 0, (0, 0, 0)),
-    (check_contraction_identity, (PAIR, IndexList((1, 3)), {1, 2}), 2, None),
+    (check_contraction_identity, (PAIR, IndexList((1, 3)), {1, 2}), 0, None),
 ], ids=["theorem1", "theorem2", "quadratic", "quadratic-global-flip", "contraction"])
 def test_checks_decided_by_symmetry_enter_no_kernel(scans, check, args, scans_made, value):
     """A check whose deciding sum is zero by the rule stops at the rule and
-    runs no kernel: no scan at all, and two for the contraction identity,
-    whose sides are both odd on a component and so scan with no kernel.
-    Its values are 0 and it is satisfied."""
+    makes no scan.  The contraction identity is decided by both its sides:
+    here each is odd on a component, at site 3, so neither is scanned.  Its
+    values are 0 and it is satisfied."""
     report = check(*args)
     assert scans["scans"] == scans_made
     assert scans["kernels"] == []
@@ -173,6 +182,51 @@ def test_checks_decided_by_symmetry_enter_no_kernel(scans, check, args, scans_ma
         assert report.equal and report.lhs == 0
     else:
         assert report.values == value and report.satisfied
+
+
+@st.composite
+def contractions(draw):
+    """A model with n <= 5 sites at q <= 4, a merged set B of two or more
+    sites, couplings inside, across and outside B, some of which weigh
+    exactly 1, and a list that may repeat sites."""
+    n = draw(st.integers(2, 5))
+    q = draw(st.integers(2, 4))
+    sites = range(1, n + 1)
+    merged = draw(st.frozensets(st.sampled_from(sites), min_size=2))
+    rest = [s for s in sites if s not in merged]
+    subsets = [draw(st.frozensets(st.sampled_from(sorted(merged)), min_size=2))]
+    if rest:
+        subsets.append(frozenset({draw(st.sampled_from(sorted(merged))),
+                                  draw(st.sampled_from(rest))}))
+    if len(rest) >= 2:
+        subsets.append(draw(st.frozensets(st.sampled_from(rest), min_size=2, max_size=3)))
+    subsets += draw(st.lists(st.frozensets(st.sampled_from(sites), min_size=2, max_size=3),
+                             max_size=2))
+    couplings = {subset: draw(st.one_of(st.just(Fraction(1)),
+                                        st.fractions(min_value=1, max_value=4,
+                                                     max_denominator=3)))
+                 for subset in subsets}
+    indices = IndexList(tuple(draw(st.lists(st.sampled_from(sites), max_size=5))))
+    return build_model(n, q, couplings.items()), indices, merged
+
+
+@settings(max_examples=300, deadline=None)
+@given(contractions())
+def test_the_contraction_identity_stops_where_both_sides_are_zero(drawn):
+    """The rule calls the restricted side zero exactly when it calls the
+    contracted model's sum zero, so contraction keeps what the rule
+    decides.  The identity then holds at 0 with no scan; otherwise both
+    sides are scanned, two scans, and are equal."""
+    model, indices, merged = drawn
+    result = contract(model, indices, merged)
+    zero = _zero_by_symmetry(model, indices, delta_event(merged, 1))
+    assert zero == _zero_by_symmetry(result.contracted_model, result.contracted_list)
+    with counted_scans() as calls:
+        check = check_contraction_identity(model, indices, merged)
+    assert calls["scans"] == (0 if zero else 2)
+    assert check.equal
+    if zero:
+        assert check.lhs == 0
 
 
 @pytest.mark.parametrize("indices, event", [

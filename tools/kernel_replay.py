@@ -8,9 +8,14 @@ and never written).  Then, on every plan with at least one sum:
 
 * it runs all three kernels, ``_cluster``, ``_eliminate`` and
   ``_scan_classes``, and checks that they return identical integers;
-* it times each kernel over the plans of each dispatch pick (the kernel
-  that ``_choose_kernel`` chose), as the best of ``--repeat`` rounds of
-  process time with warm memos, and prints one row per source and pick.
+* it times each kernel on each plan, as the best of ``--repeat`` runs of
+  process time with warm memos, and prints one row per source and
+  dispatch pick (the kernel that ``_choose_kernel`` chose) with each
+  kernel's total over the pick's plans;
+* it prints one ``all`` row per source: the total time of the dispatched
+  kernels next to the per-plan best, the sum of each plan's fastest time,
+  which is what a dispatch that always picked the fastest kernel would
+  take.
 
 Exit status 0 when every plan agrees, 1 when some plan does not (the
 mismatching plans are listed on stderr).
@@ -81,14 +86,13 @@ def dense_plans(seed: int, size: str) -> list:
     return plans
 
 
-def best_time(kernel, plans: list, repeat: int) -> float:
+def best_time(kernel, plan, repeat: int) -> float:
     """The least process time, in seconds, of ``repeat`` runs of ``kernel``
-    over every plan of ``plans``."""
+    on ``plan``."""
     best = float("inf")
     for _ in range(repeat):
         start = time.process_time()
-        for plan in plans:
-            kernel(plan)
+        kernel(plan)
         best = min(best, time.process_time() - start)
     return best
 
@@ -96,23 +100,28 @@ def best_time(kernel, plans: list, repeat: int) -> float:
 def replay(source: str, plans: list, repeat: int) -> tuple[int, int]:
     """Check and time one source's plans with sums; print its picks and
     rows, and return (plans checked, plans whose kernels disagree)."""
-    picks: dict[str, list] = {}
+    picks: dict[str, list] = {}  # pick -> one {kernel: time} per plan
     mismatches = 0
     for i, plan in enumerate(plans):
         if not plan.sums:
             continue
-        picks.setdefault(enumeration._choose_kernel(plan), []).append(plan)
         if len({tuple(kernel(plan)) for kernel in KERNELS.values()}) != 1:
             mismatches += 1
             print(f"{source}: plan {i} (n={plan.n}, q={plan.q}) differs between kernels",
                   file=sys.stderr)
+        picks.setdefault(enumeration._choose_kernel(plan), []).append(
+            {name: best_time(kernel, plan, repeat) for name, kernel in KERNELS.items()})
     checked = sum(map(len, picks.values()))
     print(f"{source}: {len(plans)} plans, {checked} with sums, picks "
           + ", ".join(f"{pick} {len(group)}" for pick, group in sorted(picks.items())))
     for pick, group in sorted(picks.items()):
-        times = "  ".join(f"{name} {best_time(kernel, group, repeat) * 1e3:9.2f} ms"
-                          for name, kernel in KERNELS.items())
+        times = "  ".join(f"{name} {sum(t[name] for t in group) * 1e3:9.2f} ms"
+                          for name in KERNELS)
         print(f"{source:<16} {pick:<12} {len(group):>4} plans  {times}")
+    dispatched = sum(t[pick] for pick, group in picks.items() for t in group)
+    best = sum(min(t.values()) for group in picks.values() for t in group)
+    print(f"{source:<16} {'all':<12} {checked:>4} plans  dispatched {dispatched * 1e3:9.2f} ms"
+          f"  per-plan best {best * 1e3:9.2f} ms")
     return checked, mismatches
 
 
