@@ -40,7 +40,7 @@ an odd table.  The global flip needs no step of its own, since a sum with
 an odd number of odd tables is odd on some component.  A request with no
 sum left is 0, and a scan with no sum left runs no kernel.
 ``_zero_by_symmetry`` asks the same of one request, and checks its inputs
-as a scan does: every model check asks it first, and a check whose
+as ``_compile`` does: every model check asks it first, and a check whose
 deciding sums it calls zero stops there and makes no scan (see
 ``inequalities`` and ``contraction``).  In the plans of ``sweep --suite
 all --trials 100`` at seeds 42, 7 and 3 the rule drops 720 of the 739
@@ -56,9 +56,9 @@ the 775 requests that it calls zero in those sweeps' checks make no scan.
   instead of 65,536 at n=8, q=4.  The walk is breadth first: level s holds
   the strings' prefixes of sites 0..s in order, each prefix's children
   contiguous, and every loop over a level runs in C (``map`` over
-  ``bytes``).  A subset is decided at the level of its highest site s,
-  where it agrees exactly when its other sites are among the prefix's
-  *mates*, the earlier sites whose digit equals site s's.  A level has at
+  ``bytes`` and arrays).  A subset is decided at the level of its highest
+  site s, where it agrees exactly when its other sites are among the
+  prefix's *mates*, the earlier sites whose digit equals site s's.  A level has at
   most ``2**s`` distinct mates, and at q > 2 far fewer than prefixes (128
   among the 2,795 classes at n=8, q=4), so per group a level's factor, the
   product of the numerator of every weighted subset decided there that
@@ -129,18 +129,21 @@ the weights:
 ``correlation_sums`` is the one-group case.
 
 A scan binds only its weights and its delta constraints.  What depends on
-the hypergraph, ``q`` and the lists alone is kept in six memos
+the hypergraph, ``q`` and the lists alone is kept in seven memos
 (``functools.lru_cache``, each bounded by a module constant, least recently
 used entry evicted first), so later scans of the same hypergraph reuse it.
 
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
-  ``_STRUCTURE_MEMO`` entries: the elimination order and its cost,
-  ``_eliminate``'s index-map getters by ``(scope, joint)``, and, once an
-  odometer scan has built them, the agreement codes: per level, the
-  subsets decided there in packs of at most ``_PACK``, each pack one byte
-  per distinct mates of the level.  ``_compile`` lists the watched
-  subsets by size and then by sites, interactions and event subsets
-  alike, so a subset takes the same place whether it is weighted or not.
+  ``_STRUCTURE_MEMO`` entries: the elimination order and its cost, and
+  ``_eliminate``'s index-map getters by ``(scope, joint)``.  ``_compile``
+  lists the watched subsets by size and then by sites, interactions and
+  event subsets alike, so a subset takes the same place whether it is
+  weighted or not.
+* ``_agreement_codes``, keyed by ``(n, q, subset_sites)`` as well and
+  bounded by ``_STRUCTURE_MEMO`` too: the odometer's agreement codes, per
+  level the subsets decided there in packs of at most ``_PACK``, each pack
+  one byte per distinct mates of the level.  Only odometer scans build
+  them.
 * ``_classes``, keyed by ``(n, q)``, at most ``_CLASSES_MEMO`` entries:
   the odometer's levels, each prefix's child count and the place of its
   mates among the level's distinct mates, and at the last level every
@@ -162,15 +165,15 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   table of every request comes from it, so a miss of ``_request_terms`` is
   a multiplicity count and one lookup per site and sum.
 
-The bounds keep the memos small.  With codes in each of the 16 structures,
-the memos retain 0.12 MB on dense n=8, q=4 hypergraphs and 2.2 MB on dense
-n=12, q=3 ones (all pairs and one triple each, by ``tracemalloc``); 1.8 MB
-of that is the one ``_classes`` entry, and the codes of one structure take
-about 16 KB.  The reuse pays where
-one model is checked repeatedly, on 80-90% of the scans of a model file run
-through the CLI's commands in turn; a sweep's hypergraphs are mostly new
-(134 distinct in 225 scans at seed 42), and 17 of its 36 ``_structure``
-lookups hit.
+The bounds keep the memos small.  After odometer scans of 16 hypergraphs,
+the memos retain 0.07 MB on dense n=8, q=4 ones and 2.1 MB on dense n=12,
+q=3 ones (all pairs and one triple each, by ``tracemalloc``); 1.9 MB of
+that is the one ``_classes`` entry, and the codes of one hypergraph take
+about 15 KB.  The reuse pays where one model is checked repeatedly, on
+80-90% of the scans of a model file run through the CLI's commands in
+turn; a sweep's hypergraphs are mostly new (134 distinct in 225 scans at
+seed 42): 2 of its 21 ``_structure`` lookups and 2 of its 15
+``_agreement_codes`` lookups hit.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ _FAMILY_MEMO = 32
 _REQUEST_MEMO = 64
 _TABLE_MEMO = 128
 _PROFILE_MEMO = 256
-# The most subsets whose agreement one byte of ``_Structure.codes`` holds.
+# The most subsets whose agreement one byte of ``_agreement_codes`` holds.
 _PACK = 4
 # A ``bytes.translate`` table that swaps 0 and 1.
 _NOT = b"\1" + bytes(255)
@@ -462,7 +465,7 @@ def _zero_by_symmetry(model: Model, indices: IndexList,
     odd on some component of its watched hypergraph (see the module
     docstring).  ``_compile`` drops the sums the rule calls zero by the
     same step; this is the form a check asks instead of scanning.  It
-    checks its inputs as ``_scan`` does, in the same order and with the
+    checks its inputs as ``_compile`` does, in the same order and with the
     same messages."""
     model.require_finite()
     _check_list(model.n, indices)
@@ -481,7 +484,11 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
     memoised sign-free sums of each request (``_request_terms``), both as
     factors (see ``ScanPlan``); this is the one place that writes them.  A
     weight of 1 is the factor 1 and is left out.  The groups' models must
-    share ``n`` and ``q``."""
+    share ``n`` and ``q``.  It checks every input it binds: each model is
+    finite (``InfiniteCouplingError``) before any weight is read, and then
+    each request's list and event."""
+    for model, _requests in groups:
+        model.require_finite()
     weighted = [{key: x.as_integer_ratio() for key, x in model.interactions.couplings.items()
                  if x != 1} for model, _requests in groups]
     watched = set().union(*weighted)
@@ -524,17 +531,13 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
 
 @dataclass(eq=False)
 class _Structure:
-    """What a scan reads of its hypergraph alone: the elimination order,
-    its estimated cost, and ``_eliminate``'s index-map getters by ``(scope,
-    joint)``.  ``codes`` is ``None`` until an odometer scan builds it
-    (``_agreement_codes``): then it holds, for every level of the class
-    walk, the packs of the subsets decided there, each with one byte per
-    distinct mates of the level, and every later odometer scan reads it."""
+    """What elimination and dispatch read of a hypergraph alone: the
+    elimination order, its estimated cost, and ``_eliminate``'s index-map
+    getters by ``(scope, joint)``."""
 
     order: tuple[int, ...]
     cost: int
     getters: dict
-    codes: tuple[tuple[tuple[tuple[int, ...], bytes], ...], ...] | None = None
 
 
 @lru_cache(maxsize=_STRUCTURE_MEMO)
@@ -545,9 +548,8 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
     when a watched subset (an interaction or an event's delta subset) holds
     both, and ties go to the lower site index, so the order is
     deterministic.  The cost is the sum over buckets of
-    ``q**(bucket scope size)``.  The odometer's agreement codes are left
-    to the first odometer scan of the hypergraph, since most scans run on
-    another kernel.
+    ``q**(bucket scope size)``.  The odometer reads none of it: its codes
+    are the hypergraph's ``_agreement_codes``.
     """
     neighbours: list[set[int]] = [set() for _ in range(n)]
     for sites in subset_sites:
@@ -598,8 +600,8 @@ def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
     mates among the level's distinct mates, and those distinct mates,
     sorted; then, at the last level, where each prefix is a class, each
     site's digit and each class's number of blocks.  Digits and block
-    counts are at most n, so they are ``bytes``; the places are ``bytes``
-    while at most 256 mates occur, and an ``array`` of ``"I"`` after."""
+    counts are at most n, so they are ``bytes``; a level has up to ``2**s``
+    distinct mates, so the places are an ``array`` of ``"I"``."""
     digits, blocks, levels = [b"\0"], b"\1", []
     for _s in range(1, n):
         tops = bytes(map(min, map((1).__add__, blocks), repeat(q)))
@@ -610,8 +612,8 @@ def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
         masks = list(map(sum, zip(*[map(mul, map(eq, d, new), repeat(1 << t))
                                     for t, d in enumerate(digits[:-1])])))
         mates = tuple(sorted(set(masks)))
-        places = list(map({m: i for i, m in enumerate(mates)}.__getitem__, masks))
-        levels.append((tops, bytes(places) if len(mates) <= 256 else array("I", places), mates))
+        places = array("I", map({m: i for i, m in enumerate(mates)}.__getitem__, masks))
+        levels.append((tops, places, mates))
     return tuple(levels), tuple(digits), blocks
 
 
@@ -625,13 +627,17 @@ def _agreement(digits: Sequence[bytes], sites: tuple[int, ...]):
     return agree
 
 
-def _agreement_codes(n: int, subset_sites: tuple[tuple[int, ...], ...],
-                     levels: tuple) -> tuple:
-    """The ``_Structure.codes`` of a hypergraph: for each level s >= 1 of
-    ``_classes``, the subsets whose highest site is s, by index in
-    ``subset_sites``, in packs of at most ``_PACK``, each with one byte per
-    distinct mates of the level whose bit k is set where the pack's subset
-    k has every site but s among those mates, so all its sites agree."""
+@lru_cache(maxsize=_STRUCTURE_MEMO)
+def _agreement_codes(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> tuple:
+    """The odometer's agreement codes of the hypergraph ``subset_sites``:
+    for each level s >= 1 of ``_classes(n, q)``, the subsets whose highest
+    site is s, by index in ``subset_sites``, in packs of at most ``_PACK``,
+    each with one byte per distinct mates of the level whose bit k is set
+    where the pack's subset k has every site but s among those mates, so
+    all its sites agree.  The first odometer scan of a hypergraph builds
+    them, and every later one reads them; a build cut short by an
+    exception stores nothing."""
+    levels = _classes(n, q)[0]
     decided: list[list[int]] = [[] for _ in range(n)]
     for j, sites in enumerate(subset_sites):
         decided[sites[-1]].append(j)
@@ -714,17 +720,18 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     all agree exactly when its other sites are among the mates.  The
     subsets decided at a level form packs of at most ``_PACK``, and each
     pack holds one byte per distinct mates, whose bit k says whether the
-    pack's subset k agrees: the hypergraph's ``_structure`` holds these
-    codes, which the first odometer scan builds (``_agreement_codes``) and
-    every later one reads.  A prefix's weight, per group, is its parent's
-    times the numerator of every weighted subset decided at its level that
+    pack's subset k agrees: these are the hypergraph's
+    ``_agreement_codes``, which the first odometer scan builds and every
+    later one reads.  A prefix's weight, per group, is its parent's times
+    the numerator of every weighted subset decided at its level that
     agrees and the denominator of every other one.  So per level and
     group, each pack gives a table of those products by code
     (``_pack_table``), the codes read it once per distinct mates, and the
-    product over the packs is the level's factor by mates; a prefix's
-    weight is then one entry of it, read through the prefix's place, times
-    its parent's weight, repeated once per child.  The scaled weights are
-    built by products alone.
+    product over the packs, all ones at a level where the group weights no
+    subset, is the level's factor by mates; a prefix's weight is then one
+    entry of it, read through the prefix's place, times its parent's
+    weight, repeated once per child.  The scaled weights are built by
+    products alone.
 
     At the last level each prefix is a class.  Sums with the same per-site
     tables form one family, whatever their delta constraints, group and
@@ -748,24 +755,19 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     number of site patterns.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    structure = _structure(n, q, subset_sites)
     levels, digits, blocks = _classes(n, q)
-    codes = structure.codes
-    if codes is None:
-        codes = structure.codes = _agreement_codes(n, subset_sites, levels)
+    codes = _agreement_codes(n, q, subset_sites)
 
     def class_weights(row) -> list[int]:
         """A group's scaled weight of every class, level by level."""
         weights = [1]
-        for (tops, places, _mates), packs in zip(levels, codes):
-            parents = _expand(weights, tops)
+        for (tops, places, mates), packs in zip(levels, codes):
             factors = [map(_pack_table([row[j] for j in pack]).__getitem__, code)
                        for pack, code in packs if any([row[j] for j in pack])]
-            if factors:  # the product of the level's factors, by the prefix's mates
-                table = list(map(prod, zip(*factors)))
-                weights = list(map(mul, map(table.__getitem__, places), parents))
-            else:
-                weights = list(parents)
+            # The product of the level's factors by the prefix's mates, all
+            # ones where the group weights no subset decided there.
+            table = list(map(prod, zip(repeat(1, len(mates)), *factors)))
+            weights = list(map(mul, map(table.__getitem__, places), _expand(weights, tops)))
         return weights
 
     def class_values(terms) -> list[int]:
@@ -1052,12 +1054,11 @@ def _choose_kernel(plan: ScanPlan) -> str:
     cost = _structure(n, q, plan.subset_sites).cost
     if clusters < min(cost, configs):
         return "cluster"
-    # The crossover C in ``C * cost < q**n`` is 2, fitted on replayed plans.
-    # Up to a ratio q**n / cost of 1.72 (a sweep's small dense scans, or a
-    # dense model that leaves out a pair of weight 1) the odometer is faster
-    # in sum, up to 7x on the dense model.  No replayed scan lies between
-    # 1.72 and 7.5, a ring's ratio is above 100, and a short chain's about 3,
-    # which keeps C below 3.
+    # In the plans that ``tools/kernel_replay.py`` replays, the odometer's
+    # picks have q**n / cost at most 1.23, and elimination is fastest on none
+    # of them; elimination's picks, a ring's, have it above 130, and it is
+    # fastest on each.  Any constant between the two in place of 2 picks the
+    # same.
     return "elimination" if 2 * cost < configs else "odometer"
 
 
@@ -1072,10 +1073,9 @@ def _scan(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredicate
     ``scale << len(indices)``.  The kernel is chosen from the plan's shape
     alone: its hypergraph, weighted subsets and delta patterns (see
     ``_choose_kernel``); a plan left with no sum, every one zero by
-    symmetry, runs none, and the kernel is ``"symmetry"``.
+    symmetry, runs none, and the kernel is ``"symmetry"``.  ``_compile``
+    checks the inputs.
     """
-    for model, _requests in groups:
-        model.require_finite()
     plan = _compile(groups)
     if plan.sums:
         kernel = _choose_kernel(plan)

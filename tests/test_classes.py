@@ -19,7 +19,7 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _PACK, _cluster, _eliminate, _scan_classes, _structure
+from pottsverify.enumeration import _PACK, _agreement_codes, _cluster, _eliminate, _scan_classes
 from plans import counted, pairs
 
 EMPTY = IndexList(())
@@ -261,7 +261,7 @@ def assert_every_kernel_agrees(groups):
     built by this scan and read back by the next, equal ``_eliminate``'s
     and ``_cluster``'s, and every request equals the naive oracle."""
     plan = counted(groups)
-    _structure.cache_clear()
+    _agreement_codes.cache_clear()
     cold = _scan_classes(plan)
     assert _scan_classes(plan) == cold == _eliminate(plan) == _cluster(plan)
     assert_groups_agree(groups)

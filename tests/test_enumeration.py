@@ -372,3 +372,32 @@ class TestMatchingCounts:
             assert all(len(request) == 2 for request in plan.requests)
             for kernel in (_cluster, _eliminate, _scan_classes):
                 assert len(kernel(plan)) == len(plan.sums)
+
+
+def test_compile_refuses_an_infinite_coupling_with_the_scan_message():
+    """``_compile`` checks that every group's model is finite before it
+    reads a weight, so a plan built directly refuses an infinite coupling
+    as a scan does, in any group."""
+    finite = build_model(3, 3, [({1, 2}, 2)])
+    infinite = build_model(3, 3, [({1, 2}, 2), ({2, 3}, INFINITY)])
+    requests = [(IndexList((1, 3)), EVERYWHERE)]
+    with pytest.raises(InfiniteCouplingError) as scanned:
+        correlation_sums(infinite, requests)
+    for groups in ([(infinite, requests)], [(finite, requests), (infinite, requests)]):
+        with pytest.raises(InfiniteCouplingError) as compiled:
+            enumeration._compile(groups)
+        assert str(compiled.value) == str(scanned.value) == (
+            "model contains an infinite coupling; resolve it with "
+            "contraction.resolve_infinite_couplings before enumerating")
+
+
+def test_an_unknown_sign_constraint_is_refused():
+    with pytest.raises(ModelError, match=r"^unknown sign constraint 'up'$"):
+        EventPredicate("up", IndexList((1,)))
+
+
+def test_two_different_sign_constraints_do_not_conjoin():
+    positive = sign_event(IndexList((1,)), POSITIVE)
+    negative = sign_event(IndexList((2,)), enumeration.NEGATIVE)
+    with pytest.raises(ModelError, match=r"^cannot conjoin two different sign constraints$"):
+        conjoin(positive, negative)

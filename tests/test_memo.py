@@ -23,6 +23,7 @@ from pottsverify import (
 )
 from pottsverify import enumeration
 from pottsverify.enumeration import (
+    _agreement_codes,
     _classes,
     _cluster,
     _eliminate,
@@ -36,7 +37,8 @@ from pottsverify.enumeration import (
 from pottsverify.inequalities import check_quadratic
 from plans import counted, pairs
 
-MEMOS = (_structure, _classes, _family_cache, _request_terms, _site_table, _labelled_sums)
+MEMOS = (_structure, _agreement_codes, _classes, _family_cache, _request_terms, _site_table,
+         _labelled_sums)
 
 
 def both_kernels(model, requests):
@@ -47,26 +49,27 @@ def both_kernels(model, requests):
 
 
 @st.composite
-def scans_on_one_hypergraph(draw, min_scans=2, max_scans=5, max_n=(5, 5, 4), one_walk=False):
+def scans_on_one_hypergraph(draw, min_scans=2, max_scans=5, max_n=(5, 5, 4), same_subsets=False):
     """``min_scans`` to ``max_scans`` scans at one n and q <= 4, with n at
     most ``max_n[q - 2]``, in a drawn order.  They share a few interactions
     and a subset D, which some scans weight as an interaction and the
     others name only in delta events; each scan draws its own weights,
-    lists and sign events.  With ``one_walk`` no weight is 1, and D is
-    weighted in the first scan drawn and only named in the second, so that
-    every scan watches the same subsets and walks the same classes."""
+    lists and sign events.  With ``same_subsets`` no weight is 1, and D
+    is weighted in the first scan drawn and only named in the second, so
+    that every scan watches the same subsets and reads the same agreement
+    codes."""
     q = draw(st.integers(2, 4))
     n = draw(st.integers(2, max_n[q - 2]))
     subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(3, n))
     d = draw(subsets)
     shared = [sites for sites in draw(st.lists(subsets, max_size=4, unique=True)) if sites != d]
     weights = st.integers(1, 6).flatmap(
-        lambda den: st.integers(den + one_walk, 4 * den).map(lambda num: Fraction(num, den)))
+        lambda den: st.integers(den + same_subsets, 4 * den).map(lambda num: Fraction(num, den)))
     lists = st.lists(st.integers(1, n), max_size=4).map(lambda s: IndexList(tuple(s)))
     scans = []
     for k in range(draw(st.integers(min_scans, max_scans))):
         couplings = [(sites, draw(weights)) for sites in shared]
-        d_weighted = k == 0 if one_walk and k < 2 else draw(st.booleans())
+        d_weighted = k == 0 if same_subsets and k < 2 else draw(st.booleans())
         if d_weighted:
             couplings.append((d, draw(weights)))
         requests = []
@@ -100,10 +103,10 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
 
 
 @settings(max_examples=50, deadline=None)
-@given(scans_on_one_hypergraph(2, 4, max_n=(6, 6, 6), one_walk=True))
+@given(scans_on_one_hypergraph(2, 4, max_n=(6, 6, 6), same_subsets=True))
 def test_odometer_scans_share_the_codes_that_the_first_scan_built(scans):
     """The first odometer scan of a hypergraph builds its agreement codes
-    in the hypergraph's ``_structure``: here a scan of every drawn model as
+    (``_agreement_codes``): here a scan of every drawn model as
     one group each.  Each model's own scan, with its own weights, weighted
     subsets, sign events and delta patterns, then reads that same object,
     and so does the several-group scan again.  Every integer equals a cold
@@ -114,18 +117,18 @@ def test_odometer_scans_share_the_codes_that_the_first_scan_built(scans):
         for memo in MEMOS:
             memo.cache_clear()
         cold.append(_scan_classes(plan))
-    _structure.cache_clear()
+    _agreement_codes.cache_clear()
     first = plans[0]
-    structure = _structure(first.n, first.q, first.subset_sites)
-    assert structure.codes is None
     assert _scan_classes(first) == cold[0]
-    codes = structure.codes
-    assert codes is not None and any(codes)  # every drawn hypergraph watches D
+    assert _agreement_codes.cache_info().misses == 1
+    codes = _agreement_codes(first.n, first.q, first.subset_sites)
+    assert any(codes)  # every drawn hypergraph watches D
     for plan, expected in zip([*plans[1:], first], [*cold[1:], cold[0]]):
         assert plan.subset_sites == first.subset_sites
         classes = _scan_classes(plan)
-        assert _structure(plan.n, plan.q, plan.subset_sites).codes is codes
+        assert _agreement_codes(plan.n, plan.q, plan.subset_sites) is codes
         assert classes == expected == _eliminate(plan)
+    assert _agreement_codes.cache_info().misses == 1
     for (model, requests), plan, sums in zip(scans, plans[1:], cold[1:]):
         for (indices, event), (acc, matching) in zip(requests, pairs(plan, sums)):
             naive = correlation_sum_naive(model, indices, event)
@@ -158,23 +161,19 @@ def test_a_warm_scan_builds_no_codes(monkeypatch):
     the builder is not called again, with the same or other weights, and
     it is again once the codes are gone."""
     model, requests, plan = dense_plan()
-    _structure.cache_clear()
+    _agreement_codes.cache_clear()
     built = _scan_classes(plan)
-    structure = _structure(plan.n, plan.q, plan.subset_sites)
-    calls = []
-    builder = enumeration._agreement_codes
-    monkeypatch.setattr(enumeration, "_agreement_codes",
-                        lambda *args: calls.append(args) or builder(*args))
+    assert _agreement_codes.cache_info().misses == 1
     assert _scan_classes(plan) == built
     reweighted = build_model(5, 3, [(sites, x + 1) for sites, x in
                                     model.interactions.couplings.items()])
     other = counted([(reweighted, requests)])
     assert other.subset_sites == plan.subset_sites
     assert_matches_the_oracle(reweighted, requests, other, _scan_classes(other))
-    assert calls == []
-    monkeypatch.setattr(structure, "codes", None)
+    assert _agreement_codes.cache_info().misses == 1
+    _agreement_codes.cache_clear()
     assert _scan_classes(plan) == built
-    assert len(calls) == 1
+    assert _agreement_codes.cache_info().misses == 1
 
 
 def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
@@ -198,8 +197,7 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     monkeypatch.setattr(enumeration, "_classes", lambda n, q: (cut, digits, blocks))
     with pytest.raises(Interrupted):
         _scan_classes(plan)
-    structure = _structure(plan.n, plan.q, plan.subset_sites)
-    assert structure.codes is None
+    assert _agreement_codes.cache_info().currsize == 0
     monkeypatch.undo()
 
     profiles = iter(range(3))  # the fourth value worked out raises
@@ -215,7 +213,7 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
         _scan_classes(plan)
     monkeypatch.undo()
     assert_matches_the_oracle(model, requests, plan, _scan_classes(plan))
-    assert structure.codes is not None
+    assert _agreement_codes.cache_info().currsize == 1
     kept = {tabs: dict(_family_cache(plan.q, tabs)) for tabs in
             {tuple([tab for _s, tab in terms]) for terms, _deltas, _group in plan.sums}}
     _family_cache.cache_clear()
@@ -233,7 +231,7 @@ def test_a_scan_at_a_q_above_any_byte_gives_the_cluster_sums():
     for memo in MEMOS:
         memo.cache_clear()
     cold = _scan_classes(plan)
-    assert _structure(plan.n, plan.q, plan.subset_sites).codes is not None
+    assert _agreement_codes.cache_info().currsize == 1
     assert _scan_classes(plan) == cold == _cluster(plan)
 
 

@@ -37,7 +37,7 @@ from pottsverify import (
     spin_product,
     spin_value,
 )
-from pottsverify.model import EMPTY_LIST, is_infinite
+from pottsverify.model import EMPTY_LIST, SpinDomain, _check_exponent, is_infinite
 
 
 class TestBuildModel:
@@ -534,3 +534,19 @@ def test_library_input_raises_model_error_or_builds_a_scannable_model(n, q, site
             continue
         naive = correlation_sum_naive(model, EMPTY_LIST, event)
         assert (result.value, result.configs_matching) == (naive.value, naive.configs_matching)
+
+
+def test_a_malformed_exponent_is_left_to_fraction():
+    """``_check_exponent`` passes over an exponent that ``int`` cannot read,
+    and ``Fraction`` then refuses the text as not a rational."""
+    assert _check_exponent("1e5x", "coupling") is None
+    with pytest.raises(ModelError, match=r"^coupling '1e5x' is not a rational$"):
+        build_model(2, 2, [({1, 2}, "1e5x")])
+
+
+def test_centered_values_of_three_spin_states():
+    assert SpinDomain(3).centered_values == (-1, 0, 1)
+
+
+def test_an_index_list_prints_its_sorted_entries():
+    assert str(IndexList((3, 1, 1))) == "[1,1,3]"

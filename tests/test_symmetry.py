@@ -132,3 +132,8 @@ class TestParityGroups:
         odd, even = lst.odd_groups, lst.even_groups
         assert odd == frozenset()
         assert even == {5}
+
+
+def test_permutations_of_different_q_do_not_compose():
+    with pytest.raises(ModelError, match=r"^cannot compose permutations of different q$"):
+        SpinPermutation.identity(3).compose(SpinPermutation.identity(4))

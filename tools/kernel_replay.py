@@ -3,8 +3,10 @@
 Captures the plans that ``enumeration._compile`` builds during
 ``pottsverify sweep --suite all --trials T --seed S`` (one sweep per seed,
 run through ``cli.main`` in this process) and during pass 0 of the
-benchmark's ``dense_events`` workload (``perfbench/workloads.py``, imported
-and never written).  Then, on every plan with at least one sum:
+benchmark's ``dense_events`` and ``ring_cli`` workloads at each workload
+seed (``perfbench/workloads.py``, imported and never written; ``ring_cli``
+writes its model file to a temporary directory).  Then, on every plan with
+at least one sum:
 
 * it runs all three kernels, ``_cluster``, ``_eliminate`` and
   ``_scan_classes``, and checks that they return identical integers;
@@ -21,7 +23,7 @@ Exit status 0 when every plan agrees, 1 when some plan does not (the
 mismatching plans are listed on stderr).
 
 Usage: python3 tools/kernel_replay.py [--trials T] [--seeds S ...]
-           [--dense-seeds D ...] [--size full|small] [--repeat K]
+           [--workload-seeds W ...] [--size full|small] [--repeat K]
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ import contextlib
 import importlib.util
 import io
 import sys
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,17 +76,18 @@ def sweep_plans(trials: int, seed: int) -> list:
     return plans
 
 
-def dense_plans(seed: int, size: str) -> list:
-    """The plans of pass 0 of ``dense_events`` at ``seed``."""
+def workload_plans(name: str, seed: int, size: str) -> list:
+    """The plans of pass 0 of the benchmark workload ``name`` at ``seed``."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    workload = workloads.DenseEvents(seed, size)
-    workload.prepare(pottsverify, cli, None)
-    with captured_plans() as plans:
-        for call in workload.calls(0):
-            call.thunk()
+    workload = workloads.WORKLOADS[name](seed, size)
+    with tempfile.TemporaryDirectory() as workdir:
+        workload.prepare(pottsverify, cli, Path(workdir))
+        with captured_plans() as plans:
+            for call in workload.calls(0):
+                call.thunk()
     return plans
 
 
@@ -129,15 +134,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seeds", type=int, nargs="*", default=[42, 7, 3])
-    parser.add_argument("--dense-seeds", type=int, nargs="*", default=[1, 5])
+    parser.add_argument("--workload-seeds", type=int, nargs="*", default=[1, 5])
     parser.add_argument("--size", choices=("full", "small"), default="full",
-                        help="the dense_events model: n=8, q=4 (full) or n=6, q=2")
+                        help="the workloads' models: dense_events at n=8, q=4 and ring_cli "
+                             "at n=12, q=3 (full), or n=6, q=2 and n=6, q=3 (small)")
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     sources = [(f"sweep:{seed}", lambda seed=seed: sweep_plans(args.trials, seed))
                for seed in args.seeds]
-    sources += [(f"dense_events:{seed}", lambda seed=seed: dense_plans(seed, args.size))
-                for seed in args.dense_seeds]
+    sources += [(f"{name}:{seed}", partial(workload_plans, name, seed, args.size))
+                for name in ("dense_events", "ring_cli") for seed in args.workload_seeds]
     print(f"{'source':<16} {'dispatched':<12} {'':>4} plans  best of {args.repeat}, process time")
     checked = mismatched = 0
     for source, plans in sources:
