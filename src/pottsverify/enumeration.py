@@ -65,11 +65,11 @@ the 775 requests that it calls zero in those sweeps' checks make no scan.
   agrees and the denominator of every other one, is tabled once per
   distinct mates, from packs of the subsets' agreement bits; a prefix's
   weight is its parent's times one entry of that table.  So the weights
-  are built by products alone.  At the last level, where each prefix is a
-  class, each sum adds the dot product of its group's class weights with
-  its family's cached table products summed over each class's
-  ``q!/(q-b)!`` relabellings, over the classes where its deltas hold (see
-  ``_scan_classes``).
+  are built by products alone, once per weighting.  At the last level,
+  where each prefix is a class, each sum adds the dot product of its
+  group's class weights with its family's table products summed over each
+  class's ``q!/(q-b)!`` relabellings, over the classes where its deltas
+  hold (see ``_scan_classes``).
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per subset factor (a scaled weight or a delta
@@ -116,9 +116,10 @@ the added set is a delta subset, and every augmented model, where it is an
 interaction, in one pass.  The weightings share what does not depend on
 the weights:
 
-* The odometer's levels and codes do not depend on the weights.  Each
-  group builds its own class weights along them, and each family's values
-  are looked up once per scan for every sum of every group in that family.
+* The odometer's levels do not depend on the weights, and its codes only
+  on which subsets a group weights.  Each weighting's class weights are
+  built along them once, and each family's values are read once per scan
+  for every sum of every group in that family.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -129,9 +130,11 @@ the weights:
 ``correlation_sums`` is the one-group case.
 
 A scan binds only its weights and its delta constraints.  What depends on
-the hypergraph, ``q`` and the lists alone is kept in seven memos
+the hypergraph, ``q`` and the lists alone, and what depends on one
+weighting or one family alone, is kept in eight memos
 (``functools.lru_cache``, each bounded by a module constant, least recently
-used entry evicted first), so later scans of the same hypergraph reuse it.
+used entry evicted first), so later scans of the same hypergraph or model
+reuse it; a build cut short by an exception stores nothing.
 
 * ``_structure``, keyed by ``(n, q, subset_sites)``, at most
   ``_STRUCTURE_MEMO`` entries: the elimination order and its cost, and
@@ -139,22 +142,28 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   lists the watched subsets by size and then by sites, interactions and
   event subsets alike, so a subset takes the same place whether it is
   weighted or not.
-* ``_agreement_codes``, keyed by ``(n, q, subset_sites)`` as well and
-  bounded by ``_STRUCTURE_MEMO`` too: the odometer's agreement codes, per
-  level the subsets decided there in packs of at most ``_PACK``, each pack
-  one byte per distinct mates of the level.  Only odometer scans build
-  them.
+* ``_agreement_codes``, keyed by ``(n, q, weighted sites)``, the sites of
+  the subsets that a weighting weights in that order, and bounded by
+  ``_STRUCTURE_MEMO`` too: the odometer's agreement codes, per level the
+  weighted subsets decided there in packs of at most ``_PACK``, each pack
+  one byte per distinct mates of the level.  A subset that only an event
+  names is in no pack.  A miss of ``_class_weights`` reads them.
 * ``_classes``, keyed by ``(n, q)``, at most ``_CLASSES_MEMO`` entries:
   the odometer's levels, each prefix's child count and the place of its
   mates among the level's distinct mates, and at the last level every
   site's digit and every class's number of blocks.
-* ``_family_cache``, keyed by ``(q, tables)``, at most ``_FAMILY_MEMO``
-  entries: the odometer's relabelled sums of a family of sums with those
-  per-site tables, by class key, which depends on neither the weights nor
-  ``n`` nor the sites the tables sit on.
+* ``_class_weights``, keyed by ``(n, q, weighted)``, at most
+  ``_WEIGHTS_MEMO`` entries: a weighting's scaled weight of every class.
+  ``weighted`` holds ``(sites, (numerator, denominator))`` for each
+  weighted subset, so scans of one model with other lists and events, and
+  other event-only subsets, read one entry.
+* ``_family_values``, keyed by ``(n, q, terms)``, at most ``_VALUES_MEMO``
+  entries: a family's per-site tables summed over each class's
+  relabellings, one value per class.
 * ``_labelled_sums``, keyed by ``(q, block profile)``, at most
   ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
-  profile's blocks, which those relabelled sums are made of.
+  profile's blocks, which a family's values are made of.  A profile names
+  neither ``n`` nor the sites, so families on any model share it.
 * ``_request_terms``, keyed by ``(q, indices, sign kind, sign indices)``,
   at most ``_REQUEST_MEMO`` entries: a request's sign-free sums, as
   per-site tables, before its delta constraints are bound, zero or not.
@@ -166,14 +175,19 @@ used entry evicted first), so later scans of the same hypergraph reuse it.
   a multiplicity count and one lookup per site and sum.
 
 The bounds keep the memos small.  After odometer scans of 16 hypergraphs,
-the memos retain 0.07 MB on dense n=8, q=4 ones and 2.1 MB on dense n=12,
-q=3 ones (all pairs and one triple each, by ``tracemalloc``); 1.9 MB of
-that is the one ``_classes`` entry, and the codes of one hypergraph take
-about 15 KB.  The reuse pays where one model is checked repeatedly, on
-80-90% of the scans of a model file run through the CLI's commands in
-turn; a sweep's hypergraphs are mostly new (134 distinct in 225 scans at
-seed 42): 2 of its 21 ``_structure`` lookups and 2 of its 15
-``_agreement_codes`` lookups hit.
+one scan of three requests each, the memos retain 0.44 MB on dense n=8,
+q=4 ones and 13.1 MB on dense n=12, q=3 ones (all pairs and one triple
+each, by ``tracemalloc``).  At n=12, q=3, 1.9 MB of that is the one
+``_classes`` entry, about 3.9 MB each ``_class_weights`` entry and 0.7 MB
+each ``_family_values`` entry, and the codes of one hypergraph take about
+15 KB.  The reuse pays where one model is checked repeatedly: on 80-90% of
+the scans of a model file run through the CLI's commands in turn, and in
+a ``dense_events`` pass, where 5 of the 7 ``_class_weights`` lookups and 4
+of the 8 ``_family_values`` lookups hit, and every one in later passes.  A
+sweep's hypergraphs are mostly new (134 distinct in 225 scans at seed
+42): 2 of its 21 ``_structure`` lookups and 1 of its 48 ``_class_weights``
+lookups hit, though 27 of the 47 ``_agreement_codes`` lookups behind those
+misses do.
 """
 
 from __future__ import annotations
@@ -215,10 +229,17 @@ __all__ = [
     "uniform_correlation_sum",
 ]
 
-# Entry bounds of the weight-free memos (see the module docstring).
+# Entry bounds of the memos (see the module docstring).
 _STRUCTURE_MEMO = 16
 _CLASSES_MEMO = 8
-_FAMILY_MEMO = 32
+# Each entry of these two holds one integer per class, so n=12, q=3, with
+# 88,574 classes, sets their bounds: a weights entry there takes about 4 MB
+# and a values entry 0.7 MB, and at these bounds the memos stay below 16 MB
+# (see the module docstring).  They still keep all that a pass of a dense
+# check reads: two weightings, its model and its contraction, and four
+# families.
+_WEIGHTS_MEMO = 2
+_VALUES_MEMO = 4
 _REQUEST_MEMO = 64
 _TABLE_MEMO = 128
 _PROFILE_MEMO = 256
@@ -629,14 +650,15 @@ def _agreement(digits: Sequence[bytes], sites: tuple[int, ...]):
 
 @lru_cache(maxsize=_STRUCTURE_MEMO)
 def _agreement_codes(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> tuple:
-    """The odometer's agreement codes of the hypergraph ``subset_sites``:
+    """The odometer's agreement codes of the hypergraph ``subset_sites``,
+    the subsets that a weighting weights (see ``_class_weights``):
     for each level s >= 1 of ``_classes(n, q)``, the subsets whose highest
     site is s, by index in ``subset_sites``, in packs of at most ``_PACK``,
     each with one byte per distinct mates of the level whose bit k is set
     where the pack's subset k has every site but s among those mates, so
-    all its sites agree.  The first odometer scan of a hypergraph builds
-    them, and every later one reads them; a build cut short by an
-    exception stores nothing."""
+    all its sites agree.  The first weighting of a hypergraph that the
+    odometer weights builds them, and every later one reads them; a build
+    cut short by an exception stores nothing."""
     levels = _classes(n, q)[0]
     decided: list[list[int]] = [[] for _ in range(n)]
     for j, sites in enumerate(subset_sites):
@@ -655,19 +677,34 @@ def _agreement_codes(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) 
     return tuple(codes)
 
 
-def _pack_table(pairs: Iterable) -> list[int]:
+def _pack_table(pairs: Iterable[tuple[int, int]]) -> list[int]:
     """A pack's factors by code: entry c is the product over the pack's
     subsets k of the numerator where bit k of c is set, else the
-    denominator, for each ``(numerator, denominator)`` of ``pairs``; a
-    subset with ``None``, which the group does not weight, gives 1."""
+    denominator, for each ``(numerator, denominator)`` of ``pairs``."""
     table = [1]
-    for pair in pairs:
-        if pair is None:
-            table *= 2
-        else:
-            num, den = pair
-            table = [*[t * den for t in table], *[t * num for t in table]]
+    for num, den in pairs:
+        table = [*[t * den for t in table], *[t * num for t in table]]
     return table
+
+
+@lru_cache(maxsize=_WEIGHTS_MEMO)
+def _class_weights(n: int, q: int, weighted: tuple) -> tuple[int, ...]:
+    """A weighting's scaled weight of every class of ``_classes(n, q)``,
+    level by level (see ``_scan_classes``).  ``weighted`` holds ``(sites,
+    (numerator, denominator))`` for each subset the weighting weights, in
+    ``_compile``'s order; a subset that only an event names has the factor
+    1 and is not in it.  The codes read are those of the weighted
+    hypergraph alone."""
+    codes = _agreement_codes(n, q, tuple([sites for sites, _pair in weighted]))
+    weights = [1]
+    for (tops, places, mates), packs in zip(_classes(n, q)[0], codes):
+        factors = [map(_pack_table([weighted[j][1] for j in pack]).__getitem__, code)
+                   for pack, code in packs]
+        # The product of the level's factors by the prefix's mates, all ones
+        # where no weighted subset is decided there.
+        table = list(map(prod, zip(repeat(1, len(mates)), *factors)))
+        weights = list(map(mul, map(table.__getitem__, places), _expand(weights, tops)))
+    return tuple(weights)
 
 
 def _block_profile(digits: tuple[int, ...], tabs: tuple) -> tuple:
@@ -693,11 +730,32 @@ def _labelled_sums(q: int, profile: tuple) -> int:
                for labels in permutations(range(q), len(profile)))
 
 
-@lru_cache(maxsize=_FAMILY_MEMO)
-def _family_cache(q: int, tabs: tuple) -> dict:
-    """The relabelled sums of a family with tables ``tabs``, by class key
-    (see ``_scan_classes``), shared by every scan at ``q``."""
-    return {}
+@lru_cache(maxsize=_VALUES_MEMO)
+def _family_values(n: int, q: int, terms: tuple) -> tuple[int, ...]:
+    """The values of the family of sums with the per-site tables ``terms``,
+    one per class of ``_classes(n, q)``: the tables' product summed over
+    the class's relabellings (see ``_scan_classes``).
+
+    A value's key is the class's digits at the family's sites, then its
+    number of blocks b: they fix the blocks at the family's sites and
+    their number, and so the value.  Each distinct key is worked out once:
+    the value labels only the t blocks the family's sites touch, and each
+    labelling extends to the untouched blocks in ``(q-t)!/(q-b)!`` ways; a
+    family that reads no site has the empty profile, whose labelled sum is
+    1.  The labelling sums are memoised by the blocks' rows
+    (``_labelled_sums``, see ``_block_profile``), which keys with different
+    digits, families, n and sites share, so the labelling work follows the
+    few distinct block rows rather than the number of site patterns.
+    """
+    _levels, digits, blocks = _classes(n, q)
+    tabs = tuple([tab for _s, tab in terms])
+    columns = [digits[s] for s, _tab in terms]
+    values = dict.fromkeys(zip(*columns, blocks))
+    for key in values:
+        profile = _block_profile(key[:-1], tabs)
+        t = len(profile)
+        values[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
+    return tuple(map(values.__getitem__, zip(*columns, blocks)))
 
 
 def _scan_classes(plan: ScanPlan) -> list[int]:
@@ -718,20 +776,22 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     digit equals site s's, among the level's distinct mates.  A watched
     subset is decided at the level of its highest site s, and its sites
     all agree exactly when its other sites are among the mates.  The
-    subsets decided at a level form packs of at most ``_PACK``, and each
-    pack holds one byte per distinct mates, whose bit k says whether the
-    pack's subset k agrees: these are the hypergraph's
-    ``_agreement_codes``, which the first odometer scan builds and every
-    later one reads.  A prefix's weight, per group, is its parent's times
-    the numerator of every weighted subset decided at its level that
-    agrees and the denominator of every other one.  So per level and
-    group, each pack gives a table of those products by code
+    subsets that a group weights and that are decided at a level form packs
+    of at most ``_PACK``, and each pack holds one byte per distinct mates,
+    whose bit k says whether the pack's subset k agrees: these are the
+    ``_agreement_codes`` of the weighted hypergraph, which the first
+    weighting of it builds and every later one reads.  A prefix's weight,
+    per group, is its parent's times the numerator of every weighted subset
+    decided at its level that agrees and the denominator of every other
+    one.  So per level, each pack gives a table of those products by code
     (``_pack_table``), the codes read it once per distinct mates, and the
-    product over the packs, all ones at a level where the group weights no
+    product over the packs, all ones at a level that decides no weighted
     subset, is the level's factor by mates; a prefix's weight is then one
     entry of it, read through the prefix's place, times its parent's
     weight, repeated once per child.  The scaled weights are built by
-    products alone.
+    products alone, once per weighting: ``_class_weights`` keeps them by
+    the weighted subsets and their weights, so a scan that differs only in
+    its lists and events reads them back.
 
     At the last level each prefix is a class.  Sums with the same per-site
     tables form one family, whatever their delta constraints, group and
@@ -741,49 +801,12 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     compressed to the classes where each of its deltas equals its factor's
     ``agree``, the constraint's bit, by one mask per delta pattern.
 
-    A family's values live in its ``_family_cache``, which later scans with
-    the same tables reuse, on models of any n.  A value's key is the
-    class's digits at the family's sites, then its number of blocks b: they
-    fix the blocks at the family's sites and their number, and so the
-    value.  On a miss, the value labels only the t blocks the family's
-    sites touch, and each labelling extends to the untouched blocks in
-    ``(q-t)!/(q-b)!`` ways; a family that reads no site has the empty
-    profile, whose labelled sum is 1.  The labelling sums are memoised by
-    the blocks' rows (``_labelled_sums``, see ``_block_profile``), which
-    keys with different digits and different families share, so the
-    labelling work follows the few distinct block rows rather than the
-    number of site patterns.
+    A family's values live in ``_family_values``, keyed by ``(n, q,
+    terms)``, so a later scan with the same tables at the same sites reads
+    them back.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    levels, digits, blocks = _classes(n, q)
-    codes = _agreement_codes(n, q, subset_sites)
-
-    def class_weights(row) -> list[int]:
-        """A group's scaled weight of every class, level by level."""
-        weights = [1]
-        for (tops, places, mates), packs in zip(levels, codes):
-            factors = [map(_pack_table([row[j] for j in pack]).__getitem__, code)
-                       for pack, code in packs if any([row[j] for j in pack])]
-            # The product of the level's factors by the prefix's mates, all
-            # ones where the group weights no subset decided there.
-            table = list(map(prod, zip(repeat(1, len(mates)), *factors)))
-            weights = list(map(mul, map(table.__getitem__, places), _expand(weights, tops)))
-        return weights
-
-    def class_values(terms) -> list[int]:
-        """A family's relabelled sums, one per class."""
-        tabs = tuple([tab for _s, tab in terms])
-        cache = _family_cache(q, tabs)
-        columns = [digits[s] for s, _tab in terms]
-        try:
-            return list(map(cache.__getitem__, zip(*columns, blocks)))
-        except KeyError:  # some class's value is new: work out every missing one
-            for key in set(zip(*columns, blocks)).difference(cache):
-                profile = _block_profile(key[:-1], tabs)
-                t = len(profile)
-                cache[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
-            return list(map(cache.__getitem__, zip(*columns, blocks)))
-
+    digits = _classes(n, q)[1]
     weights: dict = {}  # group -> its class weights
     values: dict = {}  # terms -> its family's values
     agreements: dict = {}  # subset -> per class, 1 where its sites agree, else 0
@@ -802,10 +825,12 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     for terms, delta_reqs, group in plan_sums:
         w = weights.get(group)
         if w is None:
-            w = weights[group] = class_weights(weight_rows[group])
+            w = weights[group] = _class_weights(n, q, tuple([
+                (sites, pair) for sites, pair in zip(subset_sites, weight_rows[group])
+                if pair is not None]))
         v = values.get(terms)
         if v is None:
-            v = values[terms] = class_values(terms)
+            v = values[terms] = _family_values(n, q, terms)
         if delta_reqs:
             held = masks.get(delta_reqs)
             if held is None:

@@ -19,7 +19,8 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import _PACK, _agreement_codes, _cluster, _eliminate, _scan_classes
+from pottsverify.enumeration import (_PACK, _agreement_codes, _class_weights, _cluster,
+                                     _eliminate, _family_values, _scan_classes)
 from plans import counted, pairs
 
 EMPTY = IndexList(())
@@ -257,11 +258,14 @@ class TestLastSite:
 
 
 def assert_every_kernel_agrees(groups):
-    """The odometer's integers for ``groups``, with the hypergraph's codes
-    built by this scan and read back by the next, equal ``_eliminate``'s
-    and ``_cluster``'s, and every request equals the naive oracle."""
+    """The odometer's integers for ``groups``, with the weighted hypergraphs'
+    codes, the class weights and the family values built by this scan and
+    read back by the next, equal ``_eliminate``'s and ``_cluster``'s, and
+    every request equals the naive oracle."""
     plan = counted(groups)
     _agreement_codes.cache_clear()
+    _class_weights.cache_clear()
+    _family_values.cache_clear()
     cold = _scan_classes(plan)
     assert _scan_classes(plan) == cold == _eliminate(plan) == _cluster(plan)
     assert_groups_agree(groups)

@@ -1,6 +1,7 @@
-"""Scans on one hypergraph: later scans share the kernels' weight-free memos,
-and one scan binds several weightings as groups.  A scan's integers depend
-neither on what earlier scans left in the memos nor on the other groups."""
+"""Scans on one hypergraph: later scans share the kernels' memos, those of
+the hypergraph and those of a weighting or a family, and one scan binds
+several weightings as groups.  A scan's integers depend neither on what
+earlier scans left in the memos nor on the other groups."""
 
 import itertools
 from fractions import Fraction
@@ -24,10 +25,11 @@ from pottsverify import (
 from pottsverify import enumeration
 from pottsverify.enumeration import (
     _agreement_codes,
+    _class_weights,
     _classes,
     _cluster,
     _eliminate,
-    _family_cache,
+    _family_values,
     _labelled_sums,
     _request_terms,
     _scan_classes,
@@ -35,10 +37,10 @@ from pottsverify.enumeration import (
     _structure,
 )
 from pottsverify.inequalities import check_quadratic
-from plans import counted, pairs
+from plans import counted, pairs, weighted_sites, weighting
 
-MEMOS = (_structure, _agreement_codes, _classes, _family_cache, _request_terms, _site_table,
-         _labelled_sums)
+MEMOS = (_structure, _agreement_codes, _classes, _class_weights, _family_values, _request_terms,
+         _site_table, _labelled_sums)
 
 
 def both_kernels(model, requests):
@@ -56,8 +58,8 @@ def scans_on_one_hypergraph(draw, min_scans=2, max_scans=5, max_n=(5, 5, 4), sam
     others name only in delta events; each scan draws its own weights,
     lists and sign events.  With ``same_subsets`` no weight is 1, and D
     is weighted in the first scan drawn and only named in the second, so
-    that every scan watches the same subsets and reads the same agreement
-    codes."""
+    that every scan watches the same subsets and weights the shared ones,
+    with D or without it."""
     q = draw(st.integers(2, 4))
     n = draw(st.integers(2, max_n[q - 2]))
     subsets = st.frozensets(st.integers(1, n), min_size=2, max_size=min(3, n))
@@ -105,12 +107,15 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
 @settings(max_examples=50, deadline=None)
 @given(scans_on_one_hypergraph(2, 4, max_n=(6, 6, 6), same_subsets=True))
 def test_odometer_scans_share_the_codes_that_the_first_scan_built(scans):
-    """The first odometer scan of a hypergraph builds its agreement codes
-    (``_agreement_codes``): here a scan of every drawn model as
-    one group each.  Each model's own scan, with its own weights, weighted
-    subsets, sign events and delta patterns, then reads that same object,
-    and so does the several-group scan again.  Every integer equals a cold
-    run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
+    """The first odometer scan of a weighted hypergraph builds its
+    agreement codes (``_agreement_codes``): here a scan of every drawn
+    model as one group each, whose groups weight the shared subsets with D
+    or without it, and whose counting group weights none; a group whose
+    sums are all zero by symmetry reads none.  Each model's own scan, with
+    its own weights, weighted subsets, sign events and delta patterns, then
+    reads the same object for each of its groups, and so does the
+    several-group scan again.  Every integer equals a cold run's,
+    ``_eliminate``'s and ``correlation_sum_naive``'s."""
     plans = [counted(scans), *[counted([scan]) for scan in scans]]
     cold = []
     for plan in plans:
@@ -118,17 +123,22 @@ def test_odometer_scans_share_the_codes_that_the_first_scan_built(scans):
             memo.cache_clear()
         cold.append(_scan_classes(plan))
     _agreement_codes.cache_clear()
+    _class_weights.cache_clear()
     first = plans[0]
     assert _scan_classes(first) == cold[0]
-    assert _agreement_codes.cache_info().misses == 1
-    codes = _agreement_codes(first.n, first.q, first.subset_sites)
-    assert any(codes)  # every drawn hypergraph watches D
+    hypergraphs = {weighted_sites(first, group) for _terms, _deltas, group in first.sums}
+    assert _agreement_codes.cache_info().misses == len(hypergraphs)
+    codes = {sites: _agreement_codes(first.n, first.q, sites) for sites in hypergraphs}
+    for sites, code in codes.items():  # a weighted subset is decided at some level
+        assert any(code) == bool(sites)
     for plan, expected in zip([*plans[1:], first], [*cold[1:], cold[0]]):
         assert plan.subset_sites == first.subset_sites
         classes = _scan_classes(plan)
-        assert _agreement_codes(plan.n, plan.q, plan.subset_sites) is codes
+        for group in {group for _terms, _deltas, group in plan.sums}:
+            sites = weighted_sites(plan, group)
+            assert _agreement_codes(plan.n, plan.q, sites) is codes[sites]
         assert classes == expected == _eliminate(plan)
-    assert _agreement_codes.cache_info().misses == 1
+    assert _agreement_codes.cache_info().misses == len(hypergraphs)
     for (model, requests), plan, sums in zip(scans, plans[1:], cold[1:]):
         for (indices, event), (acc, matching) in zip(requests, pairs(plan, sums)):
             naive = correlation_sum_naive(model, indices, event)
@@ -157,23 +167,29 @@ def assert_matches_the_oracle(model, requests, plan, sums):
 
 
 def test_a_warm_scan_builds_no_codes(monkeypatch):
-    """Once a hypergraph's codes are built, an odometer scan reads them:
-    the builder is not called again, with the same or other weights, and
-    it is again once the codes are gone."""
+    """Once a weighted hypergraph's codes are built, an odometer scan reads
+    them: the builder is not called again, with the same or other weights,
+    and it is again once the codes and the class weights are gone.  The
+    plan builds two: the model's weighted subsets, which leave out the
+    event-only {3, 4, 5}, and the counting group's none."""
     model, requests, plan = dense_plan()
+    assert weighted_sites(plan, 0) != plan.subset_sites
     _agreement_codes.cache_clear()
+    _class_weights.cache_clear()
     built = _scan_classes(plan)
-    assert _agreement_codes.cache_info().misses == 1
+    assert _agreement_codes.cache_info().misses == 2
     assert _scan_classes(plan) == built
     reweighted = build_model(5, 3, [(sites, x + 1) for sites, x in
                                     model.interactions.couplings.items()])
     other = counted([(reweighted, requests)])
     assert other.subset_sites == plan.subset_sites
+    assert weighted_sites(other, 0) == weighted_sites(plan, 0)
     assert_matches_the_oracle(reweighted, requests, other, _scan_classes(other))
-    assert _agreement_codes.cache_info().misses == 1
+    assert _agreement_codes.cache_info().misses == 2
     _agreement_codes.cache_clear()
+    _class_weights.cache_clear()
     assert _scan_classes(plan) == built
-    assert _agreement_codes.cache_info().misses == 1
+    assert _agreement_codes.cache_info().misses == 2
 
 
 def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
@@ -198,6 +214,7 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     with pytest.raises(Interrupted):
         _scan_classes(plan)
     assert _agreement_codes.cache_info().currsize == 0
+    assert _class_weights.cache_info().currsize == 0
     monkeypatch.undo()
 
     profiles = iter(range(3))  # the fourth value worked out raises
@@ -212,13 +229,14 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     with pytest.raises(Interrupted):
         _scan_classes(plan)
     monkeypatch.undo()
+    assert _family_values.cache_info().currsize == 0  # the first family raised
     assert_matches_the_oracle(model, requests, plan, _scan_classes(plan))
-    assert _agreement_codes.cache_info().currsize == 1
-    kept = {tabs: dict(_family_cache(plan.q, tabs)) for tabs in
-            {tuple([tab for _s, tab in terms]) for terms, _deltas, _group in plan.sums}}
-    _family_cache.cache_clear()
+    assert _agreement_codes.cache_info().currsize == 2  # the model's and the counting group's
+    kept = {terms: _family_values(plan.n, plan.q, terms)
+            for terms in {terms for terms, _deltas, _group in plan.sums}}
+    _family_values.cache_clear()
     _scan_classes(plan)
-    assert kept == {tabs: _family_cache(plan.q, tabs) for tabs in kept}
+    assert kept == {terms: _family_values(plan.n, plan.q, terms) for terms in kept}
 
 
 def test_a_scan_at_a_q_above_any_byte_gives_the_cluster_sums():
@@ -231,17 +249,18 @@ def test_a_scan_at_a_q_above_any_byte_gives_the_cluster_sums():
     for memo in MEMOS:
         memo.cache_clear()
     cold = _scan_classes(plan)
-    assert _agreement_codes.cache_info().currsize == 1
+    assert _agreement_codes.cache_info().currsize == 2  # the model's and the counting group's
     assert _scan_classes(plan) == cold == _cluster(plan)
 
 
 def test_family_vectors_are_shared_across_n_and_site_placements():
-    """A family's vector key is its digits, -1 at the last site, then the
-    prefix's b; it names neither n nor the sites the tables sit on.  Sums
-    with the same per-site tables on models of different n, with the
-    tables at the last site or away from it, read one set of family caches
-    in either order, and each equals ``correlation_sum_naive``, warm and
-    after ``_family_cache.cache_clear()``."""
+    """A family's values are made of labelled sums keyed by the rows of the
+    blocks its sites fall in (``_labelled_sums``), which name neither n nor
+    the sites the tables sit on.  Sums with the same per-site tables on
+    models of different n, with the tables at the last site or away from
+    it, read one set of labelled sums in either order, and each equals
+    ``correlation_sum_naive``, warm and after ``_labelled_sums`` and
+    ``_family_values`` are cleared."""
     scans = []
     for n, (a, b) in ((3, (1, 3)), (5, (1, 5)), (5, (2, 3)), (4, (3, 4)), (4, (1, 2))):
         model = build_model(n, 3, [({i, j}, Fraction(i + j, j))
@@ -261,15 +280,83 @@ def test_family_vectors_are_shared_across_n_and_site_placements():
             assert matching == naive.configs_matching
 
     for order in (scans, scans[::-1]):
-        _family_cache.cache_clear()
+        _labelled_sums.cache_clear()
+        _family_values.cache_clear()
         for k, (model, requests) in enumerate(order):
             assert_walk_matches_the_oracle(model, requests)
             if k == 0:
-                families = _family_cache.cache_info().currsize
-        assert _family_cache.cache_info().currsize == families
+                profiles = _labelled_sums.cache_info().currsize
+        assert _labelled_sums.cache_info().currsize == profiles
         for model, requests in order:
-            _family_cache.cache_clear()
+            _labelled_sums.cache_clear()
+            _family_values.cache_clear()
             assert_walk_matches_the_oracle(model, requests)
+
+
+def test_scans_that_differ_only_in_event_subsets_share_the_class_weights():
+    """A delta subset that the model does not weight has the factor 1, so
+    scans of one model that watch different such subsets, or none, read
+    one ``_class_weights`` entry for the model and one for the counting
+    group, which weights nothing.  Each scan's integers equal a cold
+    run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
+    model, _requests, _plan = dense_plan()
+    lists = (IndexList((1, 5)), IndexList((2, 3)))
+    events = (EVERYWHERE, delta_event({3, 4, 5}, 1), delta_event({1, 3, 4}, 0),
+              conjoin(delta_event({3, 4, 5}, 0), delta_event({1, 2, 3, 4}, 1)),
+              conjoin(delta_event({2, 4}, 1), sign_event(IndexList((1, 2)), POSITIVE)))
+    scans = [[(lst, event) for lst in lists] for event in events]
+    plans = [counted([(model, requests)]) for requests in scans]
+    assert len({plan.subset_sites for plan in plans}) == 4
+    assert len({weighting(plan, 0) for plan in plans}) == 1
+    cold = []
+    for plan in plans:
+        for memo in MEMOS:
+            memo.cache_clear()
+        cold.append(_scan_classes(plan))
+    _class_weights.cache_clear()
+    warm = [_scan_classes(plan) for plan in plans]
+    info = _class_weights.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2 * len(plans) - 2, 2)
+    assert warm == cold == [_eliminate(plan) for plan in plans]
+    for requests, plan, sums in zip(scans, plans, warm):
+        assert_matches_the_oracle(model, requests, plan, sums)
+
+
+def test_a_weight_changed_by_a_seventh_is_a_new_weighting():
+    """The same model with one weight raised by 1/7 misses the model's
+    class weights, reads the counting group's, and matches the oracle and
+    ``_eliminate``."""
+    model, requests, plan = dense_plan()
+    for memo in MEMOS:
+        memo.cache_clear()
+    _scan_classes(plan)
+    couplings = list(model.interactions.couplings.items())
+    (sites, x), *rest = couplings
+    changed = build_model(5, 3, [(sites, x + Fraction(1, 7)), *rest])
+    other = counted([(changed, requests)])
+    assert other.subset_sites == plan.subset_sites
+    sums = _scan_classes(other)
+    info = _class_weights.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    assert sums == _eliminate(other)
+    assert_matches_the_oracle(changed, requests, other, sums)
+
+
+def test_class_weights_and_family_values_are_kept_as_tuples():
+    """No caller can change a shared entry: both memos hold tuples, one
+    integer per class."""
+    _model, _requests, plan = dense_plan()
+    for memo in MEMOS:
+        memo.cache_clear()
+    _scan_classes(plan)
+    classes = len(_classes(plan.n, plan.q)[2])
+    weights = [_class_weights(plan.n, plan.q, weighting(plan, group))
+               for group in range(len(plan.weight_rows))]
+    assert _class_weights.cache_info().hits == len(weights)
+    values = [_family_values(plan.n, plan.q, terms)
+              for terms in {terms for terms, _deltas, _group in plan.sums}]
+    for entry in [*weights, *values]:
+        assert type(entry) is tuple and len(entry) == classes
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,9 +11,13 @@ at least one sum:
 * it runs all three kernels, ``_cluster``, ``_eliminate`` and
   ``_scan_classes``, and checks that they return identical integers;
 * it times each kernel on each plan, as the best of ``--repeat`` runs of
-  process time with warm memos, and prints one row per source and
-  dispatch pick (the kernel that ``_choose_kernel`` chose) with each
-  kernel's total over the pick's plans;
+  process time, and prints one row per source and dispatch pick (the
+  kernel that ``_choose_kernel`` chose) with each kernel's total over the
+  pick's plans.  The memos of what does not depend on the weights (the
+  structures, the odometer's levels and codes, the request terms) stay
+  warm, while each run builds the odometer's class weights and family
+  values afresh, so a timing is the kernel's work on the plan and not a
+  hit of the memos that the exactness run filled;
 * it prints one ``all`` row per source: the total time of the dispatched
   kernels next to the per-plan best, the sum of each plan's fastest time,
   which is what a dispatch that always picked the fastest kernel would
@@ -93,9 +97,12 @@ def workload_plans(name: str, seed: int, size: str) -> list:
 
 def best_time(kernel, plan, repeat: int) -> float:
     """The least process time, in seconds, of ``repeat`` runs of ``kernel``
-    on ``plan``."""
+    on ``plan``, each after clearing the odometer's class weights and
+    family values."""
     best = float("inf")
     for _ in range(repeat):
+        enumeration._class_weights.cache_clear()
+        enumeration._family_values.cache_clear()
         start = time.process_time()
         kernel(plan)
         best = min(best, time.process_time() - start)
