@@ -63,13 +63,12 @@ the 775 requests that it calls zero in those sweeps' checks make no scan.
   among the 2,795 classes at n=8, q=4), so per group a level's factor, the
   product of the numerator of every weighted subset decided there that
   agrees and the denominator of every other one, is tabled once per
-  distinct mates, from packs of the subsets' agreement bits; a prefix's
-  weight is its parent's times one entry of that table.  So the weights
-  are built by products alone, once per weighting.  At the last level,
-  where each prefix is a class, each sum adds the dot product of its
-  group's class weights with its family's table products summed over each
-  class's ``q!/(q-b)!`` relabellings, over the classes where its deltas
-  hold (see ``_scan_classes``).
+  distinct mates; a prefix's weight is its parent's times one entry of
+  that table.  So the weights are built by products alone, once per
+  weighting.  At the last level, where each prefix is a class, each sum
+  adds the dot product of its group's class weights with its family's
+  table products summed over each class's ``q!/(q-b)!`` relabellings, over
+  the classes where its deltas hold (see ``_scan_classes``).
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per subset factor (a scaled weight or a delta
@@ -116,10 +115,9 @@ the added set is a delta subset, and every augmented model, where it is an
 interaction, in one pass.  The weightings share what does not depend on
 the weights:
 
-* The odometer's levels do not depend on the weights, and its codes only
-  on which subsets a group weights.  Each weighting's class weights are
-  built along them once, and each family's values are read once per scan
-  for every sum of every group in that family.
+* The odometer's levels do not depend on the weights.  Each weighting's
+  class weights are built along them once, and each family's values are
+  read once per scan for every sum of every group in that family.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -131,7 +129,7 @@ the weights:
 
 A scan binds only its weights and its delta constraints.  What depends on
 the hypergraph, ``q`` and the lists alone, and what depends on one
-weighting or one family alone, is kept in eight memos
+weighting or one family alone, is kept in seven memos
 (``functools.lru_cache``, each bounded by a module constant, least recently
 used entry evicted first), so later scans of the same hypergraph or model
 reuse it; a build cut short by an exception stores nothing.
@@ -142,12 +140,6 @@ reuse it; a build cut short by an exception stores nothing.
   lists the watched subsets by size and then by sites, interactions and
   event subsets alike, so a subset takes the same place whether it is
   weighted or not.
-* ``_agreement_codes``, keyed by ``(n, q, weighted sites)``, the sites of
-  the subsets that a weighting weights in that order, and bounded by
-  ``_STRUCTURE_MEMO`` too: the odometer's agreement codes, per level the
-  weighted subsets decided there in packs of at most ``_PACK``, each pack
-  one byte per distinct mates of the level.  A subset that only an event
-  names is in no pack.  A miss of ``_class_weights`` reads them.
 * ``_classes``, keyed by ``(n, q)``, at most ``_CLASSES_MEMO`` entries:
   the odometer's levels, each prefix's child count and the place of its
   mates among the level's distinct mates, and at the last level every
@@ -175,19 +167,17 @@ reuse it; a build cut short by an exception stores nothing.
   a multiplicity count and one lookup per site and sum.
 
 The bounds keep the memos small.  After odometer scans of 16 hypergraphs,
-one scan of three requests each, the memos retain 0.44 MB on dense n=8,
-q=4 ones and 13.1 MB on dense n=12, q=3 ones (all pairs and one triple
+one scan of three requests each, the memos retain 0.41 MB on dense n=8,
+q=4 ones and 12.2 MB on dense n=12, q=3 ones (all pairs and one triple
 each, by ``tracemalloc``).  At n=12, q=3, 1.9 MB of that is the one
-``_classes`` entry, about 3.9 MB each ``_class_weights`` entry and 0.7 MB
-each ``_family_values`` entry, and the codes of one hypergraph take about
-15 KB.  The reuse pays where one model is checked repeatedly: on 80-90% of
-the scans of a model file run through the CLI's commands in turn, and in
-a ``dense_events`` pass, where 5 of the 7 ``_class_weights`` lookups and 4
-of the 8 ``_family_values`` lookups hit, and every one in later passes.  A
-sweep's hypergraphs are mostly new (134 distinct in 225 scans at seed
-42): 2 of its 21 ``_structure`` lookups and 1 of its 48 ``_class_weights``
-lookups hit, though 27 of the 47 ``_agreement_codes`` lookups behind those
-misses do.
+``_classes`` entry, about 4.3 MB each ``_class_weights`` entry and 0.7 MB
+each ``_family_values`` entry.  The reuse pays where one model is checked
+repeatedly: on 80-90% of the scans of a model file run through the CLI's
+commands in turn, and in a ``dense_events`` pass, where 5 of the 7
+``_class_weights`` lookups and 4 of the 8 ``_family_values`` lookups hit,
+and every one in later passes.  A sweep's hypergraphs are mostly new (134
+distinct in 225 scans at seed 42): 2 of its 21 ``_structure`` lookups and
+1 of its 48 ``_class_weights`` lookups hit.
 """
 
 from __future__ import annotations
@@ -243,8 +233,6 @@ _VALUES_MEMO = 4
 _REQUEST_MEMO = 64
 _TABLE_MEMO = 128
 _PROFILE_MEMO = 256
-# The most subsets whose agreement one byte of ``_agreement_codes`` holds.
-_PACK = 4
 # A ``bytes.translate`` table that swaps 0 and 1.
 _NOT = b"\1" + bytes(255)
 
@@ -569,8 +557,7 @@ def _structure(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> _St
     when a watched subset (an interaction or an event's delta subset) holds
     both, and ties go to the lower site index, so the order is
     deterministic.  The cost is the sum over buckets of
-    ``q**(bucket scope size)``.  The odometer reads none of it: its codes
-    are the hypergraph's ``_agreement_codes``.
+    ``q**(bucket scope size)``.  The odometer reads none of it.
     """
     neighbours: list[set[int]] = [set() for _ in range(n)]
     for sites in subset_sites:
@@ -622,7 +609,11 @@ def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
     sorted; then, at the last level, where each prefix is a class, each
     site's digit and each class's number of blocks.  Digits and block
     counts are at most n, so they are ``bytes``; a level has up to ``2**s``
-    distinct mates, so the places are an ``array`` of ``"I"``."""
+    distinct mates, so the places are an ``array`` of ``"I"``.
+    ``_class_weights`` tables each level's weight factor by its distinct
+    mates and reads it through the places; ``_family_values`` reads the
+    digits and block counts, and ``_scan_classes``'s delta masks the
+    digits."""
     digits, blocks, levels = [b"\0"], b"\1", []
     for _s in range(1, n):
         tops = bytes(map(min, map((1).__add__, blocks), repeat(q)))
@@ -648,61 +639,26 @@ def _agreement(digits: Sequence[bytes], sites: tuple[int, ...]):
     return agree
 
 
-@lru_cache(maxsize=_STRUCTURE_MEMO)
-def _agreement_codes(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> tuple:
-    """The odometer's agreement codes of the hypergraph ``subset_sites``,
-    the subsets that a weighting weights (see ``_class_weights``):
-    for each level s >= 1 of ``_classes(n, q)``, the subsets whose highest
-    site is s, by index in ``subset_sites``, in packs of at most ``_PACK``,
-    each with one byte per distinct mates of the level whose bit k is set
-    where the pack's subset k has every site but s among those mates, so
-    all its sites agree.  The first weighting of a hypergraph that the
-    odometer weights builds them, and every later one reads them; a build
-    cut short by an exception stores nothing."""
-    levels = _classes(n, q)[0]
-    decided: list[list[int]] = [[] for _ in range(n)]
-    for j, sites in enumerate(subset_sites):
-        decided[sites[-1]].append(j)
-    codes = []
-    for (_tops, _places, mates), js in zip(levels, decided[1:]):
-        level = []
-        for i in range(0, len(js), _PACK):
-            pack = tuple(js[i:i + _PACK])
-            # Bit k and the mask of the sites of subset k but s.
-            lows = [(1 << k, sum([1 << t for t in subset_sites[j][:-1]]))
-                    for k, j in enumerate(pack)]
-            level.append((pack, bytes([sum([bit for bit, low in lows if m & low == low])
-                                       for m in mates])))
-        codes.append(tuple(level))
-    return tuple(codes)
-
-
-def _pack_table(pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """A pack's factors by code: entry c is the product over the pack's
-    subsets k of the numerator where bit k of c is set, else the
-    denominator, for each ``(numerator, denominator)`` of ``pairs``."""
-    table = [1]
-    for num, den in pairs:
-        table = [*[t * den for t in table], *[t * num for t in table]]
-    return table
-
-
 @lru_cache(maxsize=_WEIGHTS_MEMO)
 def _class_weights(n: int, q: int, weighted: tuple) -> tuple[int, ...]:
     """A weighting's scaled weight of every class of ``_classes(n, q)``,
     level by level (see ``_scan_classes``).  ``weighted`` holds ``(sites,
     (numerator, denominator))`` for each subset the weighting weights, in
     ``_compile``'s order; a subset that only an event names has the factor
-    1 and is not in it.  The codes read are those of the weighted
-    hypergraph alone."""
-    codes = _agreement_codes(n, q, tuple([sites for sites, _pair in weighted]))
+    1 and is not in it.
+
+    A subset agrees at a prefix of the level of its highest site exactly
+    when the mask of its other sites lies within the prefix's mates.  So
+    each level's factor is one product per distinct mates over the subsets
+    decided there, all ones at a level that decides none.  It reads no
+    memo but ``_classes``."""
+    decided: list[list] = [[] for _ in range(n)]
+    for sites, (num, den) in weighted:
+        decided[sites[-1]].append((sum([1 << t for t in sites[:-1]]), num, den))
     weights = [1]
-    for (tops, places, mates), packs in zip(_classes(n, q)[0], codes):
-        factors = [map(_pack_table([weighted[j][1] for j in pack]).__getitem__, code)
-                   for pack, code in packs]
-        # The product of the level's factors by the prefix's mates, all ones
-        # where no weighted subset is decided there.
-        table = list(map(prod, zip(repeat(1, len(mates)), *factors)))
+    for (tops, places, mates), subsets in zip(_classes(n, q)[0], decided[1:]):
+        table = [prod([num if m & low == low else den for low, num, den in subsets])
+                 for m in mates]
         weights = list(map(mul, map(table.__getitem__, places), _expand(weights, tops)))
     return tuple(weights)
 
@@ -775,23 +731,17 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     and the place of its mates, the sites before the level's site s whose
     digit equals site s's, among the level's distinct mates.  A watched
     subset is decided at the level of its highest site s, and its sites
-    all agree exactly when its other sites are among the mates.  The
-    subsets that a group weights and that are decided at a level form packs
-    of at most ``_PACK``, and each pack holds one byte per distinct mates,
-    whose bit k says whether the pack's subset k agrees: these are the
-    ``_agreement_codes`` of the weighted hypergraph, which the first
-    weighting of it builds and every later one reads.  A prefix's weight,
-    per group, is its parent's times the numerator of every weighted subset
-    decided at its level that agrees and the denominator of every other
-    one.  So per level, each pack gives a table of those products by code
-    (``_pack_table``), the codes read it once per distinct mates, and the
-    product over the packs, all ones at a level that decides no weighted
-    subset, is the level's factor by mates; a prefix's weight is then one
-    entry of it, read through the prefix's place, times its parent's
-    weight, repeated once per child.  The scaled weights are built by
-    products alone, once per weighting: ``_class_weights`` keeps them by
-    the weighted subsets and their weights, so a scan that differs only in
-    its lists and events reads them back.
+    all agree exactly when its other sites are among the mates.  A
+    prefix's weight, per group, is its parent's times the numerator of
+    every weighted subset decided at its level that agrees and the
+    denominator of every other one, a product that depends on the prefix's
+    mates alone.  So ``_class_weights`` tables it once per distinct mates
+    of each level, and a prefix's weight is one entry of that table, read
+    through the prefix's place, times its parent's weight, repeated once
+    per child.  The scaled weights are built by products alone, once per
+    weighting: ``_class_weights`` keeps them by the weighted subsets and
+    their weights, so a scan that differs only in its lists and events
+    reads them back.
 
     At the last level each prefix is a class.  Sums with the same per-site
     tables form one family, whatever their delta constraints, group and

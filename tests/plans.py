@@ -36,9 +36,3 @@ def weighting(plan, group):
     plan's order."""
     return tuple([(sites, pair) for sites, pair in zip(plan.subset_sites, plan.weight_rows[group])
                   if pair is not None])
-
-
-def weighted_sites(plan, group):
-    """The hypergraph that a group of ``plan`` weights, the ``_agreement_codes``
-    key of its class weights."""
-    return tuple([sites for sites, _pair in weighting(plan, group)])

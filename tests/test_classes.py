@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +20,8 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
-from pottsverify.enumeration import (_PACK, _agreement_codes, _class_weights, _cluster,
-                                     _eliminate, _family_values, _scan_classes)
+from pottsverify.enumeration import (_class_weights, _classes, _cluster, _eliminate,
+                                     _family_values, _scan_classes)
 from plans import counted, pairs
 
 EMPTY = IndexList(())
@@ -258,12 +259,11 @@ class TestLastSite:
 
 
 def assert_every_kernel_agrees(groups):
-    """The odometer's integers for ``groups``, with the weighted hypergraphs'
-    codes, the class weights and the family values built by this scan and
-    read back by the next, equal ``_eliminate``'s and ``_cluster``'s, and
-    every request equals the naive oracle."""
+    """The odometer's integers for ``groups``, with the class weights and the
+    family values built by this scan and read back by the next, equal
+    ``_eliminate``'s and ``_cluster``'s, and every request equals the naive
+    oracle."""
     plan = counted(groups)
-    _agreement_codes.cache_clear()
     _class_weights.cache_clear()
     _family_values.cache_clear()
     cold = _scan_classes(plan)
@@ -272,14 +272,14 @@ def assert_every_kernel_agrees(groups):
 
 
 class TestLevels:
-    """The walk goes one level of prefixes at a time, and the subsets
-    decided at a level are read in packs of at most ``_PACK``."""
+    """The walk goes one level of prefixes at a time, and a level's weight
+    factor is one product over the weighted subsets decided there per
+    distinct mates."""
 
-    @pytest.mark.parametrize("count", [_PACK - 1, _PACK, _PACK + 1, 2 * _PACK + 1])
+    @pytest.mark.parametrize("count", [3, 4, 5, 9])
     def test_one_site_deciding_packs_of_subsets(self, count):
         """Site 5 is the highest site of ``count`` weighted subsets, pairs
-        first and then triples, so the last pack is full, short or holds
-        one subset."""
+        first and then triples, so one level's factor multiplies them all."""
         below = [*combinations(range(1, 5), 1), *combinations(range(1, 5), 2)]
         subsets = [{*lower, 5} for lower in below[:count]]
         model = build_model(5, 3, [({1, 2}, Fraction(5, 4)), *[
@@ -337,3 +337,58 @@ class TestLevels:
         assert_every_kernel_agrees([(model, [
             (EMPTY, EVERYWHERE), (EMPTY, delta_event({1, 4}, 1)),
             (EMPTY, delta_event({2, 3, 4}, 0)), (IndexList((1, 1)), EVERYWHERE)])])
+
+
+def per_class_weights(n, q, weighted):
+    """The oracle of ``_class_weights``: for each class of ``_classes(n,
+    q)``, the product over the weighted subsets of the numerator where the
+    class's digits at the subset's sites are all equal, else the
+    denominator."""
+    digits = _classes(n, q)[1]
+    return tuple([prod([num if len({digits[s][c] for s in sites}) == 1 else den
+                        for sites, (num, den) in weighted])
+                  for c in range(len(digits[0]))])
+
+
+def assert_class_weights_match(n, q, weighted):
+    _class_weights.cache_clear()
+    assert _class_weights(n, q, weighted) == per_class_weights(n, q, weighted)
+
+
+@st.composite
+def weightings(draw):
+    """A ``_class_weights`` key at n <= 6 and q <= 5: up to eight subsets of
+    2 to n sites, in ``_compile``'s order, each with a numerator and a
+    denominator of 1 to 9."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(2, 5))
+    subsets = [] if n == 1 else draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=2), max_size=8, unique=True))
+    sites = sorted([tuple(sorted(subset)) for subset in subsets], key=lambda t: (len(t), t))
+    pair = st.tuples(st.integers(1, 9), st.integers(1, 9))
+    return n, q, tuple([(t, draw(pair)) for t in sites])
+
+
+@settings(max_examples=200, deadline=None)
+@given(weightings())
+def test_class_weights_match_a_per_class_product(drawn):
+    assert_class_weights_match(*drawn)
+
+
+NINE_AT_SITE_4 = [(*lower, 4) for lower in [*combinations(range(4), 1),
+                                           *combinations(range(4), 2)]][:9]
+
+
+@pytest.mark.parametrize("n, q, weighted", [
+    (1, 3, ()),
+    (3, 6, (((0, 2), (2, 1)), ((1, 2), (9, 4)), ((0, 1, 2), (3, 1)))),
+    (5, 3, (((0, 1), (5, 4)), *[(sites, (3 + i, 1 + i % 3))
+                                for i, sites in enumerate(NINE_AT_SITE_4)])),
+    (4, 3, ()),
+], ids=["one-site", "more-spin-values-than-sites", "nine-subsets-at-one-level", "unweighted"])
+def test_class_weights_fixed_cases(n, q, weighted):
+    """n = 1, where the walk has no level; q > n; one level deciding nine
+    subsets; and the empty weighting, whose every class weight is 1."""
+    assert_class_weights_match(n, q, weighted)
+    if not weighted:
+        assert set(_class_weights(n, q, weighted)) == {1}

@@ -24,7 +24,6 @@ from pottsverify import (
 )
 from pottsverify import enumeration
 from pottsverify.enumeration import (
-    _agreement_codes,
     _class_weights,
     _classes,
     _cluster,
@@ -37,10 +36,17 @@ from pottsverify.enumeration import (
     _structure,
 )
 from pottsverify.inequalities import check_quadratic
-from plans import counted, pairs, weighted_sites, weighting
+from plans import counted, pairs, weighting
 
-MEMOS = (_structure, _agreement_codes, _classes, _class_weights, _family_values, _request_terms,
-         _site_table, _labelled_sums)
+MEMOS = (_structure, _classes, _class_weights, _family_values, _request_terms, _site_table,
+         _labelled_sums)
+
+
+def test_memos_names_every_memo_of_the_module():
+    """Clearing ``MEMOS`` clears every ``lru_cache`` of ``enumeration``, so
+    a cold run in these tests is really cold."""
+    memos = {obj for obj in vars(enumeration).values() if hasattr(obj, "cache_clear")}
+    assert memos == set(MEMOS)
 
 
 def both_kernels(model, requests):
@@ -106,39 +112,27 @@ def test_scans_sharing_memos_match_the_oracle_and_a_cold_run(scans):
 
 @settings(max_examples=50, deadline=None)
 @given(scans_on_one_hypergraph(2, 4, max_n=(6, 6, 6), same_subsets=True))
-def test_odometer_scans_share_the_codes_that_the_first_scan_built(scans):
-    """The first odometer scan of a weighted hypergraph builds its
-    agreement codes (``_agreement_codes``): here a scan of every drawn
-    model as one group each, whose groups weight the shared subsets with D
-    or without it, and whose counting group weights none; a group whose
-    sums are all zero by symmetry reads none.  Each model's own scan, with
-    its own weights, weighted subsets, sign events and delta patterns, then
-    reads the same object for each of its groups, and so does the
-    several-group scan again.  Every integer equals a cold run's,
-    ``_eliminate``'s and ``correlation_sum_naive``'s."""
+def test_warm_odometer_scans_of_groups_on_one_hypergraph_match_a_cold_run(scans):
+    """Odometer scans in turn, with the class weights cleared only before
+    the first, so that each later scan reads what the earlier ones left: a
+    scan of every drawn model as one group each, whose groups weight the
+    shared subsets with D or without it and whose counting group weights
+    none, then each model's own scan, with its own weights, weighted
+    subsets, sign events and delta patterns, and then the several-group
+    scan again.  Every integer equals a cold run's, ``_eliminate``'s and
+    ``correlation_sum_naive``'s."""
     plans = [counted(scans), *[counted([scan]) for scan in scans]]
     cold = []
     for plan in plans:
         for memo in MEMOS:
             memo.cache_clear()
         cold.append(_scan_classes(plan))
-    _agreement_codes.cache_clear()
     _class_weights.cache_clear()
     first = plans[0]
     assert _scan_classes(first) == cold[0]
-    hypergraphs = {weighted_sites(first, group) for _terms, _deltas, group in first.sums}
-    assert _agreement_codes.cache_info().misses == len(hypergraphs)
-    codes = {sites: _agreement_codes(first.n, first.q, sites) for sites in hypergraphs}
-    for sites, code in codes.items():  # a weighted subset is decided at some level
-        assert any(code) == bool(sites)
     for plan, expected in zip([*plans[1:], first], [*cold[1:], cold[0]]):
         assert plan.subset_sites == first.subset_sites
-        classes = _scan_classes(plan)
-        for group in {group for _terms, _deltas, group in plan.sums}:
-            sites = weighted_sites(plan, group)
-            assert _agreement_codes(plan.n, plan.q, sites) is codes[sites]
-        assert classes == expected == _eliminate(plan)
-    assert _agreement_codes.cache_info().misses == len(hypergraphs)
+        assert _scan_classes(plan) == expected == _eliminate(plan)
     for (model, requests), plan, sums in zip(scans, plans[1:], cold[1:]):
         for (indices, event), (acc, matching) in zip(requests, pairs(plan, sums)):
             naive = correlation_sum_naive(model, indices, event)
@@ -166,36 +160,35 @@ def assert_matches_the_oracle(model, requests, plan, sums):
         assert matching == naive.configs_matching
 
 
-def test_a_warm_scan_builds_no_codes(monkeypatch):
-    """Once a weighted hypergraph's codes are built, an odometer scan reads
-    them: the builder is not called again, with the same or other weights,
-    and it is again once the codes and the class weights are gone.  The
-    plan builds two: the model's weighted subsets, which leave out the
-    event-only {3, 4, 5}, and the counting group's none."""
+def test_a_warm_scan_builds_no_class_weights():
+    """Once a weighting's class weights are built, an odometer scan of it
+    reads them: the plan builds two, the model's weighting, which leaves
+    out the event-only {3, 4, 5}, and the counting group's, and a second
+    scan builds none.  The model with other weights builds its own and
+    reads the counting group's, and matches the oracle.  Once the class
+    weights are gone, the plan builds its two again."""
     model, requests, plan = dense_plan()
-    assert weighted_sites(plan, 0) != plan.subset_sites
-    _agreement_codes.cache_clear()
+    assert len(weighting(plan, 0)) < len(plan.subset_sites)
     _class_weights.cache_clear()
     built = _scan_classes(plan)
-    assert _agreement_codes.cache_info().misses == 2
+    assert _class_weights.cache_info().misses == 2
     assert _scan_classes(plan) == built
+    assert _class_weights.cache_info().misses == 2
     reweighted = build_model(5, 3, [(sites, x + 1) for sites, x in
                                     model.interactions.couplings.items()])
     other = counted([(reweighted, requests)])
     assert other.subset_sites == plan.subset_sites
-    assert weighted_sites(other, 0) == weighted_sites(plan, 0)
     assert_matches_the_oracle(reweighted, requests, other, _scan_classes(other))
-    assert _agreement_codes.cache_info().misses == 2
-    _agreement_codes.cache_clear()
+    assert _class_weights.cache_info().misses == 3
     _class_weights.cache_clear()
     assert _scan_classes(plan) == built
-    assert _agreement_codes.cache_info().misses == 2
+    assert _class_weights.cache_info().misses == 2
 
 
 def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
-    """A scan cut short by an exception, first while it builds the codes
-    and then while it works out the family values, leaves no codes and no
-    wrong value behind; the next scan matches the oracle."""
+    """A scan cut short by an exception, first while it builds the class
+    weights and then while it works out the family values, leaves no class
+    weights and no wrong value behind; the next scan matches the oracle."""
 
     class Interrupted(Exception):
         pass
@@ -213,7 +206,6 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     monkeypatch.setattr(enumeration, "_classes", lambda n, q: (cut, digits, blocks))
     with pytest.raises(Interrupted):
         _scan_classes(plan)
-    assert _agreement_codes.cache_info().currsize == 0
     assert _class_weights.cache_info().currsize == 0
     monkeypatch.undo()
 
@@ -231,7 +223,7 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     monkeypatch.undo()
     assert _family_values.cache_info().currsize == 0  # the first family raised
     assert_matches_the_oracle(model, requests, plan, _scan_classes(plan))
-    assert _agreement_codes.cache_info().currsize == 2  # the model's and the counting group's
+    assert _class_weights.cache_info().currsize == 2  # the model's and the counting group's
     kept = {terms: _family_values(plan.n, plan.q, terms)
             for terms in {terms for terms, _deltas, _group in plan.sums}}
     _family_values.cache_clear()
@@ -249,7 +241,7 @@ def test_a_scan_at_a_q_above_any_byte_gives_the_cluster_sums():
     for memo in MEMOS:
         memo.cache_clear()
     cold = _scan_classes(plan)
-    assert _agreement_codes.cache_info().currsize == 2  # the model's and the counting group's
+    assert _class_weights.cache_info().currsize == 2  # the model's and the counting group's
     assert _scan_classes(plan) == cold == _cluster(plan)
 
 

@@ -14,9 +14,9 @@ at least one sum:
   process time, and prints one row per source and dispatch pick (the
   kernel that ``_choose_kernel`` chose) with each kernel's total over the
   pick's plans.  The memos of what does not depend on the weights (the
-  structures, the odometer's levels and codes, the request terms) stay
-  warm, while each run builds the odometer's class weights and family
-  values afresh, so a timing is the kernel's work on the plan and not a
+  structures, the odometer's levels, the request terms) stay warm, while
+  each run builds the odometer's class weights, each level's factor table
+  included, and its family values afresh, so a timing is the kernel's work on the plan and not a
   hit of the memos that the exactness run filled;
 * it prints one ``all`` row per source: the total time of the dispatched
   kernels next to the per-plan best, the sum of each plan's fastest time,
@@ -98,7 +98,7 @@ def workload_plans(name: str, seed: int, size: str) -> list:
 def best_time(kernel, plan, repeat: int) -> float:
     """The least process time, in seconds, of ``repeat`` runs of ``kernel``
     on ``plan``, each after clearing the odometer's class weights and
-    family values."""
+    family values; its levels stay warm."""
     best = float("inf")
     for _ in range(repeat):
         enumeration._class_weights.cache_clear()
