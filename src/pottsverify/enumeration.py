@@ -65,10 +65,13 @@ the 775 requests that it calls zero in those sweeps' checks make no scan.
   agrees and the denominator of every other one, is tabled once per
   distinct mates; a prefix's weight is its parent's times one entry of
   that table.  So the weights are built by products alone, once per
-  weighting.  At the last level, where each prefix is a class, each sum
-  adds the dot product of its group's class weights with its family's
-  table products summed over each class's ``q!/(q-b)!`` relabellings, over
-  the classes where its deltas hold (see ``_scan_classes``).
+  weighting.  At the last level, where each prefix is a class, a family's
+  table products summed over each class's ``q!/(q-b)!`` relabellings take
+  few distinct values (3 to 9 over 2,795 classes in ``dense_events``), so
+  a sum adds up its group's class weights over the classes of each value
+  where its deltas hold and multiplies each total by its value: one
+  addition per class and one product per distinct value (see
+  ``_scan_classes``).
 * Bucket elimination sums the sites out one at a time in a greedy
   min-degree order over the interaction and event subsets.  The factors are
   integer tables: one per subset factor (a scaled weight or a delta
@@ -116,8 +119,9 @@ interaction, in one pass.  The weightings share what does not depend on
 the weights:
 
 * The odometer's levels do not depend on the weights.  Each weighting's
-  class weights are built along them once, and each family's values are
-  read once per scan for every sum of every group in that family.
+  class weights are built along them once, and each family's entry for a
+  delta pattern is read once per scan for every sum of every group with
+  that family and pattern.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -143,15 +147,19 @@ reuse it; a build cut short by an exception stores nothing.
 * ``_classes``, keyed by ``(n, q)``, at most ``_CLASSES_MEMO`` entries:
   the odometer's levels, each prefix's child count and the place of its
   mates among the level's distinct mates, and at the last level every
-  site's digit and every class's number of blocks.
+  site's digit, every class's number of blocks and the class indices,
+  which every family entry's getter shares.
 * ``_class_weights``, keyed by ``(n, q, weighted)``, at most
   ``_WEIGHTS_MEMO`` entries: a weighting's scaled weight of every class.
   ``weighted`` holds ``(sites, (numerator, denominator))`` for each
   weighted subset, so scans of one model with other lists and events, and
   other event-only subsets, read one entry.
-* ``_family_values``, keyed by ``(n, q, terms)``, at most ``_VALUES_MEMO``
-  entries: a family's per-site tables summed over each class's
-  relabellings, one value per class.
+* ``_family_values``, keyed by ``(n, q, terms, deltas)``, at most
+  ``_VALUES_MEMO`` entries: the classes where a family's per-site tables
+  summed over the class's relabellings are not 0 and every delta ``(sites,
+  bit)`` holds, sorted by that value, as one ``operator.itemgetter``, and
+  each distinct value with its number of classes.  An entry with deltas
+  is the family's delta-free entry filtered, and works out no value.
 * ``_labelled_sums``, keyed by ``(q, block profile)``, at most
   ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
   profile's blocks, which a family's values are made of.  A profile names
@@ -167,28 +175,32 @@ reuse it; a build cut short by an exception stores nothing.
   a multiplicity count and one lookup per site and sum.
 
 The bounds keep the memos small.  After odometer scans of 16 hypergraphs,
-one scan of three requests each, the memos retain 0.41 MB on dense n=8,
-q=4 ones and 12.2 MB on dense n=12, q=3 ones (all pairs and one triple
-each, by ``tracemalloc``).  At n=12, q=3, 1.9 MB of that is the one
-``_classes`` entry, about 4.3 MB each ``_class_weights`` entry and 0.7 MB
-each ``_family_values`` entry.  The reuse pays where one model is checked
-repeatedly: on 80-90% of the scans of a model file run through the CLI's
-commands in turn, and in a ``dense_events`` pass, where 5 of the 7
-``_class_weights`` lookups and 4 of the 8 ``_family_values`` lookups hit,
-and every one in later passes.  A sweep's hypergraphs are mostly new (134
-distinct in 225 scans at seed 42): 2 of its 21 ``_structure`` lookups and
-1 of its 48 ``_class_weights`` lookups hit.
+one scan of three requests each, the memos retain 0.50 MB on dense n=8,
+q=4 ones and 15.9 MB on dense n=12, q=3 ones (all pairs and one triple
+each, by ``tracemalloc``).  At n=12, q=3, 5.4 MB of that is the one
+``_classes`` entry, 3.5 MB of it the class indices, about 4.3 MB each
+``_class_weights`` entry, and at most 0.7 MB each ``_family_values``
+entry, a reference per class it reads.  The reuse pays where one model
+is checked repeatedly: on 80-90% of the scans of a model file run through
+the CLI's commands in turn, and in a ``dense_events`` pass, where 5 of the
+7 ``_class_weights`` lookups and 11 of the 22 ``_family_values`` lookups
+hit (7 of the 22 are a delta entry's read of its family's delta-free
+one), and every one in later passes, which look up 15.  A sweep's
+hypergraphs are mostly new (134 distinct in 225 scans at seed 42): 2 of
+its 21 ``_structure`` lookups, 1 of its 48 ``_class_weights`` lookups and
+55 of its 127 ``_family_values`` lookups hit.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice, permutations, repeat
 from math import perm, prod
-from operator import add, and_, eq, itemgetter, mul
+from operator import add, eq, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
@@ -222,19 +234,20 @@ __all__ = [
 # Entry bounds of the memos (see the module docstring).
 _STRUCTURE_MEMO = 16
 _CLASSES_MEMO = 8
-# Each entry of these two holds one integer per class, so n=12, q=3, with
-# 88,574 classes, sets their bounds: a weights entry there takes about 4 MB
-# and a values entry 0.7 MB, and at these bounds the memos stay below 16 MB
-# (see the module docstring).  They still keep all that a pass of a dense
-# check reads: two weightings, its model and its contraction, and four
-# families.
+# A weights entry holds one integer per class and a family entry one
+# reference per class it reads, so n=12, q=3, with 88,574 classes, sets
+# their bounds: a weights entry there takes about 4 MB and a family entry
+# at most 0.7 MB (see the module docstring).  They still keep all that a
+# pass of a dense check reads: two weightings, its model and its
+# contraction, and in ``dense_events`` 11 family entries, the 9 (terms,
+# deltas) keys its scans read and the delta-free entries of two families
+# that only their delta entries read; at 4 entries every pass missed them
+# all again.
 _WEIGHTS_MEMO = 2
-_VALUES_MEMO = 4
+_VALUES_MEMO = 16
 _REQUEST_MEMO = 64
 _TABLE_MEMO = 128
 _PROFILE_MEMO = 256
-# A ``bytes.translate`` table that swaps 0 and 1.
-_NOT = b"\1" + bytes(255)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -597,7 +610,7 @@ def _expand(values: Iterable[int], tops: bytes):
 
 
 @lru_cache(maxsize=_CLASSES_MEMO)
-def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
+def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes, tuple[int, ...]]:
     """The equality classes of ``n`` sites at ``q``, level by level.
 
     Level s holds the prefixes of sites 0..s in order; the children of a
@@ -607,13 +620,12 @@ def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
     child count of every prefix of level s-1, the place of every prefix's
     mates among the level's distinct mates, and those distinct mates,
     sorted; then, at the last level, where each prefix is a class, each
-    site's digit and each class's number of blocks.  Digits and block
-    counts are at most n, so they are ``bytes``; a level has up to ``2**s``
-    distinct mates, so the places are an ``array`` of ``"I"``.
-    ``_class_weights`` tables each level's weight factor by its distinct
-    mates and reads it through the places; ``_family_values`` reads the
-    digits and block counts, and ``_scan_classes``'s delta masks the
-    digits."""
+    site's digit, each class's number of blocks and each class's index.
+    Digits and block counts are at most n, so they are ``bytes``; a level
+    has up to ``2**s`` distinct mates, so the places are an ``array`` of
+    ``"I"``.  ``_class_weights`` tables each level's weight factor by its
+    distinct mates and reads it through the places; ``_family_values``
+    reads the digits, the block counts and the indices."""
     digits, blocks, levels = [b"\0"], b"\1", []
     for _s in range(1, n):
         tops = bytes(map(min, map((1).__add__, blocks), repeat(q)))
@@ -626,17 +638,23 @@ def _classes(n: int, q: int) -> tuple[tuple, tuple[bytes, ...], bytes]:
         mates = tuple(sorted(set(masks)))
         places = array("I", map({m: i for i, m in enumerate(mates)}.__getitem__, masks))
         levels.append((tops, places, mates))
-    return tuple(levels), tuple(digits), blocks
+    return tuple(levels), tuple(digits), blocks, tuple(range(len(blocks)))
 
 
-def _agreement(digits: Sequence[bytes], sites: tuple[int, ...]):
-    """Whether the subset ``sites`` has all its digits equal, per prefix,
-    as an iterator of bools."""
-    first = digits[sites[0]]
-    agree = map(eq, first, digits[sites[1]])
-    for s in sites[2:]:
-        agree = map(and_, agree, map(eq, first, digits[s]))
-    return agree
+def _agreement(digits: Sequence[bytes], sites: tuple[int, ...], bit: int) -> int:
+    """The classes where the delta ``(sites, bit)`` holds, that is where the
+    subset's digits all being equal is ``bit``: an int whose big-endian
+    bytes, one per class, are 1 there and 0 elsewhere, so that the masks of
+    several deltas meet by ``&``.  The sites agree where each one's digit
+    XOR the first's is 0, and XOR and OR never carry from one byte into the
+    next, so every class is compared at once."""
+    size = len(digits[0])
+    first = int.from_bytes(digits[sites[0]], "big")
+    apart = 0
+    for s in sites[1:]:
+        apart |= first ^ int.from_bytes(digits[s], "big")
+    table = bytes([bit]) + bytes([1 - bit]) * 255
+    return int.from_bytes(apart.to_bytes(size, "big").translate(table), "big")
 
 
 @lru_cache(maxsize=_WEIGHTS_MEMO)
@@ -687,31 +705,64 @@ def _labelled_sums(q: int, profile: tuple) -> int:
 
 
 @lru_cache(maxsize=_VALUES_MEMO)
-def _family_values(n: int, q: int, terms: tuple) -> tuple[int, ...]:
-    """The values of the family of sums with the per-site tables ``terms``,
-    one per class of ``_classes(n, q)``: the tables' product summed over
-    the class's relabellings (see ``_scan_classes``).
+def _family_values(n: int, q: int, terms: tuple, deltas: tuple) -> tuple:
+    """The classes of ``_classes(n, q)`` that a sum with the per-site tables
+    ``terms`` and the deltas ``deltas``, each ``(sites, bit)``, reads,
+    grouped by value: ``(get, ((value, count), ...))``.  A class's value is
+    the tables' product summed over its relabellings (see
+    ``_scan_classes``).  ``get`` picks from any per-class tuple the classes
+    whose value is not 0 and where every delta holds, in order of value;
+    the groups give each distinct value and its number of classes in that
+    order.
 
-    A value's key is the class's digits at the family's sites, then its
-    number of blocks b: they fix the blocks at the family's sites and
-    their number, and so the value.  Each distinct key is worked out once:
-    the value labels only the t blocks the family's sites touch, and each
-    labelling extends to the untouched blocks in ``(q-t)!/(q-b)!`` ways; a
-    family that reads no site has the empty profile, whose labelled sum is
-    1.  The labelling sums are memoised by the blocks' rows
+    Without deltas, a value's key is the class's digits at the family's
+    sites, then its number of blocks b: they fix the blocks at the family's
+    sites and their number, and so the value.  Each distinct key is worked
+    out once: the value labels only the t blocks the family's sites touch,
+    and each labelling extends to the untouched blocks in ``(q-t)!/(q-b)!``
+    ways; a family that reads no site has the empty profile, whose labelled
+    sum is 1.  The labelling sums are memoised by the blocks' rows
     (``_labelled_sums``, see ``_block_profile``), which keys with different
     digits, families, n and sites share, so the labelling work follows the
-    few distinct block rows rather than the number of site patterns.
+    few distinct block rows rather than the number of site patterns.  The
+    classes are then sorted by value, those of value 0 left out, and each
+    value's classes counted.
+
+    With deltas, the entry is the family's delta-free entry filtered:
+    ``_agreement`` marks the classes where every delta holds, the
+    delta-free getter reads those marks in its order, and each group keeps
+    the classes marked in it, so no value is worked out and nothing is
+    sorted again.  The class indices are read from ``_classes``, so every
+    entry's getter holds the same int objects.
     """
-    _levels, digits, blocks = _classes(n, q)
-    tabs = tuple([tab for _s, tab in terms])
-    columns = [digits[s] for s, _tab in terms]
-    values = dict.fromkeys(zip(*columns, blocks))
-    for key in values:
-        profile = _block_profile(key[:-1], tabs)
-        t = len(profile)
-        values[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
-    return tuple(map(values.__getitem__, zip(*columns, blocks)))
+    _levels, digits, blocks, classes = _classes(n, q)
+    if deltas:
+        get, groups = _family_values(n, q, terms, ())
+        held = -1
+        for sites, bit in deltas:
+            held &= _agreement(digits, sites, bit)
+        held = get(held.to_bytes(len(blocks), "big"))
+        order = list(compress(get(classes), held))
+        counts = iter(held)
+        groups = [(value, sum(islice(counts, count))) for value, count in groups]
+    else:
+        tabs = tuple([tab for _s, tab in terms])
+        columns = [digits[s] for s, _tab in terms]
+        values = dict.fromkeys(zip(*columns, blocks))
+        for key in values:
+            profile = _block_profile(key[:-1], tabs)
+            t = len(profile)
+            values[key] = _labelled_sums(q, profile) * perm(q - t, key[-1] - t)
+        per_class = list(map(values.__getitem__, zip(*columns, blocks)))
+        order = sorted(compress(classes, per_class), key=per_class.__getitem__)
+        groups = sorted(Counter(per_class).items())
+    # ``itemgetter`` returns a tuple from two indices or more; a lone class,
+    # or none, is read as a slice, which is a tuple too.
+    if len(order) > 1:
+        get = itemgetter(*order)
+    else:
+        get = itemgetter(slice(order[0], order[0] + 1) if order else slice(0))
+    return get, tuple([(value, count) for value, count in groups if value and count])
 
 
 def _scan_classes(plan: ScanPlan) -> list[int]:
@@ -745,32 +796,19 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
 
     At the last level each prefix is a class.  Sums with the same per-site
     tables form one family, whatever their delta constraints, group and
-    weighting, and a family reads one value per class: its tables' product
-    summed over the class's relabellings.  A sum adds the dot product of
-    its group's class weights with its family's values, both first
-    compressed to the classes where each of its deltas equals its factor's
-    ``agree``, the constraint's bit, by one mask per delta pattern.
-
-    A family's values live in ``_family_values``, keyed by ``(n, q,
-    terms)``, so a later scan with the same tables at the same sites reads
-    them back.
+    weighting.  A family takes one value per class, its tables' product
+    summed over the class's relabellings, but only a few distinct values.
+    ``_family_values`` keeps, per family and delta pattern, the classes
+    where the value is not 0 and every delta holds, grouped by value, so a
+    sum picks its group's class weights there, adds up each group's and
+    multiplies the total by the group's value: one addition per class and
+    one product per distinct value.  The entries are keyed by ``(n, q,
+    terms, deltas)``, so a later scan with the same tables at the same
+    sites and the same deltas reads them back.
     """
     n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    digits = _classes(n, q)[1]
     weights: dict = {}  # group -> its class weights
-    values: dict = {}  # terms -> its family's values
-    agreements: dict = {}  # subset -> per class, 1 where its sites agree, else 0
-    masks: dict = {}  # delta pattern -> per class, 1 where every delta holds, else 0
-
-    def mask(delta_reqs) -> bytes:
-        holds = []
-        for j, agree, _differ in delta_reqs:
-            agreed = agreements.get(j)
-            if agreed is None:
-                agreed = agreements[j] = bytes(_agreement(digits, subset_sites[j]))
-            holds.append(agreed if agree else agreed.translate(_NOT))
-        return bytes(map(min, *holds)) if len(holds) > 1 else holds[0]
-
+    families: dict = {}  # (terms, delta_reqs) -> its family's classes by value
     accs = []
     for terms, delta_reqs, group in plan_sums:
         w = weights.get(group)
@@ -778,15 +816,13 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
             w = weights[group] = _class_weights(n, q, tuple([
                 (sites, pair) for sites, pair in zip(subset_sites, weight_rows[group])
                 if pair is not None]))
-        v = values.get(terms)
-        if v is None:
-            v = values[terms] = _family_values(n, q, terms)
-        if delta_reqs:
-            held = masks.get(delta_reqs)
-            if held is None:
-                held = masks[delta_reqs] = mask(delta_reqs)
-            w, v = compress(w, held), compress(v, held)
-        accs.append(sum(map(mul, w, v)))
+        family = families.get((terms, delta_reqs))
+        if family is None:
+            family = families[terms, delta_reqs] = _family_values(n, q, terms, tuple([
+                (subset_sites[j], agree) for j, agree, _differ in delta_reqs]))
+        get, groups = family
+        picked = iter(get(w))
+        accs.append(sum([value * sum(islice(picked, count)) for value, count in groups]))
     return accs
 
 

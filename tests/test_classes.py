@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import prod
+from math import perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,7 @@ from pottsverify import (
     delta_event,
     sign_event,
 )
+from pottsverify import enumeration
 from pottsverify.enumeration import (_class_weights, _classes, _cluster, _eliminate,
                                      _family_values, _scan_classes)
 from plans import counted, pairs
@@ -337,6 +338,78 @@ class TestLevels:
         assert_every_kernel_agrees([(model, [
             (EMPTY, EVERYWHERE), (EMPTY, delta_event({1, 4}, 1)),
             (EMPTY, delta_event({2, 3, 4}, 0)), (IndexList((1, 1)), EVERYWHERE)])])
+
+
+def family_classes(plan, k):
+    """The classes that sum ``k`` of ``plan`` reads, as the class indices
+    its ``_family_values`` entry picks, and its ``(value, count)`` groups."""
+    terms, delta_reqs, _group = plan.sums[k]
+    deltas = tuple([(plan.subset_sites[j], agree) for j, agree, _differ in delta_reqs])
+    get, groups = _family_values(plan.n, plan.q, terms, deltas)
+    return get(_classes(plan.n, plan.q)[3]), groups
+
+
+class TestGroupedFamilies:
+    """A family's entry keeps the classes whose value is not 0 and where its
+    deltas hold, grouped by value; these are its edge cases: no class, one
+    class, zero-valued classes and the empty terms."""
+
+    def test_deltas_that_hold_on_no_class(self):
+        """{1, 2, 3} agreeing and not agreeing at once holds nowhere, so the
+        entry picks no class and the sum is 0."""
+        model = build_model(4, 3, [({1, 2}, 2), ({2, 3, 4}, Fraction(5, 3)), ({1, 4}, 3)])
+        never = conjoin(delta_event({1, 2, 3}, 1), delta_event({1, 2, 3}, 0))
+        requests = [(IndexList((1, 1)), never), (EMPTY, never), (IndexList((2, 4)), EVERYWHERE)]
+        assert_every_kernel_agrees([(model, requests)])
+        plan = counted([(model, requests)])
+        assert family_classes(plan, 0) == family_classes(plan, 1) == ((), ())
+        assert pairs(plan, _scan_classes(plan))[:2] == [(0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_one_surviving_class(self, q):
+        """{1, 2} and {2, 3} agreeing leave one class, all three sites in
+        one block, whose value is the tables' product summed over q
+        labels."""
+        model = build_model(3, q, [({1, 2}, Fraction(3, 2)), ({1, 3}, 2)])
+        one = conjoin(delta_event({1, 2}, 1), delta_event({2, 3}, 1))
+        assert_every_kernel_agrees([(model, [(IndexList((1, 2)), one), (EMPTY, one)])])
+        plan = counted([(model, [(IndexList((1, 2)), one), (EMPTY, one)])])
+        lone = sum([u * u for u in range(1 - q, q, 2)])
+        assert family_classes(plan, 0) == ((0,), ((lone, 1),))
+        assert family_classes(plan, 1) == ((0,), ((q, 1),))
+
+    def test_zero_valued_classes_at_q_2(self, monkeypatch):
+        """At q = 2 every table is u, so a family that the symmetry rule
+        keeps, with an even number of u on each component, has no class of
+        value 0, and one with an odd number has nothing but: with the rule
+        told to drop nothing, such families reach the odometer, which reads
+        no class of them, and every kernel and the oracle give 0."""
+        monkeypatch.setattr(enumeration, "_odd_on_a_component", lambda odd, blocks: False)
+        model = build_model(4, 2, [({1, 2}, 2), ({2, 3, 4}, Fraction(5, 3)), ({1, 4}, 3)])
+        odd = IndexList((1, 2, 3))
+        requests = [(odd, EVERYWHERE), (odd, delta_event({1, 2}, 0)),
+                    (IndexList((4,)), delta_event({2, 3}, 1)), (IndexList((1, 3)), EVERYWHERE)]
+        assert_every_kernel_agrees([(model, requests)])
+        plan = counted([(model, requests)])
+        assert [family_classes(plan, k) for k in range(3)] == [((), ())] * 3
+        picked, groups = family_classes(plan, 3)
+        assert len(picked) == len(_classes(4, 2)[3]) == sum([c for _v, c in groups])
+        assert [acc for acc, _matching in pairs(plan, _scan_classes(plan))[:3]] == [0, 0, 0]
+
+    def test_the_empty_terms_family(self):
+        """Z's family reads no site: a class with b blocks has the value
+        q!/(q-b)!, which at q = 3 is 3 for one block and 6 for two or
+        three, so those share a group; {1, 2} and {3, 4, 5} agreeing leave
+        one class of one block and one of two."""
+        model = build_model(5, 3, [({1, 2}, 2), ({2, 3, 4}, Fraction(5, 3)), ({4, 5}, 4)])
+        requests = [(EMPTY, EVERYWHERE), (EMPTY, delta_event({1, 5}, 0)),
+                    (EMPTY, conjoin(delta_event({1, 2}, 1), delta_event({3, 4, 5}, 1)))]
+        assert_every_kernel_agrees([(model, requests)])
+        plan = counted([(model, requests)])
+        blocks = _classes(5, 3)[2]
+        assert family_classes(plan, 0)[1] == ((perm(3, 1), blocks.count(1)),
+                                              (perm(3, 2), blocks.count(2) + blocks.count(3)))
+        assert family_classes(plan, 2)[1] == ((3, 1), (6, 1))
 
 
 def per_class_weights(n, q, weighted):

@@ -483,3 +483,32 @@ class TestDecisionClauses:
         assert u > 0 and (v, w) == (-u, -u)
         assert report.witness == witness_json(base.with_coupling({2, 3}, 2),
                                               {"R": r, "S": s, "B": IndexList((2, 3))})
+
+    def test_quadratic_identity_must_hold_at_every_x(self, tmp_path, monkeypatch):
+        """The augmented numerator is patched one too large at the extra x =
+        5/2 only, so the identity holds at x = 2 and at the extra x = 3, and
+        the coefficients are the true ones, which satisfy every inequality:
+        only the identity at 5/2 fails.  The witness is the augmented model
+        at x, and ``verify`` on it passes once the patch is gone."""
+        base = build_model(3, 3, [({1, 2}, 2)])
+        r, s = IndexList((1, 2)), IndexList((1, 3))
+        extra = (3, Fraction(5, 2))
+        assert check_quadratic(base, {2, 3}, 2, r, s, extra_x=extra).satisfied
+        direct = inequalities._covariance_requests(3, r, s)
+        _kernel, [(_scale, at_five_halves)] = enumeration._scan([
+            (base.with_coupling({2, 3}, Fraction(5, 2)), direct)])
+        numerator = inequalities._covariance_numerator
+        monkeypatch.setattr(inequalities, "_covariance_numerator",
+                            lambda sums: numerator(sums) + (sums == at_five_halves))
+        built = self.reports(monkeypatch)
+        report = check_quadratic(base, {2, 3}, 2, r, s, extra_x=extra)
+        assert report is built[-1]
+        assert report.kind == "quadratic" and not report.satisfied
+        u, v, w = report.values
+        assert u >= 0 and 2 * u + v >= 0 and u + v + w >= 0
+        assert report.witness == witness_json(base.with_coupling({2, 3}, 2),
+                                              {"R": r, "S": s, "B": IndexList((2, 3))})
+        monkeypatch.undo()
+        replay = tmp_path / "witness.json"
+        replay.write_text(report.witness)
+        assert main(["verify", "--model", str(replay)]) == 0

@@ -27,6 +27,8 @@ def test_every_kernel_agrees_on_every_replayed_plan():
     assert lines[-1].endswith("plans with sums; 0 differ between kernels")
     assert int(lines[-1].split()[0]) > 0
     assert any(line.startswith("dense_events:1 ") and " odometer " in line for line in lines)
+    rows = [line for line in lines if " plans  cluster " in line]
+    assert rows and all(" warm odometer " in line for line in rows)
     for source in ("sweep:42", "sweep:7", "dense_events:1", "ring_cli:1"):
         [row] = [line.split() for line in lines
                  if line.startswith(f"{source} ") and " all " in line]
@@ -69,3 +71,18 @@ def test_each_timed_odometer_run_builds_its_class_weights(monkeypatch):
     assert len(builds) == 4 and len(set(builds)) == 1
     assert odometer(plan) == expected  # read from the memo: no build
     assert len(builds) == 4
+
+
+def test_a_warm_odometer_run_builds_its_class_weights_once(monkeypatch):
+    """Warm, ``best_time`` keeps the memos: one untimed run after they are
+    cleared builds the class weights, and none of the three timed runs
+    builds them again."""
+    tool = load_tool()
+    builds = []
+    build = enumeration._class_weights.__wrapped__
+    monkeypatch.setattr(enumeration, "_class_weights", functools.lru_cache(
+        lambda *key: builds.append(key) or build(*key)))
+    model = build_model(5, 3, [(pair, 2) for pair in itertools.combinations(range(1, 6), 2)])
+    plan = _compile([(model, [(IndexList((1, 2)), EVERYWHERE)])])
+    tool.best_time(tool.KERNELS["odometer"], plan, 3, cold=False)
+    assert len(builds) == 1

@@ -5,6 +5,7 @@ earlier scans left in the memos nor on the other groups."""
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,13 @@ from pottsverify import (
     POSITIVE,
     ZERO,
     build_model,
+    check_contraction_identity,
     conjoin,
     correlation_sum,
     correlation_sum_naive,
+    correlation_sums,
     delta_event,
+    quadratic_decomposition,
     sign_event,
 )
 from pottsverify import enumeration
@@ -185,10 +189,24 @@ def test_a_warm_scan_builds_no_class_weights():
     assert _class_weights.cache_info().misses == 2
 
 
+def family_entries(plan):
+    """Each ``_family_values`` entry that the plan's sums read, keyed by
+    ``(terms, deltas)``, with its getter applied to the class indices, so
+    that entries built at different times compare by what they hold."""
+    indices = _classes(plan.n, plan.q)[3]
+    entries = {}
+    for terms, delta_reqs, _group in plan.sums:
+        deltas = tuple([(plan.subset_sites[j], agree) for j, agree, _differ in delta_reqs])
+        get, groups = _family_values(plan.n, plan.q, terms, deltas)
+        entries[terms, deltas] = (get(indices), groups)
+    return entries
+
+
 def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     """A scan cut short by an exception, first while it builds the class
-    weights and then while it works out the family values, leaves no class
-    weights and no wrong value behind; the next scan matches the oracle."""
+    weights, then while it works out the family values and then while it
+    filters a family by its deltas, leaves no class weights and no wrong
+    entry behind; the next scan matches the oracle."""
 
     class Interrupted(Exception):
         pass
@@ -200,10 +218,10 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
     model, requests, plan = dense_plan()
     for memo in MEMOS:
         memo.cache_clear()
-    levels, digits, blocks = _classes(plan.n, plan.q)
+    levels, digits, blocks, indices = _classes(plan.n, plan.q)
     *early, (tops, places, mates) = levels
     cut = (*early, (tops, places, Unreadable(mates)))  # the last level cannot be read
-    monkeypatch.setattr(enumeration, "_classes", lambda n, q: (cut, digits, blocks))
+    monkeypatch.setattr(enumeration, "_classes", lambda n, q: (cut, digits, blocks, indices))
     with pytest.raises(Interrupted):
         _scan_classes(plan)
     assert _class_weights.cache_info().currsize == 0
@@ -222,13 +240,28 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
         _scan_classes(plan)
     monkeypatch.undo()
     assert _family_values.cache_info().currsize == 0  # the first family raised
+
+    # The second sum's family is {3, 4, 5} agreeing: its delta-free entry
+    # is built and kept, and the filtering by the delta raises.
+    terms, [(j, bit, _differ)], _group = plan.sums[1]
+    assert (plan.subset_sites[j], bit) == ((2, 3, 4), 1)
+
+    def unreadable(digits, sites, bit):
+        raise Interrupted
+
+    monkeypatch.setattr(enumeration, "_agreement", unreadable)
+    with pytest.raises(Interrupted):
+        _scan_classes(plan)
+    monkeypatch.undo()
+    assert _family_values.cache_info().currsize == 2  # the first sum's and the second's base
+    assert _family_values(plan.n, plan.q, terms, ())[1]
+
     assert_matches_the_oracle(model, requests, plan, _scan_classes(plan))
     assert _class_weights.cache_info().currsize == 2  # the model's and the counting group's
-    kept = {terms: _family_values(plan.n, plan.q, terms)
-            for terms in {terms for terms, _deltas, _group in plan.sums}}
+    kept = family_entries(plan)
     _family_values.cache_clear()
     _scan_classes(plan)
-    assert kept == {terms: _family_values(plan.n, plan.q, terms) for terms in kept}
+    assert kept == family_entries(plan)
 
 
 def test_a_scan_at_a_q_above_any_byte_gives_the_cluster_sums():
@@ -335,20 +368,74 @@ def test_a_weight_changed_by_a_seventh_is_a_new_weighting():
 
 
 def test_class_weights_and_family_values_are_kept_as_tuples():
-    """No caller can change a shared entry: both memos hold tuples, one
-    integer per class."""
+    """No caller can change a shared entry: the class weights are a tuple,
+    one integer per class, and a family's entry is a tuple of its getter
+    and a tuple of ``(value, count)`` tuples, whose getter picks a tuple of
+    as many classes as the counts add up to."""
     _model, _requests, plan = dense_plan()
     for memo in MEMOS:
         memo.cache_clear()
     _scan_classes(plan)
-    classes = len(_classes(plan.n, plan.q)[2])
+    indices = _classes(plan.n, plan.q)[3]
     weights = [_class_weights(plan.n, plan.q, weighting(plan, group))
                for group in range(len(plan.weight_rows))]
     assert _class_weights.cache_info().hits == len(weights)
-    values = [_family_values(plan.n, plan.q, terms)
-              for terms in {terms for terms, _deltas, _group in plan.sums}]
-    for entry in [*weights, *values]:
-        assert type(entry) is tuple and len(entry) == classes
+    for entry in weights:
+        assert type(entry) is tuple and len(entry) == len(indices)
+    misses = _family_values.cache_info().misses
+    for terms, deltas in family_entries(plan):
+        entry = _family_values(plan.n, plan.q, terms, deltas)
+        assert type(entry) is tuple and len(entry) == 2
+        get, groups = entry
+        assert type(get) is itemgetter and type(groups) is tuple
+        assert all(type(group) is tuple and len(group) == 2 for group in groups)
+        picked = get(indices)
+        assert type(picked) is tuple and len(picked) == sum([c for _v, c in groups])
+    assert _family_values.cache_info().misses == misses
+
+
+def test_a_second_dense_pass_misses_no_family_and_no_weighting(monkeypatch):
+    """A pass shaped like the benchmark's ``dense_events``, on a complete
+    6-site model with triples at q = 3: the quadratic decomposition, whose
+    scan reads the added set agreeing and not, the contraction identity
+    and a ladder of 1, 2, 4 and 8 requests with d1, d0 and sign events.
+    Every scan of a weighted model runs on the odometer, and the pass
+    reads more ``(terms, deltas)`` keys than four.  Run again, it finds
+    every family and every weighting in the memos: the bounds hold all
+    that one pass reads, and the results are the same."""
+    sites = range(1, 7)
+    model = build_model(6, 3, [
+        *[(pair, Fraction(i + 2, i % 3 + 1)) for i, pair in enumerate(
+            itertools.combinations(sites, 2))],
+        *[(triple, Fraction(7, 3)) for triple in ({1, 2, 5}, {2, 3, 6}, {1, 4, 6})]])
+    r, s = IndexList((1, 3, 5)), IndexList((2, 4, 6))
+    lst = IndexList((1, 2, 4, 6))
+    d1, d0 = delta_event({1, 3, 4}, 1), delta_event({1, 3, 4}, 0)
+    sign = {kind: sign_event(IndexList((2, 3, 5)), kind) for kind in (POSITIVE, NEGATIVE, ZERO)}
+    ladder = [(lst, EVERYWHERE), (lst, d1), (lst, d0), (lst, sign[POSITIVE]),
+              (lst, sign[NEGATIVE]), (lst, sign[ZERO]), (lst, conjoin(d1, sign[POSITIVE])),
+              (lst, conjoin(d0, sign[POSITIVE]))]
+    picks = []
+    choose = enumeration._choose_kernel
+    monkeypatch.setattr(enumeration, "_choose_kernel",
+                        lambda plan: picks.append((plan, choose(plan))) or picks[-1][1])
+
+    def run():
+        return (quadratic_decomposition(model, {2, 4, 5}, Fraction(5, 2), r, s),
+                check_contraction_identity(model, lst, {1, 3, 5}),
+                [correlation_sums(model, ladder[:width]) for width in (1, 2, 4, 8)])
+
+    for memo in MEMOS:
+        memo.cache_clear()
+    first = run()
+    weighted = [kernel for plan, kernel in picks if any(map(any, plan.weight_rows))]
+    assert len(weighted) == 7 and set(weighted) == {"odometer"}
+    assert len({(terms, delta_reqs) for plan, kernel in picks if kernel == "odometer"
+                for terms, delta_reqs, _group in plan.sums}) > 4
+    values, weights = _family_values.cache_info(), _class_weights.cache_info()
+    assert run() == first
+    assert _family_values.cache_info().misses == values.misses
+    assert _class_weights.cache_info().misses == weights.misses
 
 
 @settings(max_examples=100, deadline=None)
