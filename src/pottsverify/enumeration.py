@@ -13,14 +13,18 @@ are divided out exactly once at the end, so every kernel yields the same
 reduced Fractions.  A kernel returns one integer per distinct sum of the
 plan, and ``_scan`` alone combines them into requests.
 
-All three read one constraint form, written by ``_compile``: a factor
-``(agree, differ)`` on a subset is ``agree`` where the subset's spins all
-agree and ``differ`` elsewhere.  A scaled weight ``x_A = num/den`` is
-``(num, den)``, a delta constraint with bit b is ``(b, 1 - b)``, and a
-weight of 1, the factor 1, is left out of the plan.  Elimination and the
-random-cluster kernel multiply a delta's factor in as they do a weight's;
-the odometer reads only its ``agree``, the bit, and tests per prefix
-whether the subset's spins agreeing equals it.
+All three read one factor form, which ``_compile`` writes once into the
+plan: a factor ``(sites, agree, differ)`` is ``agree`` where the spins of
+``sites`` all agree and ``differ`` elsewhere, that is ``differ + (agree -
+differ) * delta``.  A scaled weight ``x_A = num/den`` is ``(A's sites,
+num, den)``, a delta constraint with bit b is ``(A's sites, b, 1 - b)``,
+and a weight of 1, the factor 1, is left out of the plan.  Every reader
+takes the plan's tuples as they are: elimination keys its factor tables
+by them, the random-cluster kernel multiplies them in, the dispatch
+counts the weighted sites, and the odometer keys its class weights by a
+group's weights and its family entries by a sum's deltas, of which it
+reads only ``agree``, the bit, marking the classes where the subset's
+spins agreeing equals it.
 
 No kernel sees a sign: a request is an exact integer combination of
 sign-free sums of per-site table products.  With P the product of the signs
@@ -120,8 +124,8 @@ the weights:
 
 * The odometer's levels do not depend on the weights.  Each weighting's
   class weights are built along them once, and each family's entry for a
-  delta pattern is read once per scan for every sum of every group with
-  that family and pattern.
+  delta pattern once, for every sum of every group with that family and
+  pattern.
 * Elimination keys each weight table by its subset and weight, so groups
   with the same weight on a subset share the table.  Bucket messages are
   memoised by the identities of their input tables, so every bucket that
@@ -151,15 +155,16 @@ reuse it; a build cut short by an exception stores nothing.
   which every family entry's getter shares.
 * ``_class_weights``, keyed by ``(n, q, weighted)``, at most
   ``_WEIGHTS_MEMO`` entries: a weighting's scaled weight of every class.
-  ``weighted`` holds ``(sites, (numerator, denominator))`` for each
-  weighted subset, so scans of one model with other lists and events, and
-  other event-only subsets, read one entry.
+  ``weighted`` is a group's weights in the plan, ``(sites, numerator,
+  denominator)`` for each weighted subset, so scans of one model with
+  other lists and events, and other event-only subsets, read one entry.
 * ``_family_values``, keyed by ``(n, q, terms, deltas)``, at most
   ``_VALUES_MEMO`` entries: the classes where a family's per-site tables
-  summed over the class's relabellings are not 0 and every delta ``(sites,
-  bit)`` holds, sorted by that value, as one ``operator.itemgetter``, and
-  each distinct value with its number of classes.  An entry with deltas
-  is the family's delta-free entry filtered, and works out no value.
+  summed over the class's relabellings are not 0 and every delta factor
+  ``(sites, bit, 1 - bit)`` of a sum's ``delta_reqs`` holds, sorted by
+  that value, as one ``operator.itemgetter``, and each distinct value with
+  its number of classes.  An entry with deltas is the family's delta-free
+  entry filtered, and works out no value.
 * ``_labelled_sums``, keyed by ``(q, block profile)``, at most
   ``_PROFILE_MEMO`` entries: the sum over the injective labellings of a
   profile's blocks, which a family's values are made of.  A profile names
@@ -182,13 +187,16 @@ each, by ``tracemalloc``).  At n=12, q=3, 5.4 MB of that is the one
 ``_class_weights`` entry, and at most 0.7 MB each ``_family_values``
 entry, a reference per class it reads.  The reuse pays where one model
 is checked repeatedly: on 80-90% of the scans of a model file run through
-the CLI's commands in turn, and in a ``dense_events`` pass, where 5 of the
-7 ``_class_weights`` lookups and 11 of the 22 ``_family_values`` lookups
+the CLI's commands in turn, and in a ``dense_events`` pass.  An odometer
+scan looks up both memos once per sum, so a sum can hit what an earlier
+sum of its scan built.  In a ``dense_events`` pass 13 of the 15
+``_class_weights`` lookups and 11 of the 22 ``_family_values`` lookups
 hit (7 of the 22 are a delta entry's read of its family's delta-free
-one), and every one in later passes, which look up 15.  A sweep's
-hypergraphs are mostly new (134 distinct in 225 scans at seed 42): 2 of
-its 21 ``_structure`` lookups, 1 of its 48 ``_class_weights`` lookups and
-55 of its 127 ``_family_values`` lookups hit.
+one), and every one in later passes, which look up 15 of each.  A
+sweep's hypergraphs are mostly new (134 distinct in 225 scans at seed
+42): 2 of its 21 ``_structure`` lookups, 79 of its 126 ``_class_weights``
+lookups and 103 of its 175 ``_family_values`` lookups hit, so it builds
+47 class weights and 72 family entries.
 """
 
 from __future__ import annotations
@@ -378,26 +386,27 @@ class ScanPlan(NamedTuple):
     interactions and the extra subsets that event constraints name, in one
     canonical order, by size and then by sites.  So a subset takes the same
     place whether it carries a weight or only a delta, and scans on one
-    hypergraph share one ``_structure``.  A factor ``(agree, differ)`` on a
-    subset is ``agree`` where the subset's spins all agree, else
-    ``differ``.  ``weight_rows`` holds one row per group: the factor
-    ``(numerator, denominator)`` of the group's weight on each subset,
-    ``None`` where it has none or weights it 1, which is the factor 1; a
-    subset that only such weights name is not watched.  ``scales`` holds
-    the product of each group's coupling denominators.  Each of the
-    distinct ``sums`` is ``(terms, delta_reqs, group)``: the sum over all
-    configurations of the product of the per-site tables ``terms``, the
-    delta factors ``delta_reqs``, each ``(subset, b, 1 - b)`` for bit b,
-    and the group's scaled weight.  The groups' requests follow one
-    another, each ``(combination, divisor)``: an integer combination
-    ``((coefficient, sum index), ...)`` of ``sums`` that, divided by
-    ``divisor``, gives its scaled sum.
+    hypergraph share one ``_structure``.  A factor ``(sites, agree,
+    differ)`` is ``agree`` where the spins of ``sites`` all agree, else
+    ``differ``.  ``weights`` holds one tuple of factors per group, ``(sites,
+    numerator, denominator)`` for each subset the group weights, in the
+    order of ``subset_sites``; a weight of 1 is the factor 1 and is left
+    out, and a subset that only such weights name is not watched.
+    ``scales`` holds the product of each group's coupling denominators.
+    Each of the distinct ``sums`` is ``(terms, delta_reqs, group)``: the sum
+    over all configurations of the product of the per-site tables
+    ``terms``, the delta factors ``delta_reqs``, each ``(sites, b, 1 - b)``
+    for bit b, and the group's scaled weight.  The kernels and the
+    odometer's memos read these factors as they are.  The groups' requests
+    follow one another, each ``(combination, divisor)``: an integer
+    combination ``((coefficient, sum index), ...)`` of ``sums`` that,
+    divided by ``divisor``, gives its scaled sum.
     """
 
     n: int
     q: int
     subset_sites: tuple[tuple[int, ...], ...]
-    weight_rows: tuple[tuple[tuple[int, int] | None, ...], ...]
+    weights: tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]
     sums: tuple
     requests: tuple
     scales: tuple[int, ...]
@@ -521,16 +530,16 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
             watched.update([sites for sites, _bit in event.delta_constraints])
     sites_of = {key: tuple(sorted([i - 1 for i in key])) for key in watched}
     keys = sorted(watched, key=lambda key: (len(key), sites_of[key]))
-    subset_index = {key: j for j, key in enumerate(keys)}
     q = groups[0][0].q
 
-    weight_rows = tuple([tuple(map(ratios.get, keys)) for ratios in weighted])
+    weights = tuple([tuple([(sites_of[key], *ratios[key]) for key in keys if key in ratios])
+                     for ratios in weighted])
     sums: dict[tuple, int] = {}
     compiled_requests = []
     components: dict = {}  # (group, delta pattern) -> blocks, built on first need
     for group, (_model, requests) in enumerate(groups):
         for indices, event in requests:
-            delta_reqs = tuple([(subset_index[sites], bit, 1 - bit)
+            delta_reqs = tuple([(sites_of[sites], bit, 1 - bit)
                                 for sites, bit in event.delta_constraints])
             combination, divisor = _request_terms(q, indices, event.sign_constraint,
                                                   event.sign_indices)
@@ -547,7 +556,7 @@ def _compile(groups: Sequence[tuple[Model, Sequence[tuple[IndexList, EventPredic
             compiled_requests.append((tuple(live), divisor))
     subset_sites = tuple([sites_of[key] for key in keys])
     scales = tuple([prod([den for _num, den in ratios.values()]) for ratios in weighted])
-    return ScanPlan(groups[0][0].n, q, subset_sites, weight_rows, tuple(sums),
+    return ScanPlan(groups[0][0].n, q, subset_sites, weights, tuple(sums),
                     tuple(compiled_requests), scales)
 
 
@@ -660,10 +669,10 @@ def _agreement(digits: Sequence[bytes], sites: tuple[int, ...], bit: int) -> int
 @lru_cache(maxsize=_WEIGHTS_MEMO)
 def _class_weights(n: int, q: int, weighted: tuple) -> tuple[int, ...]:
     """A weighting's scaled weight of every class of ``_classes(n, q)``,
-    level by level (see ``_scan_classes``).  ``weighted`` holds ``(sites,
-    (numerator, denominator))`` for each subset the weighting weights, in
-    ``_compile``'s order; a subset that only an event names has the factor
-    1 and is not in it.
+    level by level (see ``_scan_classes``).  ``weighted`` is a group's
+    weights as the plan holds them, ``(sites, numerator, denominator)`` for
+    each subset the group weights; a subset that only an event names has
+    the factor 1 and is not in it.
 
     A subset agrees at a prefix of the level of its highest site exactly
     when the mask of its other sites lies within the prefix's mates.  So
@@ -671,7 +680,7 @@ def _class_weights(n: int, q: int, weighted: tuple) -> tuple[int, ...]:
     decided there, all ones at a level that decides none.  It reads no
     memo but ``_classes``."""
     decided: list[list] = [[] for _ in range(n)]
-    for sites, (num, den) in weighted:
+    for sites, num, den in weighted:
         decided[sites[-1]].append((sum([1 << t for t in sites[:-1]]), num, den))
     weights = [1]
     for (tops, places, mates), subsets in zip(_classes(n, q)[0], decided[1:]):
@@ -707,13 +716,13 @@ def _labelled_sums(q: int, profile: tuple) -> int:
 @lru_cache(maxsize=_VALUES_MEMO)
 def _family_values(n: int, q: int, terms: tuple, deltas: tuple) -> tuple:
     """The classes of ``_classes(n, q)`` that a sum with the per-site tables
-    ``terms`` and the deltas ``deltas``, each ``(sites, bit)``, reads,
-    grouped by value: ``(get, ((value, count), ...))``.  A class's value is
-    the tables' product summed over its relabellings (see
-    ``_scan_classes``).  ``get`` picks from any per-class tuple the classes
-    whose value is not 0 and where every delta holds, in order of value;
-    the groups give each distinct value and its number of classes in that
-    order.
+    ``terms`` and the delta factors ``deltas``, the sum's ``delta_reqs``,
+    each ``(sites, bit, 1 - bit)``, reads, grouped by value: ``(get,
+    ((value, count), ...))``.  A class's value is the tables' product
+    summed over its relabellings (see ``_scan_classes``).  ``get`` picks
+    from any per-class tuple the classes whose value is not 0 and where
+    every delta holds, in order of value; the groups give each distinct
+    value and its number of classes in that order.
 
     Without deltas, a value's key is the class's digits at the family's
     sites, then its number of blocks b: they fix the blocks at the family's
@@ -739,7 +748,7 @@ def _family_values(n: int, q: int, terms: tuple, deltas: tuple) -> tuple:
     if deltas:
         get, groups = _family_values(n, q, terms, ())
         held = -1
-        for sites, bit in deltas:
+        for sites, bit, _differ in deltas:
             held &= _agreement(digits, sites, bit)
         held = get(held.to_bytes(len(blocks), "big"))
         order = list(compress(get(classes), held))
@@ -790,9 +799,9 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     of each level, and a prefix's weight is one entry of that table, read
     through the prefix's place, times its parent's weight, repeated once
     per child.  The scaled weights are built by products alone, once per
-    weighting: ``_class_weights`` keeps them by the weighted subsets and
-    their weights, so a scan that differs only in its lists and events
-    reads them back.
+    weighting: ``_class_weights`` keeps them by the group's weights in the
+    plan, so a scan that differs only in its lists and events reads them
+    back.
 
     At the last level each prefix is a class.  Sums with the same per-site
     tables form one family, whatever their delta constraints, group and
@@ -803,24 +812,15 @@ def _scan_classes(plan: ScanPlan) -> list[int]:
     sum picks its group's class weights there, adds up each group's and
     multiplies the total by the group's value: one addition per class and
     one product per distinct value.  The entries are keyed by ``(n, q,
-    terms, deltas)``, so a later scan with the same tables at the same
-    sites and the same deltas reads them back.
+    terms, delta_reqs)``, so a later scan with the same tables at the same
+    sites and the same deltas reads them back.  Each sum looks up both
+    memos once, with the plan's tuples as the keys.
     """
-    n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    weights: dict = {}  # group -> its class weights
-    families: dict = {}  # (terms, delta_reqs) -> its family's classes by value
+    n, q, _subset_sites, weights, plan_sums, _requests, _scales = plan
     accs = []
     for terms, delta_reqs, group in plan_sums:
-        w = weights.get(group)
-        if w is None:
-            w = weights[group] = _class_weights(n, q, tuple([
-                (sites, pair) for sites, pair in zip(subset_sites, weight_rows[group])
-                if pair is not None]))
-        family = families.get((terms, delta_reqs))
-        if family is None:
-            family = families[terms, delta_reqs] = _family_values(n, q, terms, tuple([
-                (subset_sites[j], agree) for j, agree, _differ in delta_reqs]))
-        get, groups = family
+        w = _class_weights(n, q, weights[group])
+        get, groups = _family_values(n, q, terms, delta_reqs)
         picked = iter(get(w))
         accs.append(sum([value * sum(islice(picked, count)) for value, count in groups]))
     return accs
@@ -862,8 +862,8 @@ def _eliminate(plan: ScanPlan) -> list[int]:
     ``(scope, table)`` factor waits in the bucket of its first site in that
     order, and a site no factor mentions contributes ``q``.  One context
     serves the whole scan.  Each table is built once: a subset's table per
-    factor ``(subset, agree, differ)``, whichever groups give the subset
-    that weight and whichever sums carry that delta constraint, and a
+    factor ``(sites, agree, differ)`` of the plan, whichever groups give the
+    subset that weight and whichever sums carry that delta constraint, and a
     site's table per site and table.  A bucket's message is memoised by the
     bucket's position and the identities of its input tables, so sums that
     give a bucket the same inputs share one summation and one message
@@ -879,22 +879,18 @@ def _eliminate(plan: ScanPlan) -> list[int]:
     delta patterns, the cluster estimate (see ``_choose_kernel``).
     """
     q = plan.q
-    subset_sites = plan.subset_sites
-    structure = _structure(plan.n, q, subset_sites)
+    structure = _structure(plan.n, q, plan.subset_sites)
     order, getters = structure.order, structure.getters
     rank = {s: i for i, s in enumerate(order)}.__getitem__
 
     # Every factor of the scan, with the bucket it waits in, built once and
-    # keyed by its source: a subset's factor by ``(j, agree, differ)``, so
-    # groups with the same weight there share it, and a site table by its
-    # ``(site, table)`` term.
-    weight_keys = [tuple([(j, *pair) for j, pair in enumerate(row) if pair is not None])
-                   for row in plan.weight_rows]
+    # keyed by its source: a subset's factor by the plan's ``(sites, agree,
+    # differ)``, so groups with the same weight there share it, and a site
+    # table by its ``(site, table)`` term.
     factors: dict = {}
-    for key in chain(*weight_keys, *[delta_reqs for _terms, delta_reqs, _group in plan.sums]):
+    for key in chain(*plan.weights, *[delta_reqs for _terms, delta_reqs, _group in plan.sums]):
         if key not in factors:
-            j, agree, differ = key
-            sites = subset_sites[j]
+            sites, agree, differ = key
             table = _agreement_table(q, len(sites), agree, differ)
             factors[key] = (min(map(rank, sites)), (sites, table))
     for terms, _delta_reqs, _group in plan.sums:
@@ -936,7 +932,7 @@ def _eliminate(plan: ScanPlan) -> list[int]:
                 total *= table[0]
         return total
 
-    return [sum_product((*weight_keys[group], *terms, *delta_reqs))
+    return [sum_product((*plan.weights[group], *terms, *delta_reqs))
             for terms, delta_reqs, group in plan.sums]
 
 
@@ -977,38 +973,39 @@ def _times_factor(dist: dict, mask: int, agree: int, differ: int) -> dict:
 def _cluster(plan: ScanPlan) -> list[int]:
     """Each of the plan's sums by the random-cluster expansion.
 
-    Every factor ``(agree, differ)`` on a subset A is ``differ + (agree -
-    differ) * delta_A``, so a product of factors is a sum over the subsets
-    T of its factors of ``prod(agree - differ over T) * prod(differ off T)
-    * prod(delta over T)``, and ``prod(delta over T)`` is the indicator
-    that every block of the partition T induces is constant.  A dynamic
-    program maps each reachable partition to its integer coefficient, one
-    factor at a time (``_times_factor``): a group's distribution starts
-    from the all-singletons partition at 1 and takes the group's weights,
-    and a sum's distribution is its group's after the sum's delta factors.
+    Every factor ``(sites, agree, differ)`` on a subset A is ``differ +
+    (agree - differ) * delta_A``, so a product of factors is a sum over the
+    subsets T of its factors of ``prod(agree - differ over T) * prod(differ
+    off T) * prod(delta over T)``, and ``prod(delta over T)`` is the
+    indicator that every block of the partition T induces is constant.  A
+    dynamic program maps each reachable partition to its integer
+    coefficient, one factor at a time (``_times_factor``), each factor's
+    sites read as one bitmask: a group's distribution starts from the
+    all-singletons partition at 1 and takes the group's weights, in the
+    plan's order, and a sum's distribution is its group's after the sum's
+    delta factors.
     A partition's value for the sum's tables is the product over its blocks
     of ``sum(prod(tab[v] for the block's table sites) for v in range(q))``,
     ``q`` for a block without a table site.  Block values are memoised per
     terms and distributions per group and prefix of delta factors, so sums
     that share them compute them once.  No division is left over.
     """
-    n, q, subset_sites, weight_rows, plan_sums, _requests, _scales = plan
-    masks = [sum([1 << s for s in sites]) for sites in subset_sites]
+    n, q, subset_sites, weights, plan_sums, _requests, _scales = plan
+    masks = {sites: sum([1 << s for s in sites]) for sites in subset_sites}
     singletons = tuple([1 << s for s in range(n)])
     dists: dict = {}  # (group, delta factors) -> distribution
-    for group, row in enumerate(weight_rows):
+    for group, factors in enumerate(weights):
         dist = {singletons: 1}
-        for mask, pair in zip(masks, row):
-            if pair is not None:
-                dist = _times_factor(dist, mask, *pair)
+        for sites, agree, differ in factors:
+            dist = _times_factor(dist, masks[sites], agree, differ)
         dists[group, ()] = dist
 
     def distribution(group, deltas: tuple) -> dict:
         dist = dists.get((group, deltas))
         if dist is None:
-            j, agree, differ = deltas[-1]
+            sites, agree, differ = deltas[-1]
             dist = dists[group, deltas] = _times_factor(
-                distribution(group, deltas[:-1]), masks[j], agree, differ)
+                distribution(group, deltas[:-1]), masks[sites], agree, differ)
         return dist
 
     blocks: dict = {}  # terms -> {block: value}
@@ -1045,8 +1042,9 @@ def _cost_floor(n: int, q: int, subset_sites: tuple[tuple[int, ...], ...]) -> in
 def _choose_kernel(plan: ScanPlan) -> str:
     """The kernel a scan runs on, from two estimates: for the random-cluster
     kernel, ``2**s_w`` times the distinct delta patterns, with ``s_w`` the
-    subsets that some group weights (``_compile`` leaves out weights of 1),
-    and for elimination, its order's cost.  The scan is clustered when its
+    subsets that some group weights, the union of the ``sites`` of every
+    group's weights (``_compile`` leaves out weights of 1), and for
+    elimination, its order's cost.  The scan is clustered when its
     estimate is below both that cost and ``q**n``, the configurations the
     odometer's classes stand for; else it runs on elimination when twice
     the cost is below ``q**n``, and on the odometer otherwise.
@@ -1057,8 +1055,8 @@ def _choose_kernel(plan: ScanPlan) -> str:
     would cluster it anyway.  That settles 652 of the 674 clustered scans
     of ``sweep --suite all --trials 100`` at seeds 42, 7 and 3."""
     n, q = plan.n, plan.q
-    clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
-        [any(pairs) for pairs in zip(*plan.weight_rows)])
+    clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << len(
+        {sites for factors in plan.weights for sites, _num, _den in factors})
     configs = q**n
     if clusters < min(_cost_floor(n, q, plan.subset_sites), configs):
         return "cluster"

@@ -29,10 +29,3 @@ def pairs(plan, sums):
     half = len(values) // 2
     return list(zip(values[:half], values[half:]))
 
-
-def weighting(plan, group):
-    """The ``_class_weights`` key of a group of ``plan``: ``(sites,
-    (numerator, denominator))`` for each subset the group weights, in the
-    plan's order."""
-    return tuple([(sites, pair) for sites, pair in zip(plan.subset_sites, plan.weight_rows[group])
-                  if pair is not None])

@@ -344,8 +344,7 @@ def family_classes(plan, k):
     """The classes that sum ``k`` of ``plan`` reads, as the class indices
     its ``_family_values`` entry picks, and its ``(value, count)`` groups."""
     terms, delta_reqs, _group = plan.sums[k]
-    deltas = tuple([(plan.subset_sites[j], agree) for j, agree, _differ in delta_reqs])
-    get, groups = _family_values(plan.n, plan.q, terms, deltas)
+    get, groups = _family_values(plan.n, plan.q, terms, delta_reqs)
     return get(_classes(plan.n, plan.q)[3]), groups
 
 
@@ -419,7 +418,7 @@ def per_class_weights(n, q, weighted):
     denominator."""
     digits = _classes(n, q)[1]
     return tuple([prod([num if len({digits[s][c] for s in sites}) == 1 else den
-                        for sites, (num, den) in weighted])
+                        for sites, num, den in weighted])
                   for c in range(len(digits[0]))])
 
 
@@ -431,15 +430,15 @@ def assert_class_weights_match(n, q, weighted):
 @st.composite
 def weightings(draw):
     """A ``_class_weights`` key at n <= 6 and q <= 5: up to eight subsets of
-    2 to n sites, in ``_compile``'s order, each with a numerator and a
-    denominator of 1 to 9."""
+    2 to n sites, in ``_compile``'s order, each ``(sites, numerator,
+    denominator)`` with a numerator and a denominator of 1 to 9."""
     n = draw(st.integers(1, 6))
     q = draw(st.integers(2, 5))
     subsets = [] if n == 1 else draw(st.lists(
         st.frozensets(st.integers(0, n - 1), min_size=2), max_size=8, unique=True))
     sites = sorted([tuple(sorted(subset)) for subset in subsets], key=lambda t: (len(t), t))
     pair = st.tuples(st.integers(1, 9), st.integers(1, 9))
-    return n, q, tuple([(t, draw(pair)) for t in sites])
+    return n, q, tuple([(t, *draw(pair)) for t in sites])
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,9 +453,9 @@ NINE_AT_SITE_4 = [(*lower, 4) for lower in [*combinations(range(4), 1),
 
 @pytest.mark.parametrize("n, q, weighted", [
     (1, 3, ()),
-    (3, 6, (((0, 2), (2, 1)), ((1, 2), (9, 4)), ((0, 1, 2), (3, 1)))),
-    (5, 3, (((0, 1), (5, 4)), *[(sites, (3 + i, 1 + i % 3))
-                                for i, sites in enumerate(NINE_AT_SITE_4)])),
+    (3, 6, (((0, 2), 2, 1), ((1, 2), 9, 4), ((0, 1, 2), 3, 1))),
+    (5, 3, (((0, 1), 5, 4), *[(sites, 3 + i, 1 + i % 3)
+                              for i, sites in enumerate(NINE_AT_SITE_4)])),
     (4, 3, ()),
 ], ids=["one-site", "more-spin-values-than-sites", "nine-subsets-at-one-level", "unweighted"])
 def test_class_weights_fixed_cases(n, q, weighted):

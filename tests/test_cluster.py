@@ -147,10 +147,29 @@ def test_a_dense_model_with_a_pair_of_weight_one_stays_on_the_odometer():
     assert _choose_kernel(plan) == "odometer"
 
 
+def test_the_cluster_estimate_counts_the_subsets_that_any_group_weights():
+    """In a plan shaped like ``check_quadratic``'s, only the augmented
+    models weight the added triple {1, 2, 3}, which the base model watches
+    through delta events of both bits.  A star of four pairs at site 1 and
+    the triple give ``s_w = 5`` and three delta patterns, so 96 clusters,
+    above elimination's cost of 57, which is below half of ``3**5``: the
+    scan runs on elimination.  The base model's weights alone would give
+    48 clusters, below that cost, and cluster it."""
+    star = build_model(5, 3, [({1, s}, 2) for s in range(2, 6)])
+    lists = IndexList((1, 2))
+    plan = _compile([
+        (star, [(lists, delta_event({1, 2, 3}, 1)), (lists, delta_event({1, 2, 3}, 0))]),
+        *[(star.with_coupling({1, 2, 3}, x), [(lists, EVERYWHERE)]) for x in (3, Fraction(5, 2))]])
+    assert [len(factors) for factors in plan.weights] == [4, 5, 5]
+    assert len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) == 3
+    assert _structure(5, 3, plan.subset_sites).cost == 57
+    assert _choose_kernel(plan) == two_estimate_rule(plan) == "elimination"
+
+
 def two_estimate_rule(plan):
     """``_choose_kernel``'s rule with the structure always built."""
-    clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << sum(
-        [any(pairs) for pairs in zip(*plan.weight_rows)])
+    clusters = len({delta_reqs for _terms, delta_reqs, _group in plan.sums}) << len(
+        {sites for factors in plan.weights for sites, _num, _den in factors})
     cost = _structure(plan.n, plan.q, plan.subset_sites).cost
     configs = plan.q**plan.n
     if clusters < min(cost, configs):
@@ -218,7 +237,7 @@ def test_compile_leaves_out_weights_of_one():
     assert plan == _compile([(without, requests), (without, direct),
                              (without.with_coupling({2, 4}, 3), direct)])
     assert (0, 3) not in plan.subset_sites and (1, 2) in plan.subset_sites
-    assert all(pair != (1, 1) for row in plan.weight_rows for pair in row)
+    assert all(num != den for factors in plan.weights for _sites, num, den in factors)
 
 
 def test_the_kernels_agree_on_every_plan_that_a_sweep_compiles(monkeypatch, capsys):

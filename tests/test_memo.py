@@ -40,7 +40,7 @@ from pottsverify.enumeration import (
     _structure,
 )
 from pottsverify.inequalities import check_quadratic
-from plans import counted, pairs, weighting
+from plans import counted, pairs
 
 MEMOS = (_structure, _classes, _class_weights, _family_values, _request_terms, _site_table,
          _labelled_sums)
@@ -168,14 +168,24 @@ def test_a_warm_scan_builds_no_class_weights():
     """Once a weighting's class weights are built, an odometer scan of it
     reads them: the plan builds two, the model's weighting, which leaves
     out the event-only {3, 4, 5}, and the counting group's, and a second
-    scan builds none.  The model with other weights builds its own and
+    scan builds none.  The scan keys both odometer memos by the plan's own
+    tuples: a group's weights and a sum's delta factors, looked up again,
+    hit every time.  The model with other weights builds its own and
     reads the counting group's, and matches the oracle.  Once the class
     weights are gone, the plan builds its two again."""
     model, requests, plan = dense_plan()
-    assert len(weighting(plan, 0)) < len(plan.subset_sites)
+    assert len(plan.weights[0]) < len(plan.subset_sites)
     _class_weights.cache_clear()
     built = _scan_classes(plan)
     assert _class_weights.cache_info().misses == 2
+    weights, values = _class_weights.cache_info(), _family_values.cache_info()
+    groups = {group for _terms, _delta_reqs, group in plan.sums}
+    for group in groups:
+        _class_weights(plan.n, plan.q, plan.weights[group])
+    for terms, delta_reqs, _group in plan.sums:
+        _family_values(plan.n, plan.q, terms, delta_reqs)
+    assert _class_weights.cache_info()[:2] == (weights.hits + len(groups), weights.misses)
+    assert _family_values.cache_info()[:2] == (values.hits + len(plan.sums), values.misses)
     assert _scan_classes(plan) == built
     assert _class_weights.cache_info().misses == 2
     reweighted = build_model(5, 3, [(sites, x + 1) for sites, x in
@@ -196,9 +206,8 @@ def family_entries(plan):
     indices = _classes(plan.n, plan.q)[3]
     entries = {}
     for terms, delta_reqs, _group in plan.sums:
-        deltas = tuple([(plan.subset_sites[j], agree) for j, agree, _differ in delta_reqs])
-        get, groups = _family_values(plan.n, plan.q, terms, deltas)
-        entries[terms, deltas] = (get(indices), groups)
+        get, groups = _family_values(plan.n, plan.q, terms, delta_reqs)
+        entries[terms, delta_reqs] = (get(indices), groups)
     return entries
 
 
@@ -243,8 +252,8 @@ def test_an_interrupted_scan_stores_no_partial_entry(monkeypatch):
 
     # The second sum's family is {3, 4, 5} agreeing: its delta-free entry
     # is built and kept, and the filtering by the delta raises.
-    terms, [(j, bit, _differ)], _group = plan.sums[1]
-    assert (plan.subset_sites[j], bit) == ((2, 3, 4), 1)
+    terms, [(sites, bit, _differ)], _group = plan.sums[1]
+    assert (sites, bit) == ((2, 3, 4), 1)
 
     def unreadable(digits, sites, bit):
         raise Interrupted
@@ -322,8 +331,9 @@ def test_scans_that_differ_only_in_event_subsets_share_the_class_weights():
     """A delta subset that the model does not weight has the factor 1, so
     scans of one model that watch different such subsets, or none, read
     one ``_class_weights`` entry for the model and one for the counting
-    group, which weights nothing.  Each scan's integers equal a cold
-    run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
+    group, which weights nothing: each sum looks its group's entry up once,
+    and only the first scan's two first lookups miss.  Each scan's integers
+    equal a cold run's, ``_eliminate``'s and ``correlation_sum_naive``'s."""
     model, _requests, _plan = dense_plan()
     lists = (IndexList((1, 5)), IndexList((2, 3)))
     events = (EVERYWHERE, delta_event({3, 4, 5}, 1), delta_event({1, 3, 4}, 0),
@@ -332,7 +342,7 @@ def test_scans_that_differ_only_in_event_subsets_share_the_class_weights():
     scans = [[(lst, event) for lst in lists] for event in events]
     plans = [counted([(model, requests)]) for requests in scans]
     assert len({plan.subset_sites for plan in plans}) == 4
-    assert len({weighting(plan, 0) for plan in plans}) == 1
+    assert len({plan.weights[0] for plan in plans}) == 1
     cold = []
     for plan in plans:
         for memo in MEMOS:
@@ -341,7 +351,8 @@ def test_scans_that_differ_only_in_event_subsets_share_the_class_weights():
     _class_weights.cache_clear()
     warm = [_scan_classes(plan) for plan in plans]
     info = _class_weights.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2 * len(plans) - 2, 2)
+    lookups = sum([len(plan.sums) for plan in plans])
+    assert (info.misses, info.hits, info.currsize) == (2, lookups - 2, 2)
     assert warm == cold == [_eliminate(plan) for plan in plans]
     for requests, plan, sums in zip(scans, plans, warm):
         assert_matches_the_oracle(model, requests, plan, sums)
@@ -350,7 +361,8 @@ def test_scans_that_differ_only_in_event_subsets_share_the_class_weights():
 def test_a_weight_changed_by_a_seventh_is_a_new_weighting():
     """The same model with one weight raised by 1/7 misses the model's
     class weights, reads the counting group's, and matches the oracle and
-    ``_eliminate``."""
+    ``_eliminate``.  Each sum looks its group's class weights up once, and
+    only the first lookup of each new weighting misses."""
     model, requests, plan = dense_plan()
     for memo in MEMOS:
         memo.cache_clear()
@@ -362,7 +374,7 @@ def test_a_weight_changed_by_a_seventh_is_a_new_weighting():
     assert other.subset_sites == plan.subset_sites
     sums = _scan_classes(other)
     info = _class_weights.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+    assert (info.misses, info.hits) == (3, len(plan.sums) - 2 + len(other.sums) - 1)
     assert sums == _eliminate(other)
     assert_matches_the_oracle(changed, requests, other, sums)
 
@@ -377,9 +389,9 @@ def test_class_weights_and_family_values_are_kept_as_tuples():
         memo.cache_clear()
     _scan_classes(plan)
     indices = _classes(plan.n, plan.q)[3]
-    weights = [_class_weights(plan.n, plan.q, weighting(plan, group))
-               for group in range(len(plan.weight_rows))]
-    assert _class_weights.cache_info().hits == len(weights)
+    weights = [_class_weights(plan.n, plan.q, weighted) for weighted in plan.weights]
+    # The scan looked its group's entry up once per sum, and missed once for each group.
+    assert _class_weights.cache_info().hits == len(plan.sums) - 2 + len(weights)
     for entry in weights:
         assert type(entry) is tuple and len(entry) == len(indices)
     misses = _family_values.cache_info().misses
@@ -428,7 +440,7 @@ def test_a_second_dense_pass_misses_no_family_and_no_weighting(monkeypatch):
     for memo in MEMOS:
         memo.cache_clear()
     first = run()
-    weighted = [kernel for plan, kernel in picks if any(map(any, plan.weight_rows))]
+    weighted = [kernel for plan, kernel in picks if any(plan.weights)]
     assert len(weighted) == 7 and set(weighted) == {"odometer"}
     assert len({(terms, delta_reqs) for plan, kernel in picks if kernel == "odometer"
                 for terms, delta_reqs, _group in plan.sums}) > 4
